@@ -14,7 +14,7 @@ from .core import (Clause, CnfFormula, VerifyReport, evaluate_clause,
 from .coverage import (COVERED, SCOPE_FULL, SCOPE_SHARED, UNCOVERED, UNKNOWN,
                        CoverageConfig, is_covered, union_count)
 from .cubes import (Cube, cube_contains, cube_falsifies, cube_nbhd,
-                    cube_nbhd_dir, cube_satisfies, merge, split, unsat_cube)
+                    cube_satisfies, merge, unsat_cube)
 from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .oracle import OracleResult, brute_force_sat
 from .proofs import (Proof, emit_proof, format_proof, parse_proof,

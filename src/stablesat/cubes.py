@@ -175,14 +175,6 @@ def cube_satisfies(cube: Cube, clause: Clause) -> bool:
     return common & ~(cube.val ^ sat_val) != 0
 
 
-def split(cube: Cube, var: int):
-    return cube.split(var)
-
-
-def cube_nbhd_dir(cube: Cube, var: int) -> Cube:
-    return cube.nbhd_dir(var)
-
-
 def cube_nbhd(cube: Cube, clause: Clause):
     """1-neighborhood cubes of a falsifying cube, one per clause variable."""
     if not cube_falsifies(cube, clause):

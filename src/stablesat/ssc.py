@@ -27,8 +27,6 @@ from .coverage import COVERED, CoverageConfig, is_covered, union_count
 from .cubes import Cube, cube_falsifies, cube_nbhd, merge, unsat_cube
 from .trace import TraceLog
 
-XI_AUTO_CAP = 20  # track |Union(Body)| exactly while 2^n bitsets stay cheap
-
 
 @dataclass
 class SscConfig:
@@ -38,7 +36,7 @@ class SscConfig:
     split_heuristic: str = "first-intersecting"  # or "most-constrained"
     merge_enabled: bool = True
     coverage: CoverageConfig = field(default_factory=CoverageConfig)
-    xi_log: bool | None = None           # None: log exactly when n <= XI_AUTO_CAP
+    xi_log: bool = False                 # log (iteration, |Union(Body)|, |F|) per iteration
     record_trace: bool = False
 
     def __post_init__(self):
@@ -204,38 +202,6 @@ def merge_cubes(boundary, p: Cube, formula: CnfFormula):
     return _find_merge(list(boundary), p, formula, {})
 
 
-def _cube_point_bits(cube: Cube) -> int:
-    """Characteristic bitset of the cube's points over the 2^n positions."""
-    bits = 1 << cube.val
-    free = cube.free_mask
-    while free:
-        low = free & -free
-        bits |= bits << low
-        free ^= low
-    return bits
-
-
-class _XiTracker:
-    """Exact |Union(Body)| bookkeeping via one big characteristic bitset."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.union_bits = 0
-        self.size = 0
-        self.log: list = []
-
-    def add_cube(self, cube: Cube):
-        if not self.enabled:
-            return
-        bits = _cube_point_bits(cube)
-        self.size += (bits & ~self.union_bits).bit_count()
-        self.union_bits |= bits
-
-    def record(self, iteration: int, num_clauses: int):
-        if self.enabled:
-            self.log.append((iteration, self.size, num_clauses))
-
-
 def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     """Run the cube-cluster generator; the input formula is not mutated.
 
@@ -253,7 +219,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     n = formula.num_vars
     work = formula.copy()
     log = TraceLog(config.record_trace)
-    xi = _XiTracker(config.xi_log if config.xi_log is not None else n <= XI_AUTO_CAP)
+    xi_log: list = []
+    union_size = 0   # |Union(Body)|, kept only when xi_log is on
 
     boundary = _Boundary()
     if config.init_strategy == "ne-style":
@@ -285,6 +252,10 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     def total_covers():
         return body + boundary.items
 
+    def record_xi():
+        if config.xi_log:
+            xi_log.append((iterations, union_size, len(work.clauses)))
+
     while len(boundary):
         iterations += 1
         p = boundary.pop()
@@ -293,10 +264,10 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             if not _intersecting(work, p):
                 log.add("satisfied", f"cube {p.to_text()} 0")
                 log.add("finish", "result SAT")
-                xi.record(iterations, len(work.clauses))
+                record_xi()
                 return SscResult(True, witness=p, learned=learned,
                                  learn_steps=learn_steps, formula=work,
-                                 xi_log=xi.log, iterations=iterations,
+                                 xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
             var = pick_split_var(p, work, config.split_heuristic)
             halves = p.split(var)
@@ -348,16 +319,19 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                         else:
                             boundary.push_front([neighbor])
                 if p not in body_set:
+                    if config.xi_log:
+                        overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
+                                   for q in body if q.intersects(p)]
+                        union_size += p.count_points() - union_count(overlap, n)
                     body.append(p)
                     body_set.add(p)
-                    xi.add_cube(p)
                 transport[p] = clause.cid
                 log.add("move-to-body", f"cube {p.to_text()} 0 clause {clause.cid}")
-        xi.record(iterations, len(work.clauses))
+        record_xi()
 
     log.add("finish", "result UNSAT")
     return SscResult(False, body=body, transport=transport, learned=learned,
-                     learn_steps=learn_steps, formula=work, xi_log=xi.log,
+                     learn_steps=learn_steps, formula=work, xi_log=xi_log,
                      iterations=iterations, trace=log.records)
 
 
@@ -404,8 +378,3 @@ def expand_body_to_points(body, transport):
         for point in cube.points():
             points.setdefault(point, cid)
     return list(points), points
-
-
-def body_union_count(body, num_vars: int) -> int:
-    """Exact point count of the Body union (the coverage module does the work)."""
-    return union_count(body, num_vars)

@@ -6,6 +6,10 @@ expanded. When Boundary drains, Body is stable: every member's
 neighborhood through its transport clause stays inside Body, which
 proves the formula unsatisfiable. The verifier below rechecks that
 property independently of how the set was built.
+
+An optional orbit canonicaliser turns the generator into the
+stable-modulo-symmetry engine: a fresh neighbor whose orbit
+representative was already reached is skipped like a seen point.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .trace import TraceLog
 @dataclass
 class SspConfig:
     pop: str = "fifo"   # or "lifo"
-    clause_pick: Callable | None = None   # picks from the falsified list; first wins by default
+    canonical: Callable | None = None   # packed point -> its orbit representative
     record_trace: bool = False
 
     def __post_init__(self):
@@ -45,7 +49,9 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
 
     Returns a satisfying point, or the stable set with its transport
     function. Always terminates: the body grows by one point per
-    iteration inside a finite space.
+    iteration inside a finite space. With config.canonical the set is
+    stable modulo the orbits it names: points with equal representatives
+    must lie in one orbit.
     """
     config = config or SspConfig()
     n = formula.num_vars
@@ -57,9 +63,11 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
         raise ValueError(f"init point has length {len(init)}, expected {n}")
     log = TraceLog(config.record_trace)
 
+    canonical = config.canonical
     start = point_bits(init)
     boundary = deque([start])
     in_boundary = {start}
+    reps = {canonical(start)} if canonical else set()   # orbits reached
     body: dict[int, int] = {}   # point bits -> transport clause id
     order: list[int] = []
     log.add("initialize", f"point {point_str(init)}")
@@ -78,12 +86,16 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
             log.add("finish", "result SAT")
             return SspResult(True, witness=point, iterations=iterations,
                              trace=log.records)
-        clause = config.clause_pick(falsified) if config.clause_pick else falsified[0]
+        clause = falsified[0]
         body[pbits] = clause.cid
         log.add("move-to-body", f"point {point_str(point)} clause {clause.cid}")
         for lit in clause.lits:
             nbits = pbits ^ (1 << (abs(lit) - 1))
             known = nbits in body or nbits in in_boundary
+            if not known and canonical is not None:
+                rep = canonical(nbits)
+                known = rep in reps
+                reps.add(rep)
             log.add("nbhd", f"point {point_str(point)} clause {clause.cid} "
                             f"dir {abs(lit)} -> point {point_str(bits_to_point(nbits, n))} "
                             f"{'seen' if known else 'new'}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .core import (Clause, CnfFormula, VerifyReport, bits_to_point,
                    evaluate_clause, point_bits, point_nbhd, point_str)
+from .ssp import SspConfig, SspResult, gen_ssp
 
 ORBIT_LIMIT = 10 ** 6
 
@@ -207,39 +208,36 @@ class _OrbitWalker:
                 out |= dst
         return out
 
-    def orbit(self, bits: int):
-        """Return (orbit set, complete flag); incomplete when the limit hits."""
-        seen = {bits}
+    def walk(self, bits: int, seen):
+        """Breadth-first walk of the orbit of bits. Yields (image, parent,
+        generator index) for each image not in `seen`; the caller adds it."""
         frontier = [bits]
         while frontier:
             nxt = []
             for b in frontier:
-                for table in self.tables:
+                for gi, table in enumerate(self.tables):
                     image = self._apply(table, b)
                     if image not in seen:
-                        if len(seen) >= self.limit:
-                            return seen, False
-                        seen.add(image)
+                        yield image, b, gi
                         nxt.append(image)
             frontier = nxt
+
+    def orbit(self, bits: int):
+        """Return (orbit set, complete flag); incomplete when the limit hits."""
+        seen = {bits}
+        for image, _, _ in self.walk(bits, seen):
+            if len(seen) >= self.limit:
+                return seen, False
+            seen.add(image)
         return seen, True
 
     def orbit_with_perms(self, bits: int):
         """Orbit plus, for each member, one permutation mapping the seed to it."""
-        gens = self.tables
         perms = {bits: None}
-        frontier = [bits]
-        while frontier:
-            nxt = []
-            for b in frontier:
-                for gi, table in enumerate(gens):
-                    image = self._apply(table, b)
-                    if image not in perms:
-                        if len(perms) >= self.limit:
-                            return perms, False
-                        perms[image] = (b, gi)
-                        nxt.append(image)
-            frontier = nxt
+        for image, parent, gi in self.walk(bits, perms):
+            if len(perms) >= self.limit:
+                return perms, False
+            perms[image] = (parent, gi)
         return perms, True
 
 
@@ -248,24 +246,16 @@ def in_same_orbit(p1, p2, group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> str
     if len(p1) != group.num_vars or len(p2) != group.num_vars:
         raise ValueError("point arity mismatch")
     walker = _OrbitWalker(group, limit)
-    target = point_bits(p2)
-    seen = {point_bits(p1)}
-    if target in seen:
+    start, target = point_bits(p1), point_bits(p2)
+    if start == target:
         return YES
-    frontier = [point_bits(p1)]
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for table in walker.tables:
-                image = walker._apply(table, b)
-                if image == target:
-                    return YES
-                if image not in seen:
-                    if len(seen) >= limit:
-                        return UNKNOWN
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
+    seen = {start}
+    for image, _, _ in walker.walk(start, seen):
+        if image == target:
+            return YES
+        if len(seen) >= limit:
+            return UNKNOWN
+        seen.add(image)
     return NO
 
 
@@ -288,90 +278,34 @@ def group_order(group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> int:
     return len(elements)
 
 
-@dataclass
-class ModSymResult:
-    satisfiable: bool
-    witness: tuple | None = None
-    points: list | None = None     # representatives, insertion order
-    transport: dict | None = None  # point -> clause id
-    iterations: int = 0
-
-
 def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
-                         orbit_limit: int = ORBIT_LIMIT) -> ModSymResult:
+                         orbit_limit: int = ORBIT_LIMIT) -> SspResult:
     """Point engine that skips neighbors already represented up to symmetry.
 
-    A neighborhood point is dropped when some visited point lies in its
+    A neighborhood point is dropped when some reached point lies in its
     orbit, so the result is stable modulo the group: its existence still
     proves unsatisfiability. Every generator must leave the formula's
-    clause multiset unchanged.
+    clause multiset unchanged. An orbit larger than orbit_limit is not
+    searched; its point stands for itself.
     """
-    n = formula.num_vars
-    if n < 1:
-        raise ValueError("formula must have at least one variable")
     for gen in group.generators:
         if not is_symmetric(formula, gen):
             raise ValueError(f"formula is not symmetric under {gen!r}")
-    if init is None:
-        init = (0,) * n
-    if len(init) != n:
-        raise ValueError(f"init point has length {len(init)}, expected {n}")
-
     walker = _OrbitWalker(group, orbit_limit)
-    canon_cache: dict = {}
-    _miss = object()
+    cache: dict[int, int] = {}
 
-    def canonical(bits: int):
-        """Orbit-minimum representative; None when the orbit overflows."""
-        hit = canon_cache.get(bits, _miss)
-        if hit is not _miss:
-            return hit
-        orbit, complete = walker.orbit(bits)
-        canon = min(orbit) if complete else None
-        if complete:
-            for member in orbit:
-                canon_cache[member] = canon
-        else:
-            canon_cache[bits] = None
-        return canon
+    def canonical(bits: int) -> int:
+        rep = cache.get(bits)
+        if rep is None:
+            orbit, complete = walker.orbit(bits)
+            if complete:
+                rep = min(orbit)
+                cache.update(dict.fromkeys(orbit, rep))
+            else:
+                rep = cache[bits] = bits
+        return rep
 
-    start = point_bits(init)
-    boundary = [start]
-    in_boundary = {start}
-    total_exact = {start}
-    total_canon = {canonical(start)} - {None}
-    body: dict[int, int] = {}
-    order: list[int] = []
-    iterations = 0
-
-    while boundary:
-        iterations += 1
-        pbits = boundary.pop(0)
-        in_boundary.discard(pbits)
-        point = bits_to_point(pbits, n)
-        falsified = [c for c in formula.clauses if pbits & c.fmask == c.fval]
-        if not falsified:
-            return ModSymResult(True, witness=point, iterations=iterations)
-        clause = falsified[0]
-        body[pbits] = clause.cid
-        order.append(pbits)
-        for lit in clause.lits:
-            nbits = pbits ^ (1 << (abs(lit) - 1))
-            if nbits in total_exact:
-                continue
-            canon = canonical(nbits)
-            if canon is not None and canon in total_canon:
-                continue
-            boundary.append(nbits)
-            in_boundary.add(nbits)
-            total_exact.add(nbits)
-            if canon is not None:
-                total_canon.add(canon)
-
-    points = [bits_to_point(b, n) for b in order]
-    transport = {bits_to_point(b, n): cid for b, cid in body.items()}
-    return ModSymResult(False, points=points, transport=transport,
-                        iterations=iterations)
+    return gen_ssp(formula, init, SspConfig(canonical=canonical))
 
 
 def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,

@@ -6,6 +6,7 @@ corpus (exhaustive 3-variable family plus 1000 random 3-CNF instances),
 built once per session.
 """
 
+import dataclasses
 import itertools
 import random
 import time
@@ -16,6 +17,7 @@ import pytest
 
 from stablesat.cli import cli_main
 from stablesat.core import Clause, CnfFormula, point_nbhd
+from stablesat.coverage import union_count
 from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import parse_proof, proof_from_result, replay_proof
@@ -66,7 +68,7 @@ class CorpusSummary:
 def _process(summary, formula, config=None):
     oracle = brute_force_sat(formula)
     ssp = gen_ssp(formula)
-    ssc = gen_ssc(formula, config) if config else gen_ssc(formula)
+    ssc = gen_ssc(formula, dataclasses.replace(config or SscConfig(), xi_log=True))
     summary.total += 1
     summary.ssc_runs += 1
     if ssp.satisfiable == oracle.satisfiable:
@@ -78,7 +80,10 @@ def _process(summary, formula, config=None):
     else:
         summary.mismatches.append(("ssc", formula))
     xs = [union + clauses for _, union, clauses in ssc.xi_log]
-    if xs == sorted(xs):
+    # A SAT result carries no Body, so the final union is checked on UNSAT runs.
+    if xs == sorted(xs) and len(xs) == ssc.iterations and (
+            ssc.satisfiable
+            or ssc.xi_log[-1][1] == union_count(ssc.body, formula.num_vars)):
         summary.xi_ok += 1
     if not ssc.satisfiable:
         summary.unsat_runs += 1

@@ -4,8 +4,7 @@ import pytest
 
 from stablesat.core import Clause, point_nbhd
 from stablesat.cubes import (Cube, cube_contains, cube_falsifies, cube_nbhd,
-                             cube_nbhd_dir, cube_satisfies, merge, split,
-                             unsat_cube)
+                             cube_satisfies, merge, unsat_cube)
 from conftest import random_clause
 
 
@@ -77,12 +76,12 @@ def test_cube_satisfies_means_every_point():
 
 
 def test_split_examples():
-    zero, one = split(cube([2, -3], 4), 1)
+    zero, one = cube([2, -3], 4).split(1)
     assert zero == cube([-1, 2, -3], 4)
     assert one == cube([1, 2, -3], 4)
-    zero, one = split(cube([-2, 3], 4), 4)
+    zero, one = cube([-2, 3], 4).split(4)
     assert (zero, one) == (cube([-2, 3, -4], 4), cube([-2, 3, 4], 4))
-    assert split(Cube.full(1), 1) == (cube([-1], 1), cube([1], 1))
+    assert Cube.full(1).split(1) == (cube([-1], 1), cube([1], 1))
 
 
 def test_split_partitions_points():
@@ -94,10 +93,10 @@ def test_split_partitions_points():
         free = [v for v in range(1, n + 1) if not mask & (1 << (v - 1))]
         if not free:
             with pytest.raises(ValueError):
-                split(c, rng.randint(1, n))
+                c.split(rng.randint(1, n))
             continue
         var = rng.choice(free)
-        zero, one = split(c, var)
+        zero, one = c.split(var)
         left, right, whole = set(zero.points()), set(one.points()), set(c.points())
         assert left | right == whole
         assert not left & right
@@ -105,14 +104,14 @@ def test_split_partitions_points():
 
 def test_nbhd_dir_examples():
     p1 = cube([-2, -3], 4)
-    assert cube_nbhd_dir(p1, 2) == cube([2, -3], 4)
-    assert cube_nbhd_dir(p1, 3) == cube([-2, 3], 4)
-    assert cube_nbhd_dir(cube_nbhd_dir(p1, 2), 2) == p1
+    assert p1.nbhd_dir(2) == cube([2, -3], 4)
+    assert p1.nbhd_dir(3) == cube([-2, 3], 4)
+    assert p1.nbhd_dir(2).nbhd_dir(2) == p1
 
 
 def test_nbhd_dir_requires_literal_component():
     with pytest.raises(ValueError):
-        cube_nbhd_dir(cube([-2], 4), 1)
+        cube([-2], 4).nbhd_dir(1)
 
 
 def test_cube_nbhd_examples(vb_formula):

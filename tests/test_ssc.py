@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from stablesat.core import CnfFormula
-from stablesat.coverage import CoverageConfig, SCOPE_SHARED
+from stablesat.coverage import CoverageConfig, SCOPE_SHARED, union_count
 from stablesat.cubes import Cube, cube_satisfies
 from stablesat.oracle import brute_force_sat
 from stablesat.ssc import (SscConfig, expand_body_to_points, gen_ssc,
@@ -137,9 +138,11 @@ def test_pick_split_var_most_constrained():
 
 
 def test_xi_never_decreases(vb_formula, golden_config):
-    result = gen_ssc(vb_formula, golden_config)
+    result = gen_ssc(vb_formula, dataclasses.replace(golden_config, xi_log=True))
     values = [union + clauses for _, union, clauses in result.xi_log]
     assert values == sorted(values)
+    assert len(result.xi_log) == result.iterations
+    assert result.xi_log[-1][1] == union_count(result.body, 4)
     assert result.xi_log[-1][1] == 16  # body covers the whole space
 
 

@@ -13,6 +13,7 @@ from stablesat.symmetry import (OrbitLimitExceeded, Permutation, SymmetryGroup,
                                 parse_symmetry_file, ph_formula,
                                 ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
+from conftest import random_3cnf
 
 
 def random_perm(n, rng):
@@ -205,6 +206,24 @@ def test_gen_mod_sym_trivial_group_matches_plain():
     plain = gen_ssp(f)
     assert not result.satisfiable
     assert set(result.points) == set(plain.points)
+    rng = random.Random(2)
+    for _ in range(150):
+        n = rng.randint(3, 10)
+        f = random_3cnf(n, round(n * rng.choice((3.0, 4.26, 5.5))), rng)
+        result = gen_ssp_mod_symmetry(f, SymmetryGroup([], n))
+        plain = gen_ssp(f)
+        assert (result.satisfiable, result.witness, result.iterations) == \
+            (plain.satisfiable, plain.witness, plain.iterations)
+        assert result.points == plain.points
+        assert result.transport == plain.transport
+
+
+def test_gen_mod_sym_ph_representatives():
+    for m, size in ((1, 3), (2, 6), (3, 11), (4, 18)):
+        f, inst = ph_formula(m + 1, m)
+        result = gen_ssp_mod_symmetry(f, ph_symmetry_generators(inst))
+        assert not result.satisfiable
+        assert len(result.points) == size, f"PH({m + 1},{m})"
 
 
 def test_gen_mod_sym_satisfiable_instance():
