@@ -82,9 +82,10 @@ def _load_formula(path: str) -> CnfFormula:
 
 def _print_model(point):
     lits = [i + 1 if v else -(i + 1) for i, v in enumerate(point)]
-    for lo in range(0, len(lits), 12):
-        end = " 0" if lo + 12 >= len(lits) else ""
-        print("v " + " ".join(str(l) for l in lits[lo:lo + 12]) + end)
+    lines = [lits[lo:lo + 12] for lo in range(0, len(lits), 12)] or [[]]
+    lines[-1].append(0)
+    for line in lines:
+        print("v " + " ".join(str(l) for l in line))
 
 
 def _witness_point(cube: Cube):

@@ -9,7 +9,7 @@ order, e.g. "-2 -3" for the cube fixing x2=0, x3=0.
 
 from __future__ import annotations
 
-from .core import Clause, bits_to_point, resolvable_on, resolve
+from .core import Clause, bits_to_point, point_str, resolvable_on, resolve
 
 
 class Cube:
@@ -182,10 +182,40 @@ def cube_nbhd(cube: Cube, clause: Clause):
     return [cube.nbhd_dir(abs(l)) for l in clause.lits]
 
 
-def cube_contains(outer: Cube, inner: Cube) -> bool:
-    if outer.n != inner.n:
-        raise ValueError("cube arity mismatch")
-    return outer.contains(inner)
+def member_name(cube: Cube) -> str:
+    """How failure messages name a member: `point 0101` or `cluster -2 -3`."""
+    if cube.is_point():
+        return "point " + point_str(cube.to_point())
+    return "cluster " + (cube.to_text() or "T")
+
+
+def unreached_neighbors(formula, clusters, transport, report):
+    """The member half of the stability check, shared by every verifier.
+
+    Reports on `report` each cluster whose transport id is missing, not
+    in the formula, or names a clause the cluster does not falsify. For
+    every other cluster, yields (cluster, clause id, neighbor) for each
+    neighborhood cube through the transport clause that is not itself a
+    member; the caller judges whether the set reaches it.
+    """
+    members = dict.fromkeys(clusters)
+    if not members:
+        raise ValueError("a stable set must be non-empty")
+    for cube in members:
+        cid = transport.get(cube)
+        if cid is None:
+            report.fail(f"{member_name(cube)}: no transport clause")
+            continue
+        clause = formula.clause_by_id(cid)
+        if clause is None:
+            report.fail(f"{member_name(cube)}: transport id {cid} not in formula")
+            continue
+        if not cube_falsifies(cube, clause):
+            report.fail(f"{member_name(cube)}: does not falsify clause {cid}")
+            continue
+        for neighbor in cube_nbhd(cube, clause):
+            if neighbor not in members:
+                yield cube, cid, neighbor
 
 
 def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):

@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from .core import Clause, CnfFormula, VerifyReport
 from .coverage import COVERED, CoverageConfig, is_covered, union_count
-from .cubes import Cube, cube_falsifies, cube_nbhd, merge, unsat_cube
+from .cubes import (Cube, cube_nbhd, member_name, merge, unreached_neighbors,
+                    unsat_cube)
 from .trace import TraceLog
 
 
@@ -212,10 +213,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     iterations can leave it unchanged.
     """
     config = config or SscConfig()
-    if formula.num_vars < 1:
-        raise ValueError("formula must have at least one variable")
-    if not formula.clauses:
-        raise ValueError("formula must contain at least one clause")
     n = formula.num_vars
     work = formula.copy()
     log = TraceLog(config.record_trace)
@@ -224,22 +221,20 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
     boundary = _Boundary()
     if config.init_strategy == "ne-style":
-        init_cubes = []
-        for clause in work.clauses:
-            cube = unsat_cube(clause, n)
-            if cube not in boundary:
-                boundary.push_back(cube)
-                init_cubes.append((cube, clause))
-        for cube, clause in init_cubes:
-            log.add("initialize", f"cube {cube.to_text()} 0 clause {clause.cid}")
+        # One start per clause; with no clause to falsify, the whole space.
+        starts = [(unsat_cube(c, n), c) for c in work.clauses] or \
+            [(Cube.full(n), None)]
     else:
         init = config.init_cube if config.init_cube is not None else Cube.full(n)
         if init.n != n:
             raise ValueError(f"init cube arity {init.n}, expected {n}")
-        boundary.push_back(init)
         first = _falsified(work, init)
-        suffix = f" clause {first[0].cid}" if first else ""
-        log.add("initialize", f"cube {init.to_text()} 0{suffix}")
+        starts = [(init, first[0] if first else None)]
+    for cube, clause in starts:
+        if cube not in boundary:
+            boundary.push_back(cube)
+            log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
+                "" if clause is None else f" clause {clause.cid}"))
 
     body: list[Cube] = []
     body_set: set[Cube] = set()
@@ -262,8 +257,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         h = _falsified(work, p)
         if not h:
             if not _intersecting(work, p):
-                log.add("satisfied", f"cube {p.to_text()} 0")
-                log.add("finish", "result SAT")
+                log.add("satisfied", lambda: f"cube {p.to_text()} 0")
+                log.add("finish", lambda: "result SAT")
                 record_xi()
                 return SscResult(True, witness=p, learned=learned,
                                  learn_steps=learn_steps, formula=work,
@@ -272,15 +267,14 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             var = pick_split_var(p, work, config.split_heuristic)
             halves = p.split(var)
             covers = total_covers()
-            kept, notes = [], []
-            for half in halves:
-                verdict = is_covered(half, covers, config.coverage)
-                notes.append(f"cube {half.to_text()} 0 "
-                             f"{'covered' if verdict == COVERED else 'kept'}")
-                if verdict != COVERED:
-                    kept.append(half)
-            boundary.push_front(kept)
-            log.add("split", f"cube {p.to_text()} 0 var {var} -> " + " | ".join(notes))
+            verdicts = [is_covered(half, covers, config.coverage)
+                        for half in halves]
+            boundary.push_front([half for half, verdict in zip(halves, verdicts)
+                                 if verdict != COVERED])
+            log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
+                    " | ".join(f"cube {half.to_text()} 0 "
+                               f"{'covered' if verdict == COVERED else 'kept'}"
+                               for half, verdict in zip(halves, verdicts)))
         else:
             outcome = None
             if config.merge_enabled:
@@ -295,24 +289,23 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                                  outcome.left.cid,
                                                  outcome.right.cid,
                                                  outcome.pivot))
-                    note = f"learn {clause.cid} " + \
-                        " ".join(str(l) for l in clause.lits + (0,))
-                else:
-                    note = f"reuse {clause.cid}"
                 boundary.push_front([outcome.cube])
-                log.add("merge", f"cube {p.to_text()} 0 clause {outcome.left.cid} "
-                                 f"with cube {partner.to_text()} 0 clause "
-                                 f"{outcome.right.cid} pivot {outcome.pivot} -> "
-                                 f"cube {outcome.cube.to_text()} 0 {note}")
+                log.add("merge", lambda: (
+                    f"cube {p.to_text()} 0 clause {outcome.left.cid} "
+                    f"with cube {partner.to_text()} 0 clause {outcome.right.cid} "
+                    f"pivot {outcome.pivot} -> cube {outcome.cube.to_text()} 0 "
+                    + (f"learn {clause.cid} {' '.join(map(str, clause.lits + (0,)))}"
+                       if created else f"reuse {clause.cid}")))
             else:
                 clause = h[0]
                 covers = total_covers()
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
                     verdict = is_covered(neighbor, covers, config.coverage)
                     fresh = verdict != COVERED
-                    log.add("nbhd", f"cube {p.to_text()} 0 clause {clause.cid} "
-                                    f"dir {abs(lit)} -> cube {neighbor.to_text()} 0 "
-                                    f"{'new' if fresh else 'covered'}")
+                    log.add("nbhd", lambda: (
+                        f"cube {p.to_text()} 0 clause {clause.cid} dir {abs(lit)} "
+                        f"-> cube {neighbor.to_text()} 0 "
+                        f"{'new' if fresh else 'covered'}"))
                     if fresh:
                         if config.pop_policy == "fifo":
                             boundary.push_back(neighbor)
@@ -326,43 +319,27 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                     body.append(p)
                     body_set.add(p)
                 transport[p] = clause.cid
-                log.add("move-to-body", f"cube {p.to_text()} 0 clause {clause.cid}")
+                log.add("move-to-body",
+                        lambda: f"cube {p.to_text()} 0 clause {clause.cid}")
         record_xi()
 
-    log.add("finish", "result UNSAT")
+    log.add("finish", lambda: "result UNSAT")
     return SscResult(False, body=body, transport=transport, learned=learned,
                      learn_steps=learn_steps, formula=work, xi_log=xi_log,
                      iterations=iterations, trace=log.records)
 
 
-def verify_ssc(formula: CnfFormula, clusters, transport,
-               coverage: CoverageConfig | None = None) -> VerifyReport:
+def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
     """Check cluster stability: every cluster falsifies its transport clause
     and each of its 1-neighborhood cubes is covered by the cluster union."""
     clusters = list(clusters)
-    if not clusters:
-        raise ValueError("an SSC must be non-empty")
-    coverage = coverage or CoverageConfig()
     report = VerifyReport()
-    for cube in clusters:
-        cid = transport.get(cube)
-        if cid is None:
-            report.fail(f"cluster {cube.to_text() or 'T'}: no transport clause")
-            continue
-        clause = formula.clause_by_id(cid)
-        if clause is None:
-            report.fail(f"cluster {cube.to_text() or 'T'}: transport id {cid} "
-                        f"not in formula")
-            continue
-        if not cube_falsifies(cube, clause):
-            report.fail(f"cluster {cube.to_text() or 'T'}: does not falsify "
-                        f"clause {cid}")
-            continue
-        for neighbor in cube_nbhd(cube, clause):
-            if is_covered(neighbor, clusters, coverage) != COVERED:
-                report.fail(f"cluster {cube.to_text() or 'T'}: neighbor "
-                            f"{neighbor.to_text() or 'T'} via clause {cid} "
-                            f"is not covered")
+    for cube, cid, neighbor in unreached_neighbors(formula, clusters,
+                                                   transport, report):
+        if is_covered(neighbor, clusters) != COVERED:
+            report.fail(f"{member_name(cube)}: neighbor "
+                        f"{neighbor.to_text() or 'T'} via clause {cid} "
+                        f"is not covered")
     return report
 
 

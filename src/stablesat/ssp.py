@@ -18,8 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import (CnfFormula, VerifyReport, bits_to_point, evaluate_clause,
-                   point_bits, point_nbhd, point_str)
+from .core import CnfFormula, VerifyReport, bits_to_point, point_bits, point_str
+from .cubes import Cube, member_name, unreached_neighbors
 from .trace import TraceLog
 
 
@@ -55,13 +55,14 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
     """
     config = config or SspConfig()
     n = formula.num_vars
-    if n < 1:
-        raise ValueError("formula must have at least one variable")
     if init is None:
         init = (0,) * n
     if len(init) != n:
         raise ValueError(f"init point has length {len(init)}, expected {n}")
     log = TraceLog(config.record_trace)
+
+    def text(bits):
+        return point_str(bits_to_point(bits, n))
 
     canonical = config.canonical
     start = point_bits(init)
@@ -70,7 +71,7 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
     reps = {canonical(start)} if canonical else set()   # orbits reached
     body: dict[int, int] = {}   # point bits -> transport clause id
     order: list[int] = []
-    log.add("initialize", f"point {point_str(init)}")
+    log.add("initialize", lambda: f"point {point_str(init)}")
     iterations = 0
 
     while boundary:
@@ -78,17 +79,16 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
         pbits = boundary.popleft()
         in_boundary.discard(pbits)
         order.append(pbits)
-        point = bits_to_point(pbits, n)
         falsified = [c for c in formula.clauses if pbits & c.fmask == c.fval]
         if not falsified:
-            log.add("move-to-body", f"point {point_str(point)}")
-            log.add("satisfied", f"point {point_str(point)}")
-            log.add("finish", "result SAT")
-            return SspResult(True, witness=point, iterations=iterations,
-                             trace=log.records)
+            log.add("move-to-body", lambda: f"point {text(pbits)}")
+            log.add("satisfied", lambda: f"point {text(pbits)}")
+            log.add("finish", lambda: "result SAT")
+            return SspResult(True, witness=bits_to_point(pbits, n),
+                             iterations=iterations, trace=log.records)
         clause = falsified[0]
         body[pbits] = clause.cid
-        log.add("move-to-body", f"point {point_str(point)} clause {clause.cid}")
+        log.add("move-to-body", lambda: f"point {text(pbits)} clause {clause.cid}")
         for lit in clause.lits:
             nbits = pbits ^ (1 << (abs(lit) - 1))
             known = nbits in body or nbits in in_boundary
@@ -96,9 +96,9 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
                 rep = canonical(nbits)
                 known = rep in reps
                 reps.add(rep)
-            log.add("nbhd", f"point {point_str(point)} clause {clause.cid} "
-                            f"dir {abs(lit)} -> point {point_str(bits_to_point(nbits, n))} "
-                            f"{'seen' if known else 'new'}")
+            log.add("nbhd", lambda: f"point {text(pbits)} clause {clause.cid} "
+                                    f"dir {abs(lit)} -> point {text(nbits)} "
+                                    f"{'seen' if known else 'new'}")
             if known:
                 continue
             if config.pop == "fifo":
@@ -107,35 +107,27 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
                 boundary.appendleft(nbits)
             in_boundary.add(nbits)
 
-    log.add("finish", "result UNSAT")
+    log.add("finish", lambda: "result UNSAT")
     points = [bits_to_point(b, n) for b in order]
     transport = {bits_to_point(b, n): cid for b, cid in body.items()}
     return SspResult(False, points=points, transport=transport,
                      iterations=iterations, trace=log.records)
 
 
+def point_clusters(points, transport):
+    """The points as single-point cubes, with the transport keyed by cube."""
+    cubes = {point: Cube.from_point(point) for point in points}
+    return list(cubes.values()), {cubes[point]: cid for point, cid
+                                  in transport.items() if point in cubes}
+
+
 def verify_ssp(formula: CnfFormula, points, transport) -> VerifyReport:
     """Check stability: each point falsifies its clause and the whole
     1-neighborhood through that clause stays inside the set."""
-    members = set(points)
-    if not members:
-        raise ValueError("an SSP must be non-empty")
     report = VerifyReport()
-    for point in members:
-        cid = transport.get(point)
-        if cid is None:
-            report.fail(f"point {point_str(point)}: no transport clause")
-            continue
-        clause = formula.clause_by_id(cid)
-        if clause is None:
-            report.fail(f"point {point_str(point)}: transport id {cid} not in formula")
-            continue
-        if evaluate_clause(clause, point):
-            report.fail(f"point {point_str(point)}: satisfies its transport "
-                        f"clause {cid}")
-            continue
-        for neighbor in point_nbhd(point, clause):
-            if neighbor not in members:
-                report.fail(f"point {point_str(point)}: neighbor "
-                            f"{point_str(neighbor)} via clause {cid} leaves the set")
+    clusters, by_cube = point_clusters(points, transport)
+    for cube, cid, neighbor in unreached_neighbors(formula, clusters, by_cube,
+                                                   report):
+        report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
+                    f"via clause {cid} leaves the set")
     return report

@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import (Clause, CnfFormula, VerifyReport, bits_to_point,
-                   evaluate_clause, point_bits, point_nbhd, point_str)
-from .ssp import SspConfig, SspResult, gen_ssp
+from .core import Clause, CnfFormula, VerifyReport, bits_to_point, point_bits
+from .cubes import member_name, unreached_neighbors
+from .ssp import SspConfig, SspResult, gen_ssp, point_clusters
 
 ORBIT_LIMIT = 10 ** 6
 
@@ -312,39 +312,31 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
                                group: SymmetryGroup,
                                limit: int = ORBIT_LIMIT) -> VerifyReport:
     """Check stability modulo the group: every neighbor is in the set or
-    symmetric to a member. Orbit overflows fail the check conservatively."""
-    members = set(points)
-    if not members:
-        raise ValueError("the point set must be non-empty")
-    member_bits = {point_bits(p) for p in members}
-    walker = _OrbitWalker(group, limit)
+    symmetric to a member. Orbit overflows fail the check conservatively.
+
+    Each complete orbit is walked once; its verdict holds for all its
+    points. A walk cut by the limit is not remembered, because what it
+    saw depends on where it started."""
     report = VerifyReport()
-    for point in members:
-        cid = transport.get(point)
-        if cid is None:
-            report.fail(f"point {point_str(point)}: no transport clause")
-            continue
-        clause = formula.clause_by_id(cid)
-        if clause is None:
-            report.fail(f"point {point_str(point)}: transport id {cid} not in formula")
-            continue
-        if evaluate_clause(clause, point):
-            report.fail(f"point {point_str(point)}: satisfies its transport "
-                        f"clause {cid}")
-            continue
-        for neighbor in point_nbhd(point, clause):
-            if neighbor in members:
-                continue
-            orbit, complete = walker.orbit(point_bits(neighbor))
-            if orbit & member_bits:
-                continue
+    clusters, by_cube = point_clusters(points, transport)
+    member_bits = {cube.val for cube in clusters}
+    walker = _OrbitWalker(group, limit)
+    known: dict[int, str] = {}   # point bits -> YES / NO for its whole orbit
+    for cube, cid, neighbor in unreached_neighbors(formula, clusters, by_cube,
+                                                   report):
+        verdict = known.get(neighbor.val)
+        if verdict is None:
+            orbit, complete = walker.orbit(neighbor.val)
+            verdict = YES if orbit & member_bits else NO if complete else UNKNOWN
             if complete:
-                report.fail(f"point {point_str(point)}: neighbor "
-                            f"{point_str(neighbor)} has no symmetric member")
-            else:
-                report.fail(f"point {point_str(point)}: neighbor "
-                            f"{point_str(neighbor)} orbit exceeded the limit "
-                            f"{limit} before any member was found")
+                known.update(dict.fromkeys(orbit, verdict))
+        if verdict == NO:
+            report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
+                        f"has no symmetric member")
+        elif verdict == UNKNOWN:
+            report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
+                        f"orbit exceeded the limit {limit} before any member "
+                        f"was found")
     return report
 
 

@@ -37,14 +37,16 @@ class TraceLog:
         self.records: list[TraceRecord] = []
         self._finished = False
 
-    def add(self, kind: str, payload: str):
+    def add(self, kind: str, payload):
+        """Record one move; payload is a zero-argument callable returning its
+        text, called only when the log is enabled."""
         if not self.enabled:
             return
         if self._finished:
             raise ValueError("trace already finished")
         if kind == "finish":
             self._finished = True
-        self.records.append(TraceRecord(len(self.records) + 1, kind, payload))
+        self.records.append(TraceRecord(len(self.records) + 1, kind, payload()))
 
 
 _CUBE_SPAN = re.compile(r"cube((?: -?\d+)*) 0")

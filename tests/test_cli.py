@@ -147,3 +147,22 @@ def test_solve_sat_prints_witness_cube(tmp_path, capsys):
     assert cli_main(["solve", "--mode", "ssc", str(path)]) == 10
     out = capsys.readouterr().out
     assert "witness cube" in out and "s SATISFIABLE" in out
+
+
+@pytest.mark.parametrize("text", ["p cnf 3 0\n", "p cnf 0 0\n", "p cnf 0 1\n0\n",
+                                  "p cnf 2 2\n1 0\n0\n"])
+def test_trivial_formulas_answered_in_every_mode(tmp_path, capsys, text):
+    path, sym = tmp_path / "f.cnf", tmp_path / "empty.sym"
+    path.write_text(text)
+    sym.write_text("")
+    expected = cli_main(["oracle", str(path)])
+    for mode in ("ssc", "ssc-ne", "ssp", "sym"):
+        proof = tmp_path / f"{mode}.proof"
+        code = cli_main(["solve", "--mode", mode, "--sym", str(sym),
+                         "--proof", str(proof), str(path)])
+        assert code == expected, mode
+        # The sym engine writes a proof only for UNSAT.
+        if mode != "sym" or code == 20:
+            assert cli_main(["verify", "--proof", str(proof), str(path)]) == 0
+    out = capsys.readouterr().out
+    assert ("v 0" in out.splitlines()) == text.startswith("p cnf 0 0")

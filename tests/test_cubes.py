@@ -3,8 +3,8 @@ import random
 import pytest
 
 from stablesat.core import Clause, point_nbhd
-from stablesat.cubes import (Cube, cube_contains, cube_falsifies, cube_nbhd,
-                             cube_satisfies, merge, unsat_cube)
+from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
+                             merge, unsat_cube)
 from conftest import random_clause
 
 
@@ -54,7 +54,7 @@ def test_cube_falsifies_matches_unsat_containment():
         mask = rng.getrandbits(n)
         val = rng.getrandbits(n) & mask
         c = Cube(n, mask, val)
-        assert cube_falsifies(c, clause) == cube_contains(unsat_cube(clause, n), c)
+        assert cube_falsifies(c, clause) == unsat_cube(clause, n).contains(c)
 
 
 def test_cube_satisfies_examples():
@@ -199,16 +199,16 @@ def test_merge_result_properties():
         outcome = merge(p1, p2, pivot, c1, c2)
         assert outcome is not None
         merged, resolvent = outcome
-        assert cube_contains(merged, p1)
-        assert cube_contains(merged, p2)
+        assert merged.contains(p1)
+        assert merged.contains(p2)
         assert cube_falsifies(merged, resolvent)
 
 
 def test_cube_contains_examples():
-    assert cube_contains(cube([2, -3], 4), cube([-1, 2, -3], 4))
-    assert not cube_contains(cube([-1], 1), cube([1], 1))
+    assert cube([2, -3], 4).contains(cube([-1, 2, -3], 4))
+    assert not cube([-1], 1).contains(cube([1], 1))
     c = cube([1, -4], 5)
-    assert cube_contains(c, c)
+    assert c.contains(c)
 
 
 def test_point_count_is_exact_int():

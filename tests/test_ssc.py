@@ -1,8 +1,6 @@
 import dataclasses
 import random
 
-import pytest
-
 from stablesat.core import CnfFormula
 from stablesat.coverage import CoverageConfig, SCOPE_SHARED, union_count
 from stablesat.cubes import Cube, cube_satisfies
@@ -205,6 +203,9 @@ def test_empty_clause_in_formula():
     assert verify_ssc(result.formula, result.body, result.transport)
 
 
-def test_requires_nonempty_formula():
-    with pytest.raises(ValueError):
-        gen_ssc(CnfFormula(2, []))
+def test_formula_without_clauses_is_sat():
+    for n in (0, 2):
+        for strategy in ("single-cube", "ne-style"):
+            result = gen_ssc(CnfFormula(n, []), SscConfig(init_strategy=strategy))
+            assert result.satisfiable
+            assert result.witness == Cube.full(n)

@@ -4,7 +4,8 @@ import pytest
 
 from stablesat.core import Clause, CnfFormula, evaluate_clause, point_nbhd
 from stablesat.oracle import brute_force_sat
-from stablesat.ssp import gen_ssp, verify_ssp
+from stablesat.proofs import proof_from_result, replay_proof
+from stablesat.ssp import SspResult, gen_ssp, verify_ssp
 from stablesat.symmetry import (OrbitLimitExceeded, Permutation, SymmetryGroup,
                                 apply_perm_clause, apply_perm_point,
                                 expand_mod_sym_to_ssp, format_symmetry_file,
@@ -245,6 +246,15 @@ def test_verify_mod_sym_rejects_mutation():
     assert not verify_stable_mod_symmetry(f, points, transport, group)
 
 
+def _three_verdicts(f, points, transport):
+    proof = proof_from_result(SspResult(False, points=points,
+                                        transport=transport))
+    return (bool(verify_ssp(f, points, transport)),
+            bool(replay_proof(f, proof)),
+            bool(verify_stable_mod_symmetry(f, points, transport,
+                                            SymmetryGroup([], f.num_vars))))
+
+
 def test_verify_mod_sym_trivial_group_matches_verify_ssp(chain6_formula,
                                                          chain6_ssp):
     points, transport = chain6_ssp
@@ -254,6 +264,74 @@ def test_verify_mod_sym_trivial_group_matches_verify_ssp(chain6_formula,
     tb = {p: c for p, c in transport.items() if p != points[8]}
     assert bool(verify_ssp(chain6_formula, broken, tb)) == \
         bool(verify_stable_mod_symmetry(chain6_formula, broken, tb, group))
+    # The same certificate, intact and mutated, gets one verdict from the
+    # point verifier, proof replay and the trivial-group symmetry check.
+    rng = random.Random(64)
+    checked = 0
+    while checked < 60:
+        n = rng.randint(3, 8)
+        f = random_3cnf(n, round(n * rng.choice((5.5, 7.0))), rng)
+        result = gen_ssp(f)
+        if result.satisfiable:
+            continue
+        checked += 1
+        points, transport = result.points, result.transport
+        assert _three_verdicts(f, points, transport) == (True, True, True)
+        gone = rng.choice(points)
+        rest = [p for p in points if p != gone]
+        kept = {p: c for p, c in transport.items() if p != gone}
+        assert len(set(_three_verdicts(f, rest, kept))) == 1
+        point = rng.choice(points)
+        satisfied = [c.cid for c in f.clauses if evaluate_clause(c, point)]
+        moved = {**transport, point: rng.choice(satisfied)}
+        assert _three_verdicts(f, points, moved) == (False, False, False)
+
+
+def _reference_mod_sym(f, points, transport, group, limit):
+    """Stability modulo the group, asking in_same_orbit about every
+    non-member neighbor against every member. in_same_orbit also tests
+    the image that hits its limit, so limit - 1 searches the same points
+    as the verifier's walk at limit."""
+    members = set(points)
+    for point in points:
+        clause = f.clause_by_id(transport[point])
+        if evaluate_clause(clause, point):
+            return False
+        for neighbor in point_nbhd(point, clause):
+            if neighbor not in members and not any(
+                    in_same_orbit(neighbor, m, group, limit - 1) == "yes"
+                    for m in members):
+                return False
+    return True
+
+
+def test_verify_mod_sym_matches_reference_on_ph():
+    # Small limits cut walks short; their verdicts depend on the start.
+    for m in (1, 2, 3):
+        f, inst = ph_formula(m + 1, m)
+        group = ph_symmetry_generators(inst)
+        result = gen_ssp_mod_symmetry(f, group)
+        assert verify_stable_mod_symmetry(f, result.points, result.transport,
+                                          group)
+        for gone in result.points:
+            points = [p for p in result.points if p != gone]
+            transport = {p: c for p, c in result.transport.items() if p != gone}
+            for limit in (2, 3, 5, 9, 10 ** 6):
+                verdict = verify_stable_mod_symmetry(f, points, transport,
+                                                     group, limit)
+                assert bool(verdict) == _reference_mod_sym(
+                    f, points, transport, group, limit), (m, gone, limit)
+
+
+def test_verify_mod_sym_limit_one_names_the_limit():
+    f, inst = ph_formula(3, 2)
+    group = ph_symmetry_generators(inst)
+    result = gen_ssp_mod_symmetry(f, group)
+    assert verify_stable_mod_symmetry(f, result.points, result.transport, group)
+    report = verify_stable_mod_symmetry(f, result.points, result.transport,
+                                        group, limit=1)
+    assert not report
+    assert all("limit 1" in failure for failure in report.failures)
 
 
 def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
