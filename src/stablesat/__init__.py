@@ -20,7 +20,7 @@ from .oracle import OracleResult, brute_force_sat
 from .proofs import (Proof, emit_proof, format_proof, parse_proof,
                      proof_from_result, replay_proof)
 from .ssc import (LearnStep, SscConfig, SscResult, expand_body_to_points,
-                  gen_ssc, merge_cubes, pick_split_var, verify_ssc)
+                  gen_ssc, pick_split_var, verify_ssc)
 from .ssp import SspConfig, SspResult, gen_ssp, verify_ssp
 from .symmetry import (OrbitLimitExceeded, Permutation, PhInstance,
                        SymmetryGroup, apply_perm_clause, apply_perm_point,

@@ -152,6 +152,10 @@ def _cmd_solve(args) -> int:
     # mode sym
     if not args.sym:
         raise ValueError("--mode sym requires --sym FILE with generators")
+    if args.trace is not None:
+        raise ValueError("--mode sym writes no trace; drop --trace")
+    if args.pop != "fifo":
+        raise ValueError("--mode sym pops in fifo order only; drop --pop lifo")
     with open(args.sym, "r", encoding="utf-8") as handle:
         group = parse_symmetry_file(handle.read(), formula.num_vars)
     init = parse_point(args.init) if args.init is not None else None

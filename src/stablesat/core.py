@@ -120,6 +120,23 @@ class CnfFormula:
             return self.clauses[cid - 1]
         return None
 
+    def falsified(self, mask: int, val: int):
+        """Clauses every point of the cube (mask, val) falsifies, in order.
+
+        The cube lies inside Unsat(C): each clause variable is pinned to its
+        falsifying value. A point is the cube with every variable pinned.
+        """
+        free = ~mask
+        # The value test goes first: it rejects most clauses of a point.
+        return [c for c in self.clauses
+                if val & c.fmask == c.fval and not c.fmask & free]
+
+    def meeting(self, mask: int, val: int):
+        """Clauses some point of the cube (mask, val) falsifies, in order:
+        the cube meets Unsat(C), no pinned variable satisfies the clause."""
+        return [c for c in self.clauses
+                if not (c.fval ^ val) & c.fmask & mask]
+
     @property
     def learned(self):
         return self.clauses[self.original_count:]
@@ -182,8 +199,7 @@ def falsified_clauses(formula: CnfFormula, point):
     if len(point) != formula.num_vars:
         raise ValueError(
             f"point of length {len(point)} for formula with {formula.num_vars} vars")
-    pbits = point_bits(point)
-    return [c for c in formula.clauses if pbits & c.fmask == c.fval]
+    return formula.falsified((1 << len(point)) - 1, point_bits(point))
 
 
 def resolvable_on(c1: Clause, c2: Clause):
@@ -192,14 +208,11 @@ def resolvable_on(c1: Clause, c2: Clause):
     None covers both no clash and two or more clashes (the latter would
     only produce tautological resolvents).
     """
-    lit_of = {abs(l): l for l in c1.lits}
-    clash = None
-    for lit in c2.lits:
-        if lit_of.get(abs(lit)) == -lit:
-            if clash is not None:
-                return None
-            clash = abs(lit)
-    return clash
+    # A clash variable is in both clauses with differing falsifying values.
+    clash = c1.fmask & c2.fmask & (c1.fval ^ c2.fval)
+    if clash == 0 or clash & (clash - 1):
+        return None
+    return clash.bit_length()
 
 
 def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:

@@ -144,11 +144,6 @@ class Cube:
         return f"Cube({self.to_text() or 'T'}, n={self.n})"
 
 
-def _check_clause_arity(cube: Cube, clause: Clause):
-    if clause.max_var() > cube.n:
-        raise ValueError(f"clause {clause!r} exceeds cube arity {cube.n}")
-
-
 def unsat_cube(clause: Clause, num_vars: int) -> Cube:
     """The cube of all points falsifying the clause.
 
@@ -162,17 +157,12 @@ def unsat_cube(clause: Clause, num_vars: int) -> Cube:
 
 def cube_falsifies(cube: Cube, clause: Clause) -> bool:
     """True when every point of the cube falsifies the clause."""
-    _check_clause_arity(cube, clause)
-    return (clause.fmask & ~cube.mask) == 0 and \
-        ((clause.fval ^ cube.val) & clause.fmask) == 0
+    return unsat_cube(clause, cube.n).contains(cube)
 
 
 def cube_satisfies(cube: Cube, clause: Clause) -> bool:
     """True when every point of the cube satisfies the clause."""
-    _check_clause_arity(cube, clause)
-    sat_val = clause.fval ^ clause.fmask
-    common = clause.fmask & cube.mask
-    return common & ~(cube.val ^ sat_val) != 0
+    return not unsat_cube(clause, cube.n).intersects(cube)
 
 
 def cube_nbhd(cube: Cube, clause: Clause):
@@ -236,11 +226,8 @@ def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):
     # Falsifying resolvable clauses already pins the pivot components to
     # opposite values, so no separate pivot check is needed.
     resolvent = resolve(c1, c2, pivot)
-    for cube in (p1, p2):
-        if resolvent.fmask & ~cube.mask:
-            return None
-        if (resolvent.fval ^ cube.val) & resolvent.fmask:
-            return None
+    if not (cube_falsifies(p1, resolvent) and cube_falsifies(p2, resolvent)):
+        return None
     mask = p1.mask & p2.mask & ~(p1.val ^ p2.val)
     merged = Cube(p1.n, mask, p1.val & mask)
     return merged, resolvent

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Clause, CnfFormula, VerifyReport
+from .core import Clause, CnfFormula, VerifyReport, resolvable_on
 from .coverage import COVERED, CoverageConfig, is_covered, union_count
 from .cubes import (Cube, cube_nbhd, member_name, merge, unreached_neighbors,
                     unsat_cube)
@@ -119,19 +119,10 @@ class _Boundary:
         return len(self.items)
 
 
-def _falsified(formula: CnfFormula, cube: Cube):
-    return [c for c in formula.clauses
-            if c.fmask & ~cube.mask == 0 and (c.fval ^ cube.val) & c.fmask == 0]
-
-
-def _intersecting(formula: CnfFormula, cube: Cube):
-    return [c for c in formula.clauses
-            if (c.fval ^ cube.val) & c.fmask & cube.mask == 0]
-
-
-def pick_split_var(cube: Cube, formula: CnfFormula,
+def pick_split_var(cube: Cube, meeting,
                    heuristic: str = "first-intersecting") -> int:
-    """Choose a free variable of the cube pinned by some intersecting clause.
+    """Choose a free variable of the cube pinned by one of the clauses in
+    `meeting`, the clauses the cube meets (`CnfFormula.meeting`), in order.
 
     Splitting there makes one half falsify strictly more literals of that
     clause. first-intersecting takes the lowest such variable of the first
@@ -139,13 +130,13 @@ def pick_split_var(cube: Cube, formula: CnfFormula,
     most intersecting clauses (ties to the lowest index).
     """
     if heuristic == "first-intersecting":
-        for clause in _intersecting(formula, cube):
+        for clause in meeting:
             pinned = clause.fmask & ~cube.mask
             if pinned:
                 return (pinned & -pinned).bit_length()
         raise ValueError("no intersecting clause pins a free variable")
     counts: dict[int, int] = {}
-    for clause in _intersecting(formula, cube):
+    for clause in meeting:
         pinned = clause.fmask & ~cube.mask
         while pinned:
             bit = pinned & -pinned
@@ -163,7 +154,7 @@ def _find_merge(boundary, p: Cube, formula: CnfFormula, h_cache: dict):
     def falsified_cached(cube):
         hit = h_cache.get(cube)
         if hit is None or hit[0] != len(formula.clauses):
-            hit = (len(formula.clauses), _falsified(formula, cube))
+            hit = (len(formula.clauses), formula.falsified(cube.mask, cube.val))
             h_cache[cube] = hit
         return hit[1]
 
@@ -173,7 +164,7 @@ def _find_merge(boundary, p: Cube, formula: CnfFormula, h_cache: dict):
     for q in boundary:
         for c2 in falsified_cached(q):
             for c1 in h_p:
-                pivot = _quick_pivot(c1, c2)
+                pivot = resolvable_on(c1, c2)
                 if pivot is None:
                     continue
                 outcome = merge(p, q, pivot, c1, c2)
@@ -181,26 +172,6 @@ def _find_merge(boundary, p: Cube, formula: CnfFormula, h_cache: dict):
                     cube, resolvent = outcome
                     return MergeOutcome([p, q], cube, resolvent, c1, c2, pivot)
     return None
-
-
-def _quick_pivot(c1: Clause, c2: Clause):
-    # Opposite literals of exactly one variable: same variable bit in both
-    # falsifying masks with differing falsifying values.
-    clash = c1.fmask & c2.fmask & (c1.fval ^ c2.fval)
-    if clash == 0 or clash & (clash - 1):
-        return None
-    return clash.bit_length()
-
-
-def merge_cubes(boundary, p: Cube, formula: CnfFormula):
-    """Try to merge the popped cube p with a Boundary cube.
-
-    Pairwise per invocation: the first Boundary cube (insertion order)
-    falsifying a clause resolvable with one falsified by p, such that the
-    component-wise union falsifies the resolvent. None when no partner
-    applies.
-    """
-    return _find_merge(list(boundary), p, formula, {})
 
 
 def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
@@ -228,7 +199,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         init = config.init_cube if config.init_cube is not None else Cube.full(n)
         if init.n != n:
             raise ValueError(f"init cube arity {init.n}, expected {n}")
-        first = _falsified(work, init)
+        first = work.falsified(init.mask, init.val)
         starts = [(init, first[0] if first else None)]
     for cube, clause in starts:
         if cube not in boundary:
@@ -254,9 +225,10 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     while len(boundary):
         iterations += 1
         p = boundary.pop()
-        h = _falsified(work, p)
+        h = work.falsified(p.mask, p.val)
         if not h:
-            if not _intersecting(work, p):
+            meeting = work.meeting(p.mask, p.val)
+            if not meeting:
                 log.add("satisfied", lambda: f"cube {p.to_text()} 0")
                 log.add("finish", lambda: "result SAT")
                 record_xi()
@@ -264,7 +236,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  learn_steps=learn_steps, formula=work,
                                  xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
-            var = pick_split_var(p, work, config.split_heuristic)
+            var = pick_split_var(p, meeting, config.split_heuristic)
             halves = p.split(var)
             covers = total_covers()
             verdicts = [is_covered(half, covers, config.coverage)

@@ -65,6 +65,7 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
         return point_str(bits_to_point(bits, n))
 
     canonical = config.canonical
+    full = (1 << n) - 1
     start = point_bits(init)
     boundary = deque([start])
     in_boundary = {start}
@@ -79,7 +80,7 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
         pbits = boundary.popleft()
         in_boundary.discard(pbits)
         order.append(pbits)
-        falsified = [c for c in formula.clauses if pbits & c.fmask == c.fval]
+        falsified = formula.falsified(full, pbits)
         if not falsified:
             log.add("move-to-body", lambda: f"point {text(pbits)}")
             log.add("satisfied", lambda: f"point {text(pbits)}")

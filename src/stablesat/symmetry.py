@@ -231,32 +231,16 @@ class _OrbitWalker:
             seen.add(image)
         return seen, True
 
-    def orbit_with_perms(self, bits: int):
-        """Orbit plus, for each member, one permutation mapping the seed to it."""
-        perms = {bits: None}
-        for image, parent, gi in self.walk(bits, perms):
-            if len(perms) >= self.limit:
-                return perms, False
-            perms[image] = (parent, gi)
-        return perms, True
-
 
 def in_same_orbit(p1, p2, group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> str:
-    """Whether some group element maps p1 to p2, by bounded orbit search."""
+    """Whether some group element maps p1 to p2, by a walk of the orbit
+    of p1 that stops at `limit` points in all."""
     if len(p1) != group.num_vars or len(p2) != group.num_vars:
         raise ValueError("point arity mismatch")
-    walker = _OrbitWalker(group, limit)
-    start, target = point_bits(p1), point_bits(p2)
-    if start == target:
+    orbit, complete = _OrbitWalker(group, limit).orbit(point_bits(p1))
+    if point_bits(p2) in orbit:
         return YES
-    seen = {start}
-    for image, _, _ in walker.walk(start, seen):
-        if image == target:
-            return YES
-        if len(seen) >= limit:
-            return UNKNOWN
-        seen.add(image)
-    return NO
+    return NO if complete else UNKNOWN
 
 
 def group_order(group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> int:
@@ -354,40 +338,24 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     n = group.num_vars
     for point in points:
         bits = point_bits(point)
-        base_point = bits_to_point(bits, n)
-        if base_point in expanded:
+        if bits_to_point(bits, n) in expanded:
             continue
         base_clause = formula.clause_by_id(transport[point])
         if base_clause is None:
             raise ValueError(f"transport id {transport[point]} not in formula")
-        perms, complete = walker.orbit_with_perms(bits)
-        if not complete or len(expanded) + len(perms) > limit:
-            raise OrbitLimitExceeded(
-                f"expansion exceeds {limit} points")
-        # Resolve each member's permutation by walking parents back to the seed.
-        resolved: dict[int, Permutation] = {bits: Permutation.identity(n)}
-        pending = sorted(perms)
-        for member in pending:
-            chain = []
-            cursor = member
-            while cursor not in resolved:
-                parent, gi = perms[cursor]
-                chain.append((cursor, gi))
-                cursor = parent
-            perm = resolved[cursor]
-            for node, gi in reversed(chain):
-                perm = group.generators[gi].compose(perm)
-                resolved[node] = perm
-        for member, perm in resolved.items():
-            member_point = bits_to_point(member, n)
-            if member_point in expanded:
-                continue
-            image_clause = apply_perm_clause(perm, base_clause)
-            target = formula.find(image_clause.lits)
+        # Each image inherits its parent's clause moved by the generator.
+        clauses = {bits: base_clause}
+        for image, parent, gi in walker.walk(bits, clauses):
+            if len(expanded) + len(clauses) >= limit:
+                raise OrbitLimitExceeded(f"expansion exceeds {limit} points")
+            clauses[image] = apply_perm_clause(group.generators[gi],
+                                               clauses[parent])
+        for member, clause in clauses.items():
+            target = formula.find(clause.lits)
             if target is None:
                 raise ValueError(
-                    f"permuted transport clause {image_clause!r} not in formula")
-            expanded[member_point] = target.cid
+                    f"permuted transport clause {clause!r} not in formula")
+            expanded[bits_to_point(member, n)] = target.cid
     return list(expanded), expanded
 
 

@@ -92,6 +92,25 @@ def test_sym_mode_requires_generators(vb_file):
     assert cli_main(["solve", "--mode", "sym", vb_file]) == 1
 
 
+def test_sym_mode_refuses_trace(tmp_path, capsys):
+    cnf, sym, trace = tmp_path / "ph.cnf", tmp_path / "ph.sym", tmp_path / "t"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     "--trace", str(trace), str(cnf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.exists()
+
+
+def test_sym_mode_refuses_lifo(tmp_path, capsys):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     "--pop", "lifo", str(cnf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sym_mode_sat_instance(tmp_path):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "2", "2", "-o", str(cnf), "--sym-out", str(sym)])

@@ -89,6 +89,26 @@ def test_resolvable_on_no_clash_or_double():
     assert resolvable_on(Clause([1, 2]), Clause([-1, -2])) is None
 
 
+def test_resolvable_on_matches_literal_sets():
+    def reference(c1, c2):
+        lit_of = {abs(l): l for l in c1.lits}
+        clashes = [abs(l) for l in c2.lits if lit_of.get(abs(l)) == -l]
+        return clashes[0] if len(clashes) == 1 else None
+
+    def random_clause(n):
+        variables = rng.sample(range(1, n + 1), rng.randint(0, n))
+        return Clause(v if rng.random() < 0.5 else -v for v in variables)
+
+    rng = random.Random(81)
+    pivots = 0
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        c1, c2 = random_clause(n), random_clause(n)
+        assert resolvable_on(c1, c2) == reference(c1, c2), (c1, c2)
+        pivots += reference(c1, c2) is not None
+    assert 50 < pivots < 450   # both answers are drawn often
+
+
 def test_resolve_worked_examples():
     assert resolve(Clause([1, -2]), Clause([-1, -2, 3]), 1).lits == (-2, 3)
     assert resolve(Clause([-3, 4]), Clause([-3, -4]), 4).lits == (-3,)

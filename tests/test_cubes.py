@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stablesat.core import Clause, point_nbhd
+from stablesat.core import Clause, CnfFormula, point_nbhd
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
                              merge, unsat_cube)
 from conftest import random_clause
@@ -46,6 +46,22 @@ def test_cube_falsifies_examples(vb_formula):
     assert cube_falsifies(cube([2, -3], 4), Clause([]))
 
 
+def falsifies_point(clause, point):
+    return all((point[abs(l) - 1] == 1) != (l > 0) for l in clause.lits)
+
+
+def formula_and_cubes(rng):
+    """A random formula holding the empty clause, with the full cube, a
+    single point and a random cube over its variables."""
+    n = rng.randint(1, 6)
+    lits = [random_clause(n, rng) for _ in range(rng.randint(0, 8))]
+    lits.insert(rng.randint(0, len(lits)), [])
+    mask = rng.getrandbits(n)
+    cubes = [Cube.full(n), Cube(n, (1 << n) - 1, rng.getrandbits(n)),
+             Cube(n, mask, rng.getrandbits(n) & mask)]
+    return CnfFormula(n, lits), cubes
+
+
 def test_cube_falsifies_matches_unsat_containment():
     rng = random.Random(6)
     for _ in range(200):
@@ -54,7 +70,16 @@ def test_cube_falsifies_matches_unsat_containment():
         mask = rng.getrandbits(n)
         val = rng.getrandbits(n) & mask
         c = Cube(n, mask, val)
-        assert cube_falsifies(c, clause) == unsat_cube(clause, n).contains(c)
+        expected = all(falsifies_point(clause, p) for p in c.points())
+        assert cube_falsifies(c, clause) == expected
+        assert unsat_cube(clause, n).contains(c) == expected
+    for _ in range(100):
+        f, cubes = formula_and_cubes(rng)
+        for c in cubes:
+            expected = [clause for clause in f.clauses
+                        if all(falsifies_point(clause, p) for p in c.points())]
+            assert f.falsified(c.mask, c.val) == expected
+            assert [cl for cl in f.clauses if cube_falsifies(c, cl)] == expected
 
 
 def test_cube_satisfies_examples():
@@ -73,6 +98,13 @@ def test_cube_satisfies_means_every_point():
         expected = all(any((p[abs(l) - 1] == 1) == (l > 0) for l in clause.lits)
                        for p in c.points())
         assert cube_satisfies(c, clause) == expected
+    for _ in range(100):
+        f, cubes = formula_and_cubes(rng)
+        for c in cubes:
+            expected = [clause for clause in f.clauses
+                        if any(falsifies_point(clause, p) for p in c.points())]
+            assert f.meeting(c.mask, c.val) == expected
+            assert [cl for cl in f.clauses if not cube_satisfies(c, cl)] == expected
 
 
 def test_split_examples():

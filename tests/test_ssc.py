@@ -5,8 +5,8 @@ from stablesat.core import CnfFormula
 from stablesat.coverage import CoverageConfig, SCOPE_SHARED, union_count
 from stablesat.cubes import Cube, cube_satisfies
 from stablesat.oracle import brute_force_sat
-from stablesat.ssc import (SscConfig, expand_body_to_points, gen_ssc,
-                           merge_cubes, pick_split_var, verify_ssc)
+from stablesat.ssc import (SscConfig, _find_merge, expand_body_to_points,
+                           gen_ssc, pick_split_var, verify_ssc)
 from stablesat.ssp import verify_ssp
 from stablesat.trace import format_trace
 from conftest import random_3cnf
@@ -74,7 +74,7 @@ def test_ne_style_contradiction_learns_empty_clause():
 def test_merge_cubes_first_trace_step(vb_formula):
     work = vb_formula.copy()
     p2a, p2b, p3 = cube([-1, 2, -3]), cube([1, 2, -3]), cube([-2, 3])
-    outcome = merge_cubes([p2b, p3], p2a, work)
+    outcome = _find_merge([p2b, p3], p2a, work, {})
     assert outcome is not None
     assert outcome.merged == [p2a, p2b]
     assert outcome.cube == cube([2, -3])
@@ -86,7 +86,7 @@ def test_merge_cubes_second_trace_step(vb_formula):
     work = vb_formula.copy()
     work.learn((-2, 3))  # C6 from the first merge
     p3a, p3b, p4 = cube([-2, 3, -4]), cube([-2, 3, 4]), cube([2, 3])
-    outcome = merge_cubes([p3b, p4], p3a, work)
+    outcome = _find_merge([p3b, p4], p3a, work, {})
     assert outcome is not None
     assert outcome.merged == [p3a, p3b]
     assert outcome.cube == cube([-2, 3])
@@ -95,7 +95,7 @@ def test_merge_cubes_second_trace_step(vb_formula):
 
 
 def test_merge_cubes_no_partner(vb_formula):
-    outcome = merge_cubes([], cube([-2, -3]), vb_formula)
+    outcome = _find_merge([], cube([-2, -3]), vb_formula, {})
     assert outcome is None
 
 
@@ -122,16 +122,20 @@ def test_verify_ssc_missing_transport(vb_formula):
     assert not report and "no transport" in report.failures[0]
 
 
+def split_var(c, formula, heuristic="first-intersecting"):
+    return pick_split_var(c, formula.meeting(c.mask, c.val), heuristic)
+
+
 def test_pick_split_var_examples(vb_formula):
-    assert pick_split_var(cube([2, -3]), vb_formula) == 1
-    assert pick_split_var(cube([-2, 3]), vb_formula) == 4
+    assert split_var(cube([2, -3]), vb_formula) == 1
+    assert split_var(cube([-2, 3]), vb_formula) == 4
     f = CnfFormula(2, [[1, 2]])
-    assert pick_split_var(Cube.from_literals([-1], 2), f) == 2
+    assert split_var(Cube.from_literals([-1], 2), f) == 2
 
 
 def test_pick_split_var_most_constrained():
     f = CnfFormula(3, [[1, 2], [1, 3], [2, 3]])
-    var = pick_split_var(Cube.full(3), f, heuristic="most-constrained")
+    var = split_var(Cube.full(3), f, heuristic="most-constrained")
     assert var == 1  # x1..x3 all appear twice; lowest index breaks the tie
 
 

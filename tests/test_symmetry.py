@@ -126,8 +126,9 @@ def test_in_same_orbit_cases():
     f, inst = ph_formula(2, 1)
     group = ph_symmetry_generators(inst)
     assert in_same_orbit((1, 0), (1, 0), group) == "yes"
-    # A target found during the walk wins even under a tight limit.
-    assert in_same_orbit((1, 0), (0, 1), group, limit=1) == "yes"
+    # The limit counts orbit points in all, the start included.
+    assert in_same_orbit((1, 0), (0, 1), group, limit=1) == "unknown"
+    assert in_same_orbit((1, 0), (0, 1), group, limit=2) == "yes"
     assert in_same_orbit((0, 0), (1, 1), group) == "no"  # weight differs
     _, inst22 = ph_formula(2, 2)
     group22 = ph_symmetry_generators(inst22)
@@ -289,9 +290,7 @@ def test_verify_mod_sym_trivial_group_matches_verify_ssp(chain6_formula,
 
 def _reference_mod_sym(f, points, transport, group, limit):
     """Stability modulo the group, asking in_same_orbit about every
-    non-member neighbor against every member. in_same_orbit also tests
-    the image that hits its limit, so limit - 1 searches the same points
-    as the verifier's walk at limit."""
+    non-member neighbor against every member."""
     members = set(points)
     for point in points:
         clause = f.clause_by_id(transport[point])
@@ -299,7 +298,7 @@ def _reference_mod_sym(f, points, transport, group, limit):
             return False
         for neighbor in point_nbhd(point, clause):
             if neighbor not in members and not any(
-                    in_same_orbit(neighbor, m, group, limit - 1) == "yes"
+                    in_same_orbit(neighbor, m, group, limit) == "yes"
                     for m in members):
                 return False
     return True
