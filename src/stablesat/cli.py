@@ -19,7 +19,7 @@ from .oracle import DEFAULT_CAP, brute_force_sat
 from .proofs import emit_proof, parse_proof, replay_proof
 from .ssc import SscConfig, gen_ssc
 from .ssp import SspConfig, SspResult, gen_ssp
-from .symmetry import (OrbitLimitExceeded, expand_mod_sym_to_ssp,
+from .symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, expand_mod_sym_to_ssp,
                        format_symmetry_file, gen_ssp_mod_symmetry,
                        parse_symmetry_file, ph_formula,
                        ph_symmetry_generators, verify_stable_mod_symmetry)
@@ -44,18 +44,20 @@ def _build_parser():
                        help="start point (0/1 string, ssp/sym) or cube literals "
                             "like '-2 -3' (ssc)")
     solve.add_argument("--pop", choices=("fifo", "lifo"), default="fifo")
-    solve.add_argument("--no-merge", action="store_true",
+    # The flags of _MODE_FLAGS default to None, so that a mode not reading
+    # one can tell that it was given.
+    solve.add_argument("--no-merge", action="store_true", default=None,
                        help="disable cube merging / clause learning")
-    solve.add_argument("--coverage", choices=("full", "shared"), default="full")
+    solve.add_argument("--coverage", choices=("full", "shared"), default=None)
     solve.add_argument("--split", choices=("first-intersecting", "most-constrained"),
-                       default="first-intersecting")
+                       default=None)
     solve.add_argument("--trace", metavar="PATH", default=None)
     solve.add_argument("--trace-style", choices=("dimacs", "pretty"),
                        default="dimacs")
     solve.add_argument("--proof", metavar="PATH", default=None)
     solve.add_argument("--sym", metavar="PATH", default=None,
                        help="symmetry generators, one cycle-notation line each")
-    solve.add_argument("--orbit-limit", type=int, default=10 ** 6)
+    solve.add_argument("--orbit-limit", type=int, default=None)
     solve.add_argument("file")
 
     gen = sub.add_parser("gen-ph", help="generate a pigeon-hole formula")
@@ -98,10 +100,19 @@ def _write_trace(result, path: str, style: str = "dimacs"):
         emit_trace(result.trace, handle, style)
 
 
+# Flags read by some modes only: (attribute, flag, the modes reading it).
+_MODE_FLAGS = [("no_merge", "--no-merge", ("ssc", "ssc-ne")),
+               ("split", "--split", ("ssc", "ssc-ne")),
+               ("coverage", "--coverage", ("ssc", "ssc-ne")),
+               ("sym", "--sym", ("sym",)),
+               ("orbit_limit", "--orbit-limit", ("sym",))]
+
+
 def _cmd_solve(args) -> int:
+    for attr, flag, modes in _MODE_FLAGS:
+        if getattr(args, attr) is not None and args.mode not in modes:
+            raise ValueError(f"--mode {args.mode} does not read {flag}; drop {flag}")
     formula = _load_formula(args.file)
-    coverage = CoverageConfig(
-        scope=SCOPE_FULL if args.coverage == "full" else SCOPE_SHARED)
 
     if args.mode in ("ssc", "ssc-ne"):
         init_cube = None
@@ -111,8 +122,11 @@ def _cmd_solve(args) -> int:
         config = SscConfig(
             init_strategy="ne-style" if args.mode == "ssc-ne" else "single-cube",
             init_cube=init_cube, pop_policy=args.pop,
-            split_heuristic=args.split, merge_enabled=not args.no_merge,
-            coverage=coverage, record_trace=args.trace is not None)
+            split_heuristic=args.split or "first-intersecting",
+            merge_enabled=not args.no_merge,
+            coverage=CoverageConfig(
+                scope=SCOPE_SHARED if args.coverage == "shared" else SCOPE_FULL),
+            record_trace=args.trace is not None)
         result = gen_ssc(formula, config)
         if args.trace:
             _write_trace(result, args.trace, args.trace_style)
@@ -159,22 +173,22 @@ def _cmd_solve(args) -> int:
     with open(args.sym, "r", encoding="utf-8") as handle:
         group = parse_symmetry_file(handle.read(), formula.num_vars)
     init = parse_point(args.init) if args.init is not None else None
-    result = gen_ssp_mod_symmetry(formula, group, init,
-                                  orbit_limit=args.orbit_limit)
+    limit = args.orbit_limit if args.orbit_limit is not None else ORBIT_LIMIT
+    result = gen_ssp_mod_symmetry(formula, group, init, orbit_limit=limit)
     if result.satisfiable:
         print("s SATISFIABLE")
         _print_model(result.witness)
         return EXIT_SAT
     report = verify_stable_mod_symmetry(formula, result.points,
                                         result.transport, group,
-                                        limit=args.orbit_limit)
+                                        limit=limit)
     if not report:
         raise ValueError("internal check failed: " + "; ".join(report.failures))
     print(f"c stable modulo symmetry, representatives: {len(result.points)}")
     if args.proof:
         points, transport = expand_mod_sym_to_ssp(
             formula, result.points, result.transport, group,
-            limit=args.orbit_limit)
+            limit=limit)
         expanded = SspResult(False, points=points, transport=transport)
         with open(args.proof, "w", encoding="utf-8") as handle:
             emit_proof(expanded, handle)

@@ -1,10 +1,10 @@
 """Coverage queries: is a cube inside the union of a set of cubes?
 
 The check runs by recursive splitting, a DPLL specialization over the
-complement of the cover set: discard covers disjoint from the target,
-stop when one cover swallows it, otherwise split the target on a
-variable pinned by the largest surviving cover. Exact when the scope is
-full and the split budget unlimited.
+complement of the cover set: take the covers meeting the target from a
+per-literal index (CoverIndex), stop when one cover swallows the
+region, otherwise split it on a variable pinned by the largest surviving
+cover. Exact when the scope is full and the split budget unlimited.
 """
 
 from __future__ import annotations
@@ -33,56 +33,138 @@ class CoverageConfig:
             raise ValueError("split_budget must be >= 0")
 
 
-def _shares_literal(a: Cube, b: Cube) -> bool:
-    return a.mask & b.mask & ~(a.val ^ b.val) != 0
+class CoverIndex:
+    """A multiset of cubes of one arity, indexed by literal.
+
+    Each cube occupies a slot. Bit s of `pins[2(v-1)+b]` is set when the
+    cube in slot s pins x_v to b, and bit s of `present` when slot s is
+    occupied. The covers meeting a target are the present slots minus
+    those pinning one of the target's literals the other way: O(target
+    literals) big-int operations, however many covers there are. Freed
+    slots are reused, so the bitsets stay as wide as the peak size.
+    """
+
+    __slots__ = ("n", "pins", "present", "_cubes", "_free", "_slots")
+
+    def __init__(self, n: int, cubes=()):
+        self.n = n
+        self.pins = [0] * (2 * n)
+        self.present = 0
+        self._cubes: list = []        # slot -> Cube (stale when free)
+        self._free: list[int] = []    # freed slots, last freed reused first
+        self._slots: dict = {}        # Cube -> its occupied slots
+        for cube in cubes:
+            self.add(cube)
+
+    def _toggle(self, cube: Cube, slot: int):
+        bit = 1 << slot
+        self.present ^= bit
+        pins, mask, val = self.pins, cube.mask, cube.val
+        while mask:
+            low = mask & -mask
+            pins[2 * low.bit_length() - (1 if val & low else 2)] ^= bit
+            mask ^= low
+
+    def add(self, cube: Cube):
+        """Add one copy of the cube."""
+        if cube.n != self.n:
+            raise ValueError("cube arity mismatch in coverage query")
+        if self._free:
+            slot = self._free.pop()
+            self._cubes[slot] = cube
+        else:
+            slot = len(self._cubes)
+            self._cubes.append(cube)
+        self._toggle(cube, slot)
+        self._slots.setdefault(cube, []).append(slot)
+
+    def discard(self, cube: Cube):
+        """Remove one copy of the cube, if there is one."""
+        slots = self._slots.get(cube)
+        if not slots:
+            return
+        slot = slots.pop()
+        if not slots:
+            del self._slots[cube]
+        self._toggle(cube, slot)
+        self._free.append(slot)
+
+    def meeting(self, target: Cube, shared_literal: bool = False) -> list:
+        """The covers that meet the target, in slot order, one per copy.
+
+        With shared_literal, only those that also pin one of the target's
+        literals the same way.
+        """
+        if target.n != self.n:
+            raise ValueError("cube arity mismatch in coverage query")
+        pins, live, shared = self.pins, self.present, 0
+        mask, val = target.mask, target.val
+        while mask:
+            low = mask & -mask
+            same = 2 * low.bit_length() - (1 if val & low else 2)
+            live &= ~pins[same ^ 1]
+            if shared_literal:
+                shared |= pins[same]
+            mask ^= low
+        if shared_literal:
+            live &= shared
+        cubes, out = self._cubes, []
+        while live:
+            low = live & -live
+            out.append(cubes[low.bit_length() - 1])
+            live ^= low
+        return out
+
+    def __len__(self):
+        return self.present.bit_count()
 
 
 def is_covered(target: Cube, covers, config: CoverageConfig = CoverageConfig()) -> str:
     """Whether the target cube lies inside the union of the cover cubes.
 
-    With scope=shared-literal-only the covers are first narrowed to those
-    sharing at least one literal component with the target; that may
-    report a covered cube as uncovered, which is sound for the solver (it
-    only re-adds work) but not exact. UNKNOWN appears only when a split
-    budget runs out.
+    `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
+    The index only narrows the candidates: every verdict comes from the
+    recursion's own intersection and containment tests on them. With
+    scope=shared-literal-only the candidates are narrowed further to
+    those sharing at least one literal component with the target; that
+    may report a covered cube as uncovered, which is sound for the
+    solver (it only re-adds work) but not exact. UNKNOWN appears only
+    when a split budget runs out.
     """
-    covers = list(covers)
-    for cube in covers:
-        if cube.n != target.n:
-            raise ValueError("cube arity mismatch in coverage query")
-    if config.scope == SCOPE_SHARED:
-        covers = [c for c in covers if _shares_literal(c, target)]
+    index = covers if isinstance(covers, CoverIndex) else \
+        CoverIndex(target.n, covers)
+    candidates = [(c.mask, c.val) for c in
+                  index.meeting(target, config.scope == SCOPE_SHARED)]
     budget = config.split_budget
     splits = 0
 
-    def rec(region: Cube, cubes) -> str:
+    def rec(mask: int, val: int, cubes) -> str:
         nonlocal splits
-        live = [c for c in cubes if c.intersects(region)]
+        live = [c for c in cubes if not (c[1] ^ val) & c[0] & mask]
         if not live:
             return UNCOVERED
         for c in live:
-            if c.contains(region):
+            if not c[0] & ~mask:
                 return COVERED
         if budget and splits >= budget:
             return UNKNOWN
         splits += 1
         # The largest survivor neither contains nor misses the region, so
         # it pins some variable that is still free in the region.
-        big = max(live, key=lambda c: c.free_count())
-        pinned = big.mask & ~region.mask
-        var = (pinned & -pinned).bit_length()
-        zero, one = region.split(var)
-        left = rec(zero, live)
+        big = min(live, key=lambda c: c[0].bit_count())
+        pinned = big[0] & ~mask
+        bit = pinned & -pinned
+        left = rec(mask | bit, val, live)
         if left == UNCOVERED:
             return UNCOVERED
-        right = rec(one, live)
+        right = rec(mask | bit, val | bit, live)
         if right == UNCOVERED:
             return UNCOVERED
         if UNKNOWN in (left, right):
             return UNKNOWN
         return COVERED
 
-    return rec(target, covers)
+    return rec(target.mask, target.val, candidates)
 
 
 def union_count(covers, num_vars: int) -> int:

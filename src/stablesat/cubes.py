@@ -9,7 +9,7 @@ order, e.g. "-2 -3" for the cube fixing x2=0, x3=0.
 
 from __future__ import annotations
 
-from .core import Clause, bits_to_point, point_str, resolvable_on, resolve
+from .core import Clause, bits_to_point, point_str, resolve
 
 
 class Cube:
@@ -203,7 +203,9 @@ def unreached_neighbors(formula, clusters, transport, report):
         if not cube_falsifies(cube, clause):
             report.fail(f"{member_name(cube)}: does not falsify clause {cid}")
             continue
-        for neighbor in cube_nbhd(cube, clause):
+        # cube_nbhd would repeat the falsify test just made.
+        for lit in clause.lits:
+            neighbor = cube.nbhd_dir(abs(lit))
             if neighbor not in members:
                 yield cube, cid, neighbor
 
@@ -219,13 +221,14 @@ def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):
     """
     if p1.n != p2.n:
         raise ValueError("cube arity mismatch")
-    if resolvable_on(c1, c2) != pivot:
+    try:
+        resolvent = resolve(c1, c2, pivot)
+    except ValueError:   # the clauses do not clash exactly on pivot
         return None
     if not (cube_falsifies(p1, c1) and cube_falsifies(p2, c2)):
         return None
     # Falsifying resolvable clauses already pins the pivot components to
     # opposite values, so no separate pivot check is needed.
-    resolvent = resolve(c1, c2, pivot)
     if not (cube_falsifies(p1, resolvent) and cube_falsifies(p2, resolvent)):
         return None
     mask = p1.mask & p2.mask & ~(p1.val ^ p2.val)

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Clause, CnfFormula, VerifyReport, resolvable_on
-from .coverage import COVERED, CoverageConfig, is_covered, union_count
+from .coverage import (COVERED, CoverageConfig, CoverIndex, is_covered,
+                       union_count)
 from .cubes import (Cube, cube_nbhd, member_name, merge, unreached_neighbors,
                     unsat_cube)
 from .trace import TraceLog
@@ -84,30 +85,39 @@ class SscResult:
 
 
 class _Boundary:
-    """Insertion-ordered cube set with front pops and front/back pushes."""
+    """Insertion-ordered cube set with front pops and front/back pushes.
 
-    def __init__(self):
+    Every change is mirrored in `covers`, the index the Body shares.
+    """
+
+    def __init__(self, covers: CoverIndex):
         self.items: list[Cube] = []
         self.members: set[Cube] = set()
+        self.covers = covers
 
     def pop(self) -> Cube:
         cube = self.items.pop(0)
         self.members.discard(cube)
+        self.covers.discard(cube)
         return cube
 
     def push_front(self, cubes):
         fresh = [c for c in cubes if c not in self.members]
         self.items[0:0] = fresh
         self.members.update(fresh)
+        for cube in fresh:
+            self.covers.add(cube)
 
     def push_back(self, cube: Cube):
         if cube not in self.members:
             self.items.append(cube)
             self.members.add(cube)
+            self.covers.add(cube)
 
     def remove(self, cube: Cube):
         self.items.remove(cube)
         self.members.discard(cube)
+        self.covers.discard(cube)
 
     def __contains__(self, cube):
         return cube in self.members
@@ -190,7 +200,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     xi_log: list = []
     union_size = 0   # |Union(Body)|, kept only when xi_log is on
 
-    boundary = _Boundary()
+    covers = CoverIndex(n)   # Body + Boundary, with multiplicity
+    boundary = _Boundary(covers)
     if config.init_strategy == "ne-style":
         # One start per clause; with no clause to falsify, the whole space.
         starts = [(unsat_cube(c, n), c) for c in work.clauses] or \
@@ -215,9 +226,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     h_cache: dict = {}
     iterations = 0
 
-    def total_covers():
-        return body + boundary.items
-
     def record_xi():
         if config.xi_log:
             xi_log.append((iterations, union_size, len(work.clauses)))
@@ -238,7 +246,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  trace=log.records)
             var = pick_split_var(p, meeting, config.split_heuristic)
             halves = p.split(var)
-            covers = total_covers()
             verdicts = [is_covered(half, covers, config.coverage)
                         for half in halves]
             boundary.push_front([half for half, verdict in zip(halves, verdicts)
@@ -270,19 +277,22 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                        if created else f"reuse {clause.cid}")))
             else:
                 clause = h[0]
-                covers = total_covers()
+                # The neighbours are pairwise disjoint, so none can cover
+                # another: all are judged before any is pushed.
+                fresh = []
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
-                    verdict = is_covered(neighbor, covers, config.coverage)
-                    fresh = verdict != COVERED
+                    new = is_covered(neighbor, covers, config.coverage) != COVERED
                     log.add("nbhd", lambda: (
                         f"cube {p.to_text()} 0 clause {clause.cid} dir {abs(lit)} "
                         f"-> cube {neighbor.to_text()} 0 "
-                        f"{'new' if fresh else 'covered'}"))
-                    if fresh:
-                        if config.pop_policy == "fifo":
-                            boundary.push_back(neighbor)
-                        else:
-                            boundary.push_front([neighbor])
+                        f"{'new' if new else 'covered'}"))
+                    if new:
+                        fresh.append(neighbor)
+                for neighbor in fresh:
+                    if config.pop_policy == "fifo":
+                        boundary.push_back(neighbor)
+                    else:
+                        boundary.push_front([neighbor])
                 if p not in body_set:
                     if config.xi_log:
                         overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
@@ -290,6 +300,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                         union_size += p.count_points() - union_count(overlap, n)
                     body.append(p)
                     body_set.add(p)
+                    covers.add(p)
                 transport[p] = clause.cid
                 log.add("move-to-body",
                         lambda: f"cube {p.to_text()} 0 clause {clause.cid}")
@@ -303,12 +314,21 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
 def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
     """Check cluster stability: every cluster falsifies its transport clause
-    and each of its 1-neighborhood cubes is covered by the cluster union."""
+    and each of its 1-neighborhood cubes is covered by the cluster union.
+
+    The cluster index is built at the first neighbour that is not itself a
+    member, so point certificates never pay for it. It only narrows the
+    candidates of each query: a cover it dropped could only turn an
+    accept into a reject, never the other way.
+    """
     clusters = list(clusters)
     report = VerifyReport()
+    index = None
     for cube, cid, neighbor in unreached_neighbors(formula, clusters,
                                                    transport, report):
-        if is_covered(neighbor, clusters) != COVERED:
+        if index is None:
+            index = CoverIndex(neighbor.n, clusters)
+        if is_covered(neighbor, index) != COVERED:
             report.fail(f"{member_name(cube)}: neighbor "
                         f"{neighbor.to_text() or 'T'} via clause {cid} "
                         f"is not covered")

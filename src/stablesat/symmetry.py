@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import Clause, CnfFormula, VerifyReport, bits_to_point, point_bits
 from .cubes import member_name, unreached_neighbors
@@ -284,7 +285,10 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
             orbit, complete = walker.orbit(bits)
             if complete:
                 rep = min(orbit)
-                cache.update(dict.fromkeys(orbit, rep))
+                # Pairs, not dict.fromkeys(orbit): a temporary orbit-sized
+                # dict (orbits of PH(6,5) reach 46656 points) can set the
+                # process's peak memory.
+                cache.update(zip(orbit, repeat(rep)))
             else:
                 rep = cache[bits] = bits
         return rep
@@ -312,8 +316,8 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
         if verdict is None:
             orbit, complete = walker.orbit(neighbor.val)
             verdict = YES if orbit & member_bits else NO if complete else UNKNOWN
-            if complete:
-                known.update(dict.fromkeys(orbit, verdict))
+            if complete:   # pairs, as in the canonicaliser above
+                known.update(zip(orbit, repeat(verdict)))
         if verdict == NO:
             report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
                         f"has no symmetric member")

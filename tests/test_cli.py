@@ -111,6 +111,38 @@ def test_sym_mode_refuses_lifo(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode, flags", [
+    ("ssp", ["--no-merge"]),
+    ("ssp", ["--split", "most-constrained"]),
+    ("ssp", ["--coverage", "full"]),
+    ("sym", ["--no-merge"]),
+    ("sym", ["--split", "first-intersecting"]),
+    ("sym", ["--coverage", "shared"]),
+    ("ssc", ["--sym", "unread.sym"]),
+    ("ssc-ne", ["--orbit-limit", "5"]),
+    ("ssp", ["--orbit-limit", "5"]),
+])
+def test_solve_refuses_flags_the_mode_does_not_read(tmp_path, capsys,
+                                                    mode, flags):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    sym_args = ["--sym", str(sym)] if mode == "sym" else []
+    assert cli_main(["solve", "--mode", mode, *sym_args, *flags, str(cnf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flags[0] in err
+
+
+def test_solve_accepts_flags_the_mode_reads(tmp_path):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    assert cli_main(["solve", "--mode", "ssc-ne", "--no-merge", "--split",
+                     "most-constrained", "--coverage", "shared", str(cnf)]) == 20
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     "--orbit-limit", "100", str(cnf)]) == 20
+    assert cli_main(["solve", "--mode", "ssp", "--pop", "lifo", str(cnf)]) == 20
+
+
 def test_sym_mode_sat_instance(tmp_path):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "2", "2", "-o", str(cnf), "--sym-out", str(sym)])
@@ -177,7 +209,8 @@ def test_trivial_formulas_answered_in_every_mode(tmp_path, capsys, text):
     expected = cli_main(["oracle", str(path)])
     for mode in ("ssc", "ssc-ne", "ssp", "sym"):
         proof = tmp_path / f"{mode}.proof"
-        code = cli_main(["solve", "--mode", mode, "--sym", str(sym),
+        sym_args = ["--sym", str(sym)] if mode == "sym" else []
+        code = cli_main(["solve", "--mode", mode, *sym_args,
                          "--proof", str(proof), str(path)])
         assert code == expected, mode
         # The sym engine writes a proof only for UNSAT.

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stablesat.coverage import (COVERED, SCOPE_SHARED, UNCOVERED, UNKNOWN,
-                                CoverageConfig, is_covered, union_count)
+from stablesat.coverage import (COVERED, SCOPE_FULL, SCOPE_SHARED, UNCOVERED,
+                                UNKNOWN, CoverageConfig, CoverIndex,
+                                is_covered, union_count)
 from stablesat.cubes import Cube
 
 
@@ -133,3 +137,125 @@ def test_union_count_matches_brute_force():
 def test_union_count_large_arity_stays_exact():
     # Two disjoint half-spaces of a 40-variable space.
     assert union_count([cube([1], 40), cube([-1], 40)], 40) == 2 ** 40
+
+
+def shares_literal(a, b):
+    return a.mask & b.mask & ~(a.val ^ b.val) != 0
+
+
+def reference_is_covered(target, covers, config=CoverageConfig()):
+    """The list-scan coverage query the index replaced, kept as the
+    reference: filter every cover, recurse on Cube regions."""
+    for c in covers:
+        if c.n != target.n:
+            raise ValueError("cube arity mismatch in coverage query")
+    if config.scope == SCOPE_SHARED:
+        covers = [c for c in covers if shares_literal(c, target)]
+    budget, splits = config.split_budget, 0
+
+    def rec(region, cubes):
+        nonlocal splits
+        live = [c for c in cubes if c.intersects(region)]
+        if not live:
+            return UNCOVERED
+        if any(c.contains(region) for c in live):
+            return COVERED
+        if budget and splits >= budget:
+            return UNKNOWN
+        splits += 1
+        big = max(live, key=lambda c: c.free_count())
+        pinned = big.mask & ~region.mask
+        zero, one = region.split((pinned & -pinned).bit_length())
+        left = rec(zero, live)
+        if left == UNCOVERED:
+            return UNCOVERED
+        right = rec(one, live)
+        if right == UNCOVERED:
+            return UNCOVERED
+        return UNKNOWN if UNKNOWN in (left, right) else COVERED
+
+    return rec(target, list(covers))
+
+
+def cubes_of(n):
+    full = (1 << n) - 1
+    return st.builds(lambda mask, val: Cube(n, mask, val & mask),
+                     st.integers(0, full), st.integers(0, full))
+
+
+@st.composite
+def index_runs(draw, max_n=12):
+    """Arity, a sequence of (add?, cube) over a small pool so that copies
+    repeat, and a few query targets."""
+    n = draw(st.integers(0, max_n))
+    pool = draw(st.lists(cubes_of(n), min_size=1, max_size=6))
+    ops = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(pool)),
+                        max_size=40))
+    targets = draw(st.lists(cubes_of(n), min_size=1, max_size=4))
+    return n, ops, targets
+
+
+def replay(n, ops):
+    """The index after the operations, and the multiset they leave."""
+    index, model = CoverIndex(n), Counter()
+    for add, c in ops:
+        if add:
+            index.add(c)
+            model[c] += 1
+        else:
+            index.discard(c)
+            if model[c]:
+                model[c] -= 1
+    return index, +model
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_runs())
+def test_cover_index_matches_list_filter(run):
+    n, ops, targets = run
+    index, model = replay(n, ops)
+    assert len(index) == sum(model.values())
+    for target in targets:
+        meeting = Counter(c for c in model.elements() if c.intersects(target))
+        assert Counter(index.meeting(target)) == meeting
+        shared = Counter(c for c in meeting.elements()
+                         if shares_literal(c, target))
+        assert Counter(index.meeting(target, shared_literal=True)) == shared
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_runs(max_n=6), st.sampled_from([SCOPE_FULL, SCOPE_SHARED]))
+def test_is_covered_on_index_matches_brute_force(run, scope):
+    n, ops, targets = run
+    index, model = replay(n, ops)
+    covers = list(model.elements())
+    config = CoverageConfig(scope=scope)
+    for target in targets:
+        if scope == SCOPE_SHARED:
+            scoped = [c for c in covers if shares_literal(c, target)]
+        else:
+            scoped = covers
+        expected = COVERED if brute_covered(target, scoped) else UNCOVERED
+        assert is_covered(target, index, config) == expected
+        assert is_covered(target, covers, config) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+           cubes_of(n), st.lists(cubes_of(n), max_size=10))),
+       st.integers(1, 4), st.sampled_from([SCOPE_FULL, SCOPE_SHARED]))
+def test_split_budget_on_list_matches_reference(query, budget, scope):
+    target, covers = query
+    config = CoverageConfig(scope=scope, split_budget=budget)
+    assert is_covered(target, covers, config) == \
+        reference_is_covered(target, covers, config)
+
+
+def test_cover_index_checks_arity_once_added():
+    index = CoverIndex(3, [cube([1], 3)])
+    with pytest.raises(ValueError):
+        index.add(cube([1], 4))
+    with pytest.raises(ValueError):
+        index.meeting(cube([1], 2))
+    index.discard(cube([2], 3))     # absent: nothing happens
+    assert len(index) == 1

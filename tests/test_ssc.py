@@ -1,9 +1,15 @@
 import dataclasses
 import random
+from unittest import mock
 
-from stablesat.core import CnfFormula
-from stablesat.coverage import CoverageConfig, SCOPE_SHARED, union_count
-from stablesat.cubes import Cube, cube_satisfies
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
+                            point_nbhd)
+from stablesat.coverage import (CoverageConfig, CoverIndex, SCOPE_SHARED,
+                                union_count)
+from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
 from stablesat.oracle import brute_force_sat
 from stablesat.ssc import (SscConfig, _find_merge, expand_body_to_points,
                            gen_ssc, pick_split_var, verify_ssc)
@@ -120,6 +126,94 @@ def test_verify_ssc_trivial_empty_clause_cluster():
 def test_verify_ssc_missing_transport(vb_formula):
     report = verify_ssc(vb_formula, [cube([-2, -3])], {})
     assert not report and "no transport" in report.failures[0]
+
+
+def point_level_stable(formula, clusters, transport):
+    """verify_ssc's condition checked point by point: every point of every
+    cluster falsifies the cluster's transport clause, and each of its
+    neighbours through that clause lies in the union of the clusters."""
+    members = dict.fromkeys(clusters)
+    union = {point for c in members for point in c.points()}
+    for c in members:
+        cid = transport.get(c)
+        clause = None if cid is None else formula.clause_by_id(cid)
+        if clause is None:
+            return False
+        for point in c.points():
+            if evaluate_clause(clause, point):
+                return False
+            if not union.issuperset(point_nbhd(point, clause)):
+                return False
+    return True
+
+
+def dropping(keep):
+    """CoverIndex.meeting patched to return only keep(candidates)."""
+    original = CoverIndex.meeting
+
+    def meeting(self, target, shared_literal=False):
+        return keep(original(self, target, shared_literal))
+
+    return mock.patch.object(CoverIndex, "meeting", meeting)
+
+
+def unsat_certificate(n, seed):
+    formula = random_3cnf(n, 6 * n, random.Random(seed))
+    result = gen_ssc(formula)
+    assume(not result.satisfiable)
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 10), st.integers(0, 2 ** 32 - 1))
+def test_verify_rejects_when_the_index_drops_candidates(n, seed):
+    # The index only narrows the candidates: with every candidate dropped,
+    # a certificate passes exactly when no neighbour needs a coverage query.
+    result = unsat_certificate(n, seed)
+    formula, body, transport = result.formula, result.body, result.transport
+    assert verify_ssc(formula, body, transport)
+    queried = any(True for _ in unreached_neighbors(formula, body, transport,
+                                                    VerifyReport()))
+    with dropping(lambda candidates: []):
+        assert bool(verify_ssc(formula, body, transport)) == (not queried)
+
+
+def test_verify_with_dropped_candidates_rejects_a_valid_certificate():
+    result = gen_ssc(random_3cnf(10, 60, random.Random(5)))
+    assert not result.satisfiable
+    assert verify_ssc(result.formula, result.body, result.transport)
+    for keep in (lambda candidates: [], lambda candidates: candidates[1:]):
+        with dropping(keep):
+            assert not verify_ssc(result.formula, result.body, result.transport)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 10), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["literal", "transport"]), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_verify_of_mutated_certificate_matches_point_check(n, seed, kind,
+                                                           which, pick):
+    result = unsat_certificate(n, seed)
+    formula = result.formula
+    body = list(result.body)
+    i = which % len(body)
+    victim, cid = body[i], result.transport[body[i]]
+    if kind == "literal":
+        assume(victim.mask)
+        bits = [1 << v for v in range(n) if victim.mask >> v & 1]
+        body[i] = Cube(n, victim.mask, victim.val ^ bits[pick % len(bits)])
+    else:
+        others = [c.cid for c in formula.clauses if c.cid != cid]
+        assume(others)
+        cid = others[pick % len(others)]
+    transport = {c: result.transport[c] for c in result.body}
+    transport[body[i]] = cid
+    expected = point_level_stable(formula, body, transport)
+    assert bool(verify_ssc(formula, body, transport)) == expected
+    # A dropped candidate can only turn an accept into a reject.
+    with dropping(lambda candidates: candidates[1:]):
+        if verify_ssc(formula, body, transport):
+            assert expected
 
 
 def split_var(c, formula, heuristic="first-intersecting"):
