@@ -120,15 +120,17 @@ class CnfFormula:
             return self.clauses[cid - 1]
         return None
 
-    def falsified(self, mask: int, val: int):
-        """Clauses every point of the cube (mask, val) falsifies, in order.
+    def falsified(self, mask: int, val: int, start: int = 0):
+        """Clauses every point of the cube (mask, val) falsifies, in order,
+        among the clauses after the first `start`.
 
         The cube lies inside Unsat(C): each clause variable is pinned to its
         falsifying value. A point is the cube with every variable pinned.
         """
         free = ~mask
+        clauses = self.clauses[start:] if start else self.clauses
         # The value test goes first: it rejects most clauses of a point.
-        return [c for c in self.clauses
+        return [c for c in clauses
                 if val & c.fmask == c.fval and not c.fmask & free]
 
     def meeting(self, mask: int, val: int):

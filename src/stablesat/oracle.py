@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CnfFormula
 
 DEFAULT_CAP = 24
@@ -31,6 +29,9 @@ def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_CAP) -> OracleResult
     if n == 0:
         sat = all(len(c) > 0 for c in formula.clauses)
         return OracleResult(sat, () if sat else None)
+    # Imported here, not at the top: every other command would pay for it.
+    import numpy as np
+
     # Lexicographic point order means x_i sits at bit n-i of the scan index.
     # uint64 keeps raised caps safe; the default cap stays at 24 variables.
     masks = np.empty(len(formula.clauses), dtype=np.uint64)

@@ -162,11 +162,12 @@ def _find_merge(boundary, p: Cube, formula: CnfFormula, h_cache: dict):
     """Scan the Boundary in insertion order for a merge partner of p."""
 
     def falsified_cached(cube):
-        hit = h_cache.get(cube)
-        if hit is None or hit[0] != len(formula.clauses):
-            hit = (len(formula.clauses), formula.falsified(cube.mask, cube.val))
-            h_cache[cube] = hit
-        return hit[1]
+        # Clauses are only appended, so an entry needs only the new ones.
+        count, hits = h_cache.get(cube, (0, []))
+        if count != len(formula.clauses):
+            hits = hits + formula.falsified(cube.mask, cube.val, count)
+            h_cache[cube] = (len(formula.clauses), hits)
+        return hits
 
     h_p = falsified_cached(p)
     if not h_p:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import repeat
+from operator import getitem
 
 from .core import Clause, CnfFormula, VerifyReport, bits_to_point, point_bits
 from .cubes import member_name, unreached_neighbors
@@ -188,9 +189,20 @@ def is_symmetric(formula: CnfFormula, perm: Permutation) -> bool:
     return True
 
 
-def _perm_bits(perm: Permutation):
-    """Precompute bit relabeling tables for fast point pushes."""
-    return [(1 << (i - 1), 1 << (perm(i) - 1)) for i in range(1, perm.n + 1)]
+def _byte_tables(perm: Permutation):
+    """Lookup tables that push a packed point through the permutation a
+    byte at a time: entry b of table k is the image of the bits
+    b << 8k. Entry b is entry b minus its lowest bit, plus that bit's
+    image, so a table costs one step per entry."""
+    tables = []
+    for shift in range(0, perm.n, 8):
+        images = [1 << (v - 1) for v in perm.images[shift:shift + 8]]
+        table = [0]
+        for b in range(1, 1 << len(images)):
+            low = b & -b
+            table.append(table[b ^ low] | images[low.bit_length() - 1])
+        tables.append(table)
+    return tables
 
 
 class _OrbitWalker:
@@ -199,38 +211,37 @@ class _OrbitWalker:
     def __init__(self, group: SymmetryGroup, limit: int):
         if limit < 1:
             raise ValueError("orbit limit must be positive")
-        self.tables = [_perm_bits(g) for g in group.generators]
+        self.tables = [_byte_tables(g) for g in group.generators]
+        self.shifts = range(0, group.num_vars, 8)
         self.limit = limit
-
-    def _apply(self, table, bits: int) -> int:
-        out = 0
-        for src, dst in table:
-            if bits & src:
-                out |= dst
-        return out
 
     def walk(self, bits: int, seen):
         """Breadth-first walk of the orbit of bits. Yields (image, parent,
         generator index) for each image not in `seen`; the caller adds it."""
+        shifts = self.shifts
         frontier = [bits]
         while frontier:
             nxt = []
             for b in frontier:
-                for gi, table in enumerate(self.tables):
-                    image = self._apply(table, b)
+                chunks = [(b >> shift) & 255 for shift in shifts]
+                for gi, tables in enumerate(self.tables):
+                    # The bytes' images have disjoint bits: the sum is their OR.
+                    image = sum(map(getitem, tables, chunks))
                     if image not in seen:
                         yield image, b, gi
                         nxt.append(image)
             frontier = nxt
 
     def orbit(self, bits: int):
-        """Return (orbit set, complete flag); incomplete when the limit hits."""
-        seen = {bits}
-        for image, _, _ in self.walk(bits, seen):
-            if len(seen) >= self.limit:
-                return seen, False
-            seen.add(image)
-        return seen, True
+        """Return (parents, complete flag): each orbit point maps to the
+        point the walk reached it from, the start to itself. Incomplete
+        when the limit hits."""
+        parents = {bits: bits}
+        for image, parent, _ in self.walk(bits, parents):
+            if len(parents) >= self.limit:
+                return parents, False
+            parents[image] = parent
+        return parents, True
 
 
 def in_same_orbit(p1, p2, group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> str:
@@ -296,35 +307,72 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
     return gen_ssp(formula, init, SspConfig(canonical=canonical))
 
 
+def _replayed_start(links, bits: int, group: SymmetryGroup, replayed):
+    """Follow the walk's parent links from `bits` to the start of its walk
+    (the point linked to itself) and return that start, or None when some
+    link is no generator step. Each link is checked with the plain
+    `apply_perm_point`, not the walker's tables; `replayed` remembers the
+    links already checked (child -> parent)."""
+    for _ in range(len(links)):
+        parent = links[bits]
+        if parent == bits:
+            return bits
+        if replayed.get(bits) != parent:
+            point = bits_to_point(parent, group.num_vars)
+            if not any(point_bits(apply_perm_point(g, point)) == bits
+                       for g in group.generators):
+                return None
+            replayed[bits] = parent
+        bits = parent
+    return None
+
+
 def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
                                group: SymmetryGroup,
                                limit: int = ORBIT_LIMIT) -> VerifyReport:
     """Check stability modulo the group: every neighbor is in the set or
     symmetric to a member. Orbit overflows fail the check conservatively.
 
-    Each complete orbit is walked once; its verdict holds for all its
+    A member found in a neighbor's orbit counts only after a replay: the
+    walk's parent links from the member and from the neighbor back to
+    the walk's start are each checked with `apply_perm_point`. So a fault
+    in the walker's lookup tables can make the check reject, never
+    accept.
+
+    Each complete orbit is walked once; its parent links serve all its
     points. A walk cut by the limit is not remembered, because what it
     saw depends on where it started."""
     report = VerifyReport()
     clusters, by_cube = point_clusters(points, transport)
     member_bits = {cube.val for cube in clusters}
     walker = _OrbitWalker(group, limit)
-    known: dict[int, str] = {}   # point bits -> YES / NO for its whole orbit
+    links: dict[int, int] = {}     # parent links of every complete orbit walked
+    member_of: dict[int, int | None] = {}  # walk start -> a member in its orbit
+    replayed: dict[int, int] = {}  # links checked by _replayed_start
     for cube, cid, neighbor in unreached_neighbors(formula, clusters, by_cube,
                                                    report):
-        verdict = known.get(neighbor.val)
-        if verdict is None:
-            orbit, complete = walker.orbit(neighbor.val)
-            verdict = YES if orbit & member_bits else NO if complete else UNKNOWN
-            if complete:   # pairs, as in the canonicaliser above
-                known.update(zip(orbit, repeat(verdict)))
-        if verdict == NO:
-            report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
-                        f"has no symmetric member")
-        elif verdict == UNKNOWN:
-            report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
-                        f"orbit exceeded the limit {limit} before any member "
-                        f"was found")
+        tree, complete = links, True
+        if neighbor.val not in links:
+            tree, complete = walker.orbit(neighbor.val)
+            member_of[neighbor.val] = min(tree.keys() & member_bits,
+                                          default=None)
+            if complete:
+                links.update(tree)
+                tree = links
+        start = _replayed_start(tree, neighbor.val, group, replayed)
+        member = member_of.get(start)
+        if start is None or (member is not None and _replayed_start(
+                tree, member, group, replayed) != start):
+            failure = "reaches no member by generator steps"
+        elif member is None and complete:
+            failure = "has no symmetric member"
+        elif member is None:
+            failure = (f"orbit exceeded the limit {limit} before any member "
+                       f"was found")
+        else:
+            continue
+        report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
+                    f"{failure}")
     return report
 
 

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import stablesat
 from stablesat.core import CnfFormula
 from stablesat.oracle import brute_force_sat
 from stablesat.symmetry import ph_formula
@@ -52,3 +57,13 @@ def test_chunked_scan_crosses_chunks():
     result = brute_force_sat(f)
     assert result.satisfiable
     assert result.witness == (0,) + (1,) * (n - 1)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    # Only the oracle needs numpy; solve and verify must not pay its import.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stablesat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, stablesat.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -105,6 +105,19 @@ def test_merge_cubes_no_partner(vb_formula):
     assert outcome is None
 
 
+def test_find_merge_sees_clauses_learned_after_caching():
+    work = CnfFormula(2, [[1, -2]])
+    p, q = cube([-1, 2], 2), cube([1, 2], 2)
+    h_cache = {}
+    assert _find_merge([q], p, work, h_cache) is None   # q falsifies nothing
+    work.learn((-1, -2))
+    outcome = _find_merge([q], p, work, h_cache)
+    assert outcome is not None and outcome.cube == cube([2], 2)
+    assert outcome.resolvent.lits == (-2,) and outcome.pivot == 1
+    for c in (p, q):
+        assert h_cache[c] == (2, work.falsified(c.mask, c.val))
+
+
 def test_verify_ssc_golden_body(vb_formula, golden_config):
     result = gen_ssc(vb_formula, golden_config)
     assert verify_ssc(result.formula, result.body, result.transport)

@@ -1,12 +1,18 @@
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stablesat.core import Clause, CnfFormula, evaluate_clause, point_nbhd
+from stablesat import symmetry
+from stablesat.core import (Clause, CnfFormula, bits_to_point, evaluate_clause,
+                            point_bits, point_nbhd)
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import proof_from_result, replay_proof
 from stablesat.ssp import SspResult, gen_ssp, verify_ssp
-from stablesat.symmetry import (OrbitLimitExceeded, Permutation, SymmetryGroup,
+from stablesat.symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, Permutation,
+                                SymmetryGroup, _OrbitWalker,
                                 apply_perm_clause, apply_perm_point,
                                 expand_mod_sym_to_ssp, format_symmetry_file,
                                 gen_ssp_mod_symmetry, group_order,
@@ -322,6 +328,58 @@ def test_verify_mod_sym_matches_reference_on_ph():
                     f, points, transport, group, limit), (m, gone, limit)
 
 
+def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
+    f, inst = ph_formula(3, 2)
+    group = ph_symmetry_generators(inst)
+    result = gen_ssp_mod_symmetry(f, group)
+    assert verify_stable_mod_symmetry(f, result.points, result.transport, group)
+    point = result.points[0]
+    points, transport = [point], {point: result.transport[point]}
+    assert not verify_stable_mod_symmetry(f, points, transport, group)
+    # Generator 0's table (n = 6: a single byte) now sends every point onto
+    # the member, so the walker finds it in every neighbor's orbit.
+    real, member = symmetry._byte_tables, point_bits(point)
+
+    def corrupted(perm):
+        return [[member] * 64] if perm is group.generators[0] else real(perm)
+
+    monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
+    walker = _OrbitWalker(group, ORBIT_LIMIT)
+    neighbors = point_nbhd(point, f.clause_by_id(transport[point]))
+    assert all(member in walker.orbit(point_bits(q))[0] for q in neighbors)
+    report = verify_stable_mod_symmetry(f, points, transport, group)
+    assert not report
+    assert len(report.failures) == len(neighbors)
+    assert all("generator steps" in failure for failure in report.failures)
+
+
+def test_verify_mod_sym_replays_points_of_a_cached_orbit(monkeypatch):
+    f, inst = ph_formula(3, 2)
+    group = ph_symmetry_generators(inst)
+    result = gen_ssp_mod_symmetry(f, group)
+    gone = (1, 0, 1, 0, 0, 0)
+    points = [p for p in result.points if p != gone]
+    transport = {p: result.transport[p] for p in points}
+    assert len(points) == len(result.points) - 1
+    assert not verify_stable_mod_symmetry(f, points, transport, group)
+    # One wrong entry: generator 0, (1 3)(2 4), sends 100000 to 101000, not
+    # to 001000. That joins the orbit of 101000, which now holds no member,
+    # to orbits that do. A check that replays only the walk that found a
+    # member, and trusts the orbit it cached, accepts this set.
+    real = symmetry._byte_tables
+
+    def corrupted(perm):
+        tables = real(perm)
+        if perm is group.generators[0]:
+            tables[0][point_bits((1, 0, 0, 0, 0, 0))] = point_bits(gone)
+        return tables
+
+    monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
+    report = verify_stable_mod_symmetry(f, points, transport, group)
+    assert not report
+    assert all("generator steps" in failure for failure in report.failures)
+
+
 def test_verify_mod_sym_limit_one_names_the_limit():
     f, inst = ph_formula(3, 2)
     group = ph_symmetry_generators(inst)
@@ -365,3 +423,52 @@ def test_expand_ph32_verifies():
 def test_ph_generators_edge_cases():
     _, inst = ph_formula(1, 1)
     assert ph_symmetry_generators(inst).generators == []
+
+
+def _reference_walk(group, point, cap):
+    """Breadth-first orbit walk by apply_perm_point: the first `cap`
+    (image, parent, generator index) steps that reach a new point."""
+    seen, steps, frontier = {point}, [], [point]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gi, g in enumerate(group.generators):
+                image = apply_perm_point(g, p)
+                if image not in seen:
+                    if len(steps) == cap:
+                        return steps
+                    seen.add(image)
+                    steps.append((image, p, gi))
+                    nxt.append(image)
+        frontier = nxt
+    return steps
+
+
+@st.composite
+def groups_and_points(draw):
+    n = draw(st.sampled_from((0, 1, 7, 8, 9, 17, 65)))
+    images = draw(st.lists(st.permutations(range(1, n + 1)), max_size=3))
+    point = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return SymmetryGroup([Permutation(i) for i in images], n), tuple(point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(groups_and_points())
+@example((SymmetryGroup([], 9), (1, 0, 1, 1, 0, 0, 0, 1, 1)))
+def test_table_walker_matches_apply_perm_point(group_and_point):
+    group, point = group_and_point
+    n, cap = group.num_vars, 200
+    walker = _OrbitWalker(group, ORBIT_LIMIT)
+    start = point_bits(point)
+    # With nothing marked seen, the first steps are the start's images.
+    first = islice(walker.walk(start, {}), len(group.generators))
+    assert list(first) == [(point_bits(apply_perm_point(g, point)), start, gi)
+                           for gi, g in enumerate(group.generators)]
+    # The walk's order is the reference BFS's order.
+    seen, steps = {start}, []
+    for image, parent, gi in walker.walk(start, seen):
+        if len(steps) == cap:
+            break
+        seen.add(image)
+        steps.append((bits_to_point(image, n), bits_to_point(parent, n), gi))
+    assert steps == _reference_walk(group, point, cap)
