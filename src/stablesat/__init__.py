@@ -25,9 +25,9 @@ from .ssp import SspConfig, SspResult, gen_ssp, verify_ssp
 from .symmetry import (OrbitLimitExceeded, Permutation, PhInstance,
                        SymmetryGroup, apply_perm_clause, apply_perm_point,
                        expand_mod_sym_to_ssp, gen_ssp_mod_symmetry,
-                       group_order, in_same_orbit, is_symmetric,
-                       parse_permutation, parse_symmetry_file, ph_formula,
-                       ph_symmetry_generators, verify_stable_mod_symmetry)
+                       is_symmetric, parse_permutation, parse_symmetry_file,
+                       ph_formula, ph_symmetry_generators,
+                       verify_stable_mod_symmetry)
 from .trace import TraceRecord, emit_trace, format_trace
 
 __all__ = [name for name in dir() if not name.startswith("_")]

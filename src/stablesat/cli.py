@@ -43,9 +43,9 @@ def _build_parser():
     solve.add_argument("--init", default=None,
                        help="start point (0/1 string, ssp/sym) or cube literals "
                             "like '-2 -3' (ssc)")
-    solve.add_argument("--pop", choices=("fifo", "lifo"), default="fifo")
     # The flags of _MODE_FLAGS default to None, so that a mode not reading
     # one can tell that it was given.
+    solve.add_argument("--pop", choices=("fifo", "lifo"), default=None)
     solve.add_argument("--no-merge", action="store_true", default=None,
                        help="disable cube merging / clause learning")
     solve.add_argument("--coverage", choices=("full", "shared"), default=None)
@@ -95,17 +95,79 @@ def _witness_point(cube: Cube):
     return tuple((cube.val >> i) & 1 for i in range(cube.n))
 
 
-def _write_trace(result, path: str, style: str = "dimacs"):
-    with open(path, "w", encoding="utf-8") as handle:
-        emit_trace(result.trace, handle, style)
-
-
 # Flags read by some modes only: (attribute, flag, the modes reading it).
-_MODE_FLAGS = [("no_merge", "--no-merge", ("ssc", "ssc-ne")),
+_MODE_FLAGS = [("pop", "--pop", ("ssp", "ssc", "ssc-ne")),
+               ("trace", "--trace", ("ssp", "ssc", "ssc-ne")),
+               ("no_merge", "--no-merge", ("ssc", "ssc-ne")),
                ("split", "--split", ("ssc", "ssc-ne")),
                ("coverage", "--coverage", ("ssc", "ssc-ne")),
                ("sym", "--sym", ("sym",)),
                ("orbit_limit", "--orbit-limit", ("sym",))]
+
+
+# A runner runs one mode's engine and prints its `c` lines. It returns
+# the result, the certificate that --proof writes, and the model (None
+# when unsatisfiable).
+
+def _solve_ssc(args, formula):
+    init_cube = None
+    if args.init is not None:
+        lits = [int(tok) for tok in args.init.replace(",", " ").split()]
+        init_cube = Cube.from_literals(lits, formula.num_vars)
+    config = SscConfig(
+        init_strategy="ne-style" if args.mode == "ssc-ne" else "single-cube",
+        init_cube=init_cube, pop_policy=args.pop or "fifo",
+        split_heuristic=args.split or "first-intersecting",
+        merge_enabled=not args.no_merge,
+        coverage=CoverageConfig(
+            scope=SCOPE_SHARED if args.coverage == "shared" else SCOPE_FULL),
+        record_trace=args.trace is not None)
+    result = gen_ssc(formula, config)
+    if result.satisfiable:
+        print(f"c witness cube: {result.witness.to_text() or 'T'}")
+        return result, result, _witness_point(result.witness)
+    print(f"c body clusters: {len(result.body)}  learned clauses: "
+          f"{len(result.learned)}  iterations: {result.iterations}")
+    return result, result, None
+
+
+def _solve_ssp(args, formula):
+    init = parse_point(args.init) if args.init is not None else None
+    result = gen_ssp(formula, init, SspConfig(
+        pop=args.pop or "fifo", record_trace=args.trace is not None))
+    if not result.satisfiable:
+        print(f"c stable set size: {len(result.points)}  iterations: "
+              f"{result.iterations}")
+    return result, result, result.witness
+
+
+def _solve_sym(args, formula):
+    if not args.sym:
+        raise ValueError("--mode sym requires --sym FILE with generators")
+    with open(args.sym, "r", encoding="utf-8") as handle:
+        group = parse_symmetry_file(handle.read(), formula.num_vars)
+    init = parse_point(args.init) if args.init is not None else None
+    limit = args.orbit_limit if args.orbit_limit is not None else ORBIT_LIMIT
+    result = gen_ssp_mod_symmetry(formula, group, init, orbit_limit=limit)
+    if result.satisfiable:
+        return result, result, result.witness
+    report = verify_stable_mod_symmetry(formula, result.points,
+                                        result.transport, group,
+                                        limit=limit)
+    if not report:
+        raise ValueError("internal check failed: " + "; ".join(report.failures))
+    print(f"c stable modulo symmetry, representatives: {len(result.points)}")
+    if not args.proof:
+        return result, None, None
+    # The proof is the plain stable set: the union of the orbits.
+    points, transport = expand_mod_sym_to_ssp(
+        formula, result.points, result.transport, group, limit=limit)
+    print(f"c expanded stable set written: {len(points)} points")
+    return result, SspResult(False, points=points, transport=transport), None
+
+
+_RUNNERS = {"ssc": _solve_ssc, "ssc-ne": _solve_ssc, "ssp": _solve_ssp,
+            "sym": _solve_sym}
 
 
 def _cmd_solve(args) -> int:
@@ -113,88 +175,23 @@ def _cmd_solve(args) -> int:
         if getattr(args, attr) is not None and args.mode not in modes:
             raise ValueError(f"--mode {args.mode} does not read {flag}; drop {flag}")
     formula = _load_formula(args.file)
-
-    if args.mode in ("ssc", "ssc-ne"):
-        init_cube = None
-        if args.init is not None:
-            lits = [int(tok) for tok in args.init.replace(",", " ").split()]
-            init_cube = Cube.from_literals(lits, formula.num_vars)
-        config = SscConfig(
-            init_strategy="ne-style" if args.mode == "ssc-ne" else "single-cube",
-            init_cube=init_cube, pop_policy=args.pop,
-            split_heuristic=args.split or "first-intersecting",
-            merge_enabled=not args.no_merge,
-            coverage=CoverageConfig(
-                scope=SCOPE_SHARED if args.coverage == "shared" else SCOPE_FULL),
-            record_trace=args.trace is not None)
-        result = gen_ssc(formula, config)
-        if args.trace:
-            _write_trace(result, args.trace, args.trace_style)
-        if args.proof:
-            with open(args.proof, "w", encoding="utf-8") as handle:
-                emit_proof(result, handle)
-        if result.satisfiable:
-            print(f"c witness cube: {result.witness.to_text() or 'T'}")
-            print("s SATISFIABLE")
-            _print_model(_witness_point(result.witness))
-            return EXIT_SAT
-        print(f"c body clusters: {len(result.body)}  learned clauses: "
-              f"{len(result.learned)}  iterations: {result.iterations}")
-        print("s UNSATISFIABLE")
-        return EXIT_UNSAT
-
-    if args.mode == "ssp":
-        init = parse_point(args.init) if args.init is not None else None
-        if init is not None and len(init) != formula.num_vars:
-            raise ValueError(f"init point needs {formula.num_vars} values")
-        config = SspConfig(pop=args.pop, record_trace=args.trace is not None)
-        result = gen_ssp(formula, init, config)
-        if args.trace:
-            _write_trace(result, args.trace, args.trace_style)
-        if args.proof:
-            with open(args.proof, "w", encoding="utf-8") as handle:
-                emit_proof(result, handle)
-        if result.satisfiable:
-            print("s SATISFIABLE")
-            _print_model(result.witness)
-            return EXIT_SAT
-        print(f"c stable set size: {len(result.points)}  iterations: "
-              f"{result.iterations}")
-        print("s UNSATISFIABLE")
-        return EXIT_UNSAT
-
-    # mode sym
-    if not args.sym:
-        raise ValueError("--mode sym requires --sym FILE with generators")
-    if args.trace is not None:
-        raise ValueError("--mode sym writes no trace; drop --trace")
-    if args.pop != "fifo":
-        raise ValueError("--mode sym pops in fifo order only; drop --pop lifo")
-    with open(args.sym, "r", encoding="utf-8") as handle:
-        group = parse_symmetry_file(handle.read(), formula.num_vars)
-    init = parse_point(args.init) if args.init is not None else None
-    limit = args.orbit_limit if args.orbit_limit is not None else ORBIT_LIMIT
-    result = gen_ssp_mod_symmetry(formula, group, init, orbit_limit=limit)
-    if result.satisfiable:
-        print("s SATISFIABLE")
-        _print_model(result.witness)
-        return EXIT_SAT
-    report = verify_stable_mod_symmetry(formula, result.points,
-                                        result.transport, group,
-                                        limit=limit)
-    if not report:
-        raise ValueError("internal check failed: " + "; ".join(report.failures))
-    print(f"c stable modulo symmetry, representatives: {len(result.points)}")
+    result, certificate, model = _RUNNERS[args.mode](args, formula)
+    if args.trace:
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            emit_trace(result.trace, handle, args.trace_style)
     if args.proof:
-        points, transport = expand_mod_sym_to_ssp(
-            formula, result.points, result.transport, group,
-            limit=limit)
-        expanded = SspResult(False, points=points, transport=transport)
         with open(args.proof, "w", encoding="utf-8") as handle:
-            emit_proof(expanded, handle)
-        print(f"c expanded stable set written: {len(points)} points")
-    print("s UNSATISFIABLE")
-    return EXIT_UNSAT
+            emit_proof(certificate, handle)
+    return _print_verdict(model)
+
+
+def _print_verdict(model) -> int:
+    if model is None:
+        print("s UNSATISFIABLE")
+        return EXIT_UNSAT
+    print("s SATISFIABLE")
+    _print_model(model)
+    return EXIT_SAT
 
 
 def _cmd_gen_ph(args) -> int:
@@ -228,13 +225,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     formula = _load_formula(args.file)
-    result = brute_force_sat(formula, cap=args.cap)
-    if result.satisfiable:
-        print("s SATISFIABLE")
-        _print_model(result.witness)
-        return EXIT_SAT
-    print("s UNSATISFIABLE")
-    return EXIT_UNSAT
+    return _print_verdict(brute_force_sat(formula, cap=args.cap).witness)
 
 
 def cli_main(argv=None) -> int:
@@ -247,10 +238,7 @@ def cli_main(argv=None) -> int:
                 "verify": _cmd_verify, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except OrbitLimitExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (OSError, ValueError) as exc:
+    except (OrbitLimitExceeded, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -219,9 +219,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
                 "" if clause is None else f" clause {clause.cid}"))
 
-    body: list[Cube] = []
-    body_set: set[Cube] = set()
-    transport: dict[Cube, int] = {}
+    transport: dict[Cube, int] = {}   # the Body, in insertion order
     learned: list[Clause] = []
     learn_steps: list[LearnStep] = []
     h_cache: dict = {}
@@ -294,13 +292,11 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                         boundary.push_back(neighbor)
                     else:
                         boundary.push_front([neighbor])
-                if p not in body_set:
+                if p not in transport:
                     if config.xi_log:
                         overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
-                                   for q in body if q.intersects(p)]
+                                   for q in transport if q.intersects(p)]
                         union_size += p.count_points() - union_count(overlap, n)
-                    body.append(p)
-                    body_set.add(p)
                     covers.add(p)
                 transport[p] = clause.cid
                 log.add("move-to-body",
@@ -308,9 +304,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         record_xi()
 
     log.add("finish", lambda: "result UNSAT")
-    return SscResult(False, body=body, transport=transport, learned=learned,
-                     learn_steps=learn_steps, formula=work, xi_log=xi_log,
-                     iterations=iterations, trace=log.records)
+    return SscResult(False, body=list(transport), transport=transport,
+                     learned=learned, learn_steps=learn_steps, formula=work,
+                     xi_log=xi_log, iterations=iterations, trace=log.records)
 
 
 def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:

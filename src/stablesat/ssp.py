@@ -64,22 +64,18 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
     def text(bits):
         return point_str(bits_to_point(bits, n))
 
-    canonical = config.canonical
+    canonical = config.canonical or (lambda bits: bits)
     full = (1 << n) - 1
     start = point_bits(init)
     boundary = deque([start])
-    in_boundary = {start}
-    reps = {canonical(start)} if canonical else set()   # orbits reached
-    body: dict[int, int] = {}   # point bits -> transport clause id
-    order: list[int] = []
+    reached = {canonical(start)}   # representatives of every point pushed
+    body: dict[int, int] = {}   # point bits -> transport clause id, pop order
     log.add("initialize", lambda: f"point {point_str(init)}")
     iterations = 0
 
     while boundary:
         iterations += 1
         pbits = boundary.popleft()
-        in_boundary.discard(pbits)
-        order.append(pbits)
         falsified = formula.falsified(full, pbits)
         if not falsified:
             log.add("move-to-body", lambda: f"point {text(pbits)}")
@@ -92,26 +88,22 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
         log.add("move-to-body", lambda: f"point {text(pbits)} clause {clause.cid}")
         for lit in clause.lits:
             nbits = pbits ^ (1 << (abs(lit) - 1))
-            known = nbits in body or nbits in in_boundary
-            if not known and canonical is not None:
-                rep = canonical(nbits)
-                known = rep in reps
-                reps.add(rep)
+            rep = canonical(nbits)
+            known = rep in reached
             log.add("nbhd", lambda: f"point {text(pbits)} clause {clause.cid} "
                                     f"dir {abs(lit)} -> point {text(nbits)} "
                                     f"{'seen' if known else 'new'}")
             if known:
                 continue
+            reached.add(rep)
             if config.pop == "fifo":
                 boundary.append(nbits)
             else:
                 boundary.appendleft(nbits)
-            in_boundary.add(nbits)
 
     log.add("finish", lambda: "result UNSAT")
-    points = [bits_to_point(b, n) for b in order]
     transport = {bits_to_point(b, n): cid for b, cid in body.items()}
-    return SspResult(False, points=points, transport=transport,
+    return SspResult(False, points=list(transport), transport=transport,
                      iterations=iterations, trace=log.records)
 
 

@@ -21,10 +21,6 @@ from .ssp import SspConfig, SspResult, gen_ssp, point_clusters
 
 ORBIT_LIMIT = 10 ** 6
 
-YES = "yes"
-NO = "no"
-UNKNOWN = "unknown"
-
 
 class OrbitLimitExceeded(RuntimeError):
     """Raised when an orbit expansion outgrows the caller's point limit."""
@@ -244,36 +240,6 @@ class _OrbitWalker:
         return parents, True
 
 
-def in_same_orbit(p1, p2, group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> str:
-    """Whether some group element maps p1 to p2, by a walk of the orbit
-    of p1 that stops at `limit` points in all."""
-    if len(p1) != group.num_vars or len(p2) != group.num_vars:
-        raise ValueError("point arity mismatch")
-    orbit, complete = _OrbitWalker(group, limit).orbit(point_bits(p1))
-    if point_bits(p2) in orbit:
-        return YES
-    return NO if complete else UNKNOWN
-
-
-def group_order(group: SymmetryGroup, limit: int = ORBIT_LIMIT) -> int:
-    """Size of the generated group by closure enumeration (bounded)."""
-    elements = {Permutation.identity(group.num_vars)}
-    frontier = list(elements)
-    while frontier:
-        nxt = []
-        for perm in frontier:
-            for gen in group.generators:
-                image = gen.compose(perm)
-                if image not in elements:
-                    if len(elements) >= limit:
-                        raise OrbitLimitExceeded(
-                            f"group closure exceeds {limit} elements")
-                    elements.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return len(elements)
-
-
 def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
                          orbit_limit: int = ORBIT_LIMIT) -> SspResult:
     """Point engine that skips neighbors already represented up to symmetry.
@@ -383,31 +349,38 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     Each orbit member q = pi(p) gets the transport clause pi(g(p)); the
     result is a plain stable set. Raises OrbitLimitExceeded when the
     expansion would hold more than `limit` points. The formula maps the
-    permuted clauses back to clause ids.
+    permuted clauses back to clause ids; representatives keep theirs.
     """
     walker = _OrbitWalker(group, limit)
     expanded: dict[tuple, int] = {}
     n = group.num_vars
-    for point in points:
-        bits = point_bits(point)
-        if bits_to_point(bits, n) in expanded:
-            continue
-        base_clause = formula.clause_by_id(transport[point])
-        if base_clause is None:
-            raise ValueError(f"transport id {transport[point]} not in formula")
-        # Each image inherits its parent's clause moved by the generator.
-        clauses = {bits: base_clause}
-        for image, parent, gi in walker.walk(bits, clauses):
-            if len(expanded) + len(clauses) >= limit:
-                raise OrbitLimitExceeded(f"expansion exceeds {limit} points")
-            clauses[image] = apply_perm_clause(group.generators[gi],
-                                               clauses[parent])
-        for member, clause in clauses.items():
+    images: dict[tuple[int, int], int] = {}   # (generator, id) -> image id
+
+    def image_id(gi: int, cid: int) -> int:
+        if (gi, cid) not in images:
+            clause = apply_perm_clause(group.generators[gi],
+                                       formula.clause_by_id(cid))
             target = formula.find(clause.lits)
             if target is None:
                 raise ValueError(
                     f"permuted transport clause {clause!r} not in formula")
-            expanded[bits_to_point(member, n)] = target.cid
+            images[gi, cid] = target.cid
+        return images[gi, cid]
+
+    for point in points:
+        bits = point_bits(point)
+        if bits_to_point(bits, n) in expanded:
+            continue
+        if formula.clause_by_id(transport[point]) is None:
+            raise ValueError(f"transport id {transport[point]} not in formula")
+        # Each image inherits its parent's clause moved by the generator.
+        ids = {bits: transport[point]}
+        for image, parent, gi in walker.walk(bits, ids):
+            if len(expanded) + len(ids) >= limit:
+                raise OrbitLimitExceeded(f"expansion exceeds {limit} points")
+            ids[image] = image_id(gi, ids[parent])
+        for member, cid in ids.items():
+            expanded[bits_to_point(member, n)] = cid
     return list(expanded), expanded
 
 

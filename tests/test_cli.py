@@ -102,13 +102,15 @@ def test_sym_mode_refuses_trace(tmp_path, capsys):
     assert not trace.exists()
 
 
-def test_sym_mode_refuses_lifo(tmp_path, capsys):
+@pytest.mark.parametrize("pop", ["fifo", "lifo"])
+def test_sym_mode_refuses_lifo(tmp_path, capsys, pop):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
-                     "--pop", "lifo", str(cnf)]) == 1
+                     "--pop", pop, str(cnf)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--pop" in err
 
 
 @pytest.mark.parametrize("mode, flags", [
@@ -147,6 +149,11 @@ def test_sym_mode_sat_instance(tmp_path):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "2", "2", "-o", str(cnf), "--sym-out", str(sym)])
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym), str(cnf)]) == 10
+    proof = tmp_path / "ph.proof"
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     "--proof", str(proof), str(cnf)]) == 10
+    assert proof.read_text().endswith("result SAT\n")
+    assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
 
 
 def test_oracle_exit_codes(vb_file, tmp_path):
@@ -213,8 +220,6 @@ def test_trivial_formulas_answered_in_every_mode(tmp_path, capsys, text):
         code = cli_main(["solve", "--mode", mode, *sym_args,
                          "--proof", str(proof), str(path)])
         assert code == expected, mode
-        # The sym engine writes a proof only for UNSAT.
-        if mode != "sym" or code == 20:
-            assert cli_main(["verify", "--proof", str(proof), str(path)]) == 0
+        assert cli_main(["verify", "--proof", str(proof), str(path)]) == 0
     out = capsys.readouterr().out
     assert ("v 0" in out.splitlines()) == text.startswith("p cnf 0 0")

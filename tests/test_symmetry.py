@@ -10,15 +10,14 @@ from stablesat.core import (Clause, CnfFormula, bits_to_point, evaluate_clause,
                             point_bits, point_nbhd)
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import proof_from_result, replay_proof
-from stablesat.ssp import SspResult, gen_ssp, verify_ssp
+from stablesat.ssp import SspConfig, SspResult, gen_ssp, verify_ssp
 from stablesat.symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, Permutation,
                                 SymmetryGroup, _OrbitWalker,
                                 apply_perm_clause, apply_perm_point,
                                 expand_mod_sym_to_ssp, format_symmetry_file,
-                                gen_ssp_mod_symmetry, group_order,
-                                in_same_orbit, is_symmetric, parse_permutation,
-                                parse_symmetry_file, ph_formula,
-                                ph_symmetry_generators,
+                                gen_ssp_mod_symmetry, is_symmetric,
+                                parse_permutation, parse_symmetry_file,
+                                ph_formula, ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
 from conftest import random_3cnf
 
@@ -163,11 +162,6 @@ def test_orbit_relation_is_equivalence():
             assert a == b or not (a & b)
 
 
-def test_group_order_ph32():
-    _, inst = ph_formula(3, 2)
-    assert group_order(ph_symmetry_generators(inst)) == 12  # 3! * 2!
-
-
 def test_ph_formula_smallest_instance():
     f, inst = ph_formula(2, 1)
     assert f.num_vars == 2
@@ -224,6 +218,12 @@ def test_gen_mod_sym_trivial_group_matches_plain():
             (plain.satisfiable, plain.witness, plain.iterations)
         assert result.points == plain.points
         assert result.transport == plain.transport
+        # The identity canonicaliser is the plain engine's own.
+        identity = gen_ssp(f, None, SspConfig(canonical=lambda b: b,
+                                               record_trace=True))
+        plain = gen_ssp(f, None, SspConfig(record_trace=True))
+        assert (identity.trace, identity.points, identity.transport) == \
+            (plain.trace, plain.points, plain.transport)
 
 
 def test_gen_mod_sym_ph_representatives():
@@ -398,6 +398,22 @@ def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
                                                  transport, group)
     assert set(expanded) == set(points)
     assert etransport == transport
+    # Clauses 1 and 2 are copies; the point (0, 0) keeps the second.
+    f = CnfFormula(2, [[1], [1], [-1]])
+    points = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    transport = {(0, 0): 2, (0, 1): 1, (1, 0): 3, (1, 1): 3}
+    assert verify_ssp(f, points, transport)
+    for group in (SymmetryGroup([], 2),
+                  SymmetryGroup([Permutation.identity(2)], 2)):
+        assert expand_mod_sym_to_ssp(f, points, transport, group) == \
+            (points, transport)
+
+
+def test_expand_rejects_a_missing_image():
+    f = CnfFormula(2, [[1]])
+    swap = SymmetryGroup([Permutation.from_cycles([[1, 2]], 2)], 2)
+    with pytest.raises(ValueError, match="permuted transport clause"):
+        expand_mod_sym_to_ssp(f, [(0, 1)], {(0, 1): 1}, swap)
 
 
 def test_expand_overflow_raises():
@@ -442,6 +458,16 @@ def _reference_walk(group, point, cap):
                     nxt.append(image)
         frontier = nxt
     return steps
+
+
+def in_same_orbit(p1, p2, group, limit=ORBIT_LIMIT):
+    """Whether some group element maps p1 to p2, by the reference walk:
+    yes when p2 is among the first `limit` points of the orbit of p1,
+    the start included; unknown when that orbit is larger."""
+    reached = [p1] + [image for image, _, _ in _reference_walk(group, p1, limit)]
+    if p2 in reached[:limit]:
+        return "yes"
+    return "no" if len(reached) <= limit else "unknown"
 
 
 @st.composite
