@@ -11,8 +11,7 @@ generators, a brute-force oracle and the DIMACS/proof/trace formats.
 from .core import (Clause, CnfFormula, VerifyReport, evaluate_clause,
                    falsified_clauses, parse_point, point_nbhd, point_str,
                    resolvable_on, resolve)
-from .coverage import (COVERED, SCOPE_FULL, SCOPE_SHARED, UNCOVERED, UNKNOWN,
-                       CoverageConfig, is_covered, union_count)
+from .coverage import COVERED, UNCOVERED, is_covered, union_count
 from .cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies, merge,
                     unsat_cube)
 from .dimacs import DimacsError, parse_dimacs, write_dimacs

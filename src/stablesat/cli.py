@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from .core import CnfFormula, parse_point
-from .coverage import SCOPE_FULL, SCOPE_SHARED, CoverageConfig
 from .cubes import Cube
 from .dimacs import parse_dimacs, write_dimacs
 from .oracle import DEFAULT_CAP, brute_force_sat
@@ -53,7 +52,7 @@ def _build_parser():
                        default=None)
     solve.add_argument("--trace", metavar="PATH", default=None)
     solve.add_argument("--trace-style", choices=("dimacs", "pretty"),
-                       default="dimacs")
+                       default=None, help="dimacs (default) or pretty; needs --trace")
     solve.add_argument("--proof", metavar="PATH", default=None)
     solve.add_argument("--sym", metavar="PATH", default=None,
                        help="symmetry generators, one cycle-notation line each")
@@ -119,8 +118,7 @@ def _solve_ssc(args, formula):
         init_cube=init_cube, pop_policy=args.pop or "fifo",
         split_heuristic=args.split or "first-intersecting",
         merge_enabled=not args.no_merge,
-        coverage=CoverageConfig(
-            scope=SCOPE_SHARED if args.coverage == "shared" else SCOPE_FULL),
+        coverage=args.coverage or "full",
         record_trace=args.trace is not None)
     result = gen_ssc(formula, config)
     if result.satisfiable:
@@ -174,11 +172,14 @@ def _cmd_solve(args) -> int:
     for attr, flag, modes in _MODE_FLAGS:
         if getattr(args, attr) is not None and args.mode not in modes:
             raise ValueError(f"--mode {args.mode} does not read {flag}; drop {flag}")
+    if args.trace_style is not None and args.trace is None:
+        raise ValueError("--trace-style without --trace writes nothing; "
+                         "drop --trace-style")
     formula = _load_formula(args.file)
     result, certificate, model = _RUNNERS[args.mode](args, formula)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
-            emit_trace(result.trace, handle, args.trace_style)
+            emit_trace(result.trace, handle, args.trace_style or "dimacs")
     if args.proof:
         with open(args.proof, "w", encoding="utf-8") as handle:
             emit_proof(certificate, handle)

@@ -4,33 +4,15 @@ The check runs by recursive splitting, a DPLL specialization over the
 complement of the cover set: take the covers meeting the target from a
 per-literal index (CoverIndex), stop when one cover swallows the
 region, otherwise split it on a variable pinned by the largest surviving
-cover. Exact when the scope is full and the split budget unlimited.
+cover. Exact unless the candidates are narrowed to shared-literal covers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .cubes import Cube
 
 COVERED = "covered"
 UNCOVERED = "uncovered"
-UNKNOWN = "unknown"
-
-SCOPE_FULL = "full"
-SCOPE_SHARED = "shared-literal-only"
-
-
-@dataclass(frozen=True)
-class CoverageConfig:
-    scope: str = SCOPE_FULL
-    split_budget: int = 0  # max splits per query, 0 = unlimited
-
-    def __post_init__(self):
-        if self.scope not in (SCOPE_FULL, SCOPE_SHARED):
-            raise ValueError(f"unknown coverage scope {self.scope!r}")
-        if self.split_budget < 0:
-            raise ValueError("split_budget must be >= 0")
 
 
 class CoverIndex:
@@ -119,52 +101,37 @@ class CoverIndex:
         return self.present.bit_count()
 
 
-def is_covered(target: Cube, covers, config: CoverageConfig = CoverageConfig()) -> str:
+def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
     """Whether the target cube lies inside the union of the cover cubes.
 
     `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
     The index only narrows the candidates: every verdict comes from the
     recursion's own intersection and containment tests on them. With
-    scope=shared-literal-only the candidates are narrowed further to
-    those sharing at least one literal component with the target; that
-    may report a covered cube as uncovered, which is sound for the
-    solver (it only re-adds work) but not exact. UNKNOWN appears only
-    when a split budget runs out.
+    shared_literal the candidates are narrowed further to those sharing
+    at least one literal component with the target; that may report a
+    covered cube as uncovered, which is sound for the solver (it only
+    re-adds work) but not exact.
     """
     index = covers if isinstance(covers, CoverIndex) else \
         CoverIndex(target.n, covers)
     candidates = [(c.mask, c.val) for c in
-                  index.meeting(target, config.scope == SCOPE_SHARED)]
-    budget = config.split_budget
-    splits = 0
+                  index.meeting(target, shared_literal)]
 
-    def rec(mask: int, val: int, cubes) -> str:
-        nonlocal splits
+    def rec(mask: int, val: int, cubes) -> bool:
         live = [c for c in cubes if not (c[1] ^ val) & c[0] & mask]
         if not live:
-            return UNCOVERED
+            return False
         for c in live:
             if not c[0] & ~mask:
-                return COVERED
-        if budget and splits >= budget:
-            return UNKNOWN
-        splits += 1
+                return True
         # The largest survivor neither contains nor misses the region, so
         # it pins some variable that is still free in the region.
         big = min(live, key=lambda c: c[0].bit_count())
         pinned = big[0] & ~mask
         bit = pinned & -pinned
-        left = rec(mask | bit, val, live)
-        if left == UNCOVERED:
-            return UNCOVERED
-        right = rec(mask | bit, val | bit, live)
-        if right == UNCOVERED:
-            return UNCOVERED
-        if UNKNOWN in (left, right):
-            return UNKNOWN
-        return COVERED
+        return rec(mask | bit, val, live) and rec(mask | bit, val | bit, live)
 
-    return rec(target.mask, target.val, candidates)
+    return COVERED if rec(target.mask, target.val, candidates) else UNCOVERED
 
 
 def union_count(covers, num_vars: int) -> int:

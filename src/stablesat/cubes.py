@@ -84,18 +84,14 @@ class Cube:
             raise ValueError("cube has free variables, not a single point")
         return bits_to_point(self.val, self.n)
 
-    def points_bits(self):
-        """Iterate the packed points of the cube in increasing bit order."""
+    def points(self):
+        """Iterate the points of the cube in increasing packed-bit order."""
         free = [i for i in range(self.n) if not self.mask & (1 << i)]
         for k in range(1 << len(free)):
             bits = self.val
             for j, i in enumerate(free):
                 if k & (1 << j):
                     bits |= 1 << i
-            yield bits
-
-    def points(self):
-        for bits in self.points_bits():
             yield bits_to_point(bits, self.n)
 
     def contains(self, inner: "Cube") -> bool:
@@ -125,13 +121,8 @@ class Cube:
             raise ValueError(f"x{var} is a free component, not a literal")
         return Cube(self.n, self.mask, self.val ^ bit)
 
-    def to_text(self, pretty: bool = False) -> str:
-        lits = self.literals()
-        if pretty:
-            if not lits:
-                return "T"
-            return " ".join(f"x{l}" if l > 0 else f"¬x{-l}" for l in lits)
-        return " ".join(str(l) for l in lits)
+    def to_text(self) -> str:
+        return " ".join(str(l) for l in self.literals())
 
     def __eq__(self, other):
         return isinstance(other, Cube) and \

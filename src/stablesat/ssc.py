@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Clause, CnfFormula, VerifyReport, resolvable_on
-from .coverage import (COVERED, CoverageConfig, CoverIndex, is_covered,
-                       union_count)
+from .coverage import COVERED, CoverIndex, is_covered, union_count
 from .cubes import (Cube, cube_nbhd, member_name, merge, unreached_neighbors,
                     unsat_cube)
 from .trace import TraceLog
@@ -37,7 +36,7 @@ class SscConfig:
     pop_policy: str = "fifo"             # or "lifo"
     split_heuristic: str = "first-intersecting"  # or "most-constrained"
     merge_enabled: bool = True
-    coverage: CoverageConfig = field(default_factory=CoverageConfig)
+    coverage: str = "full"               # or "shared": shared-literal covers only
     xi_log: bool = False                 # log (iteration, |Union(Body)|, |F|) per iteration
     record_trace: bool = False
 
@@ -46,6 +45,8 @@ class SscConfig:
             raise ValueError(f"unknown init strategy {self.init_strategy!r}")
         if self.pop_policy not in ("fifo", "lifo"):
             raise ValueError(f"unknown pop policy {self.pop_policy!r}")
+        if self.coverage not in ("full", "shared"):
+            raise ValueError(f"unknown coverage scope {self.coverage!r}")
         if self.split_heuristic not in ("first-intersecting", "most-constrained"):
             raise ValueError(f"unknown split heuristic {self.split_heuristic!r}")
 
@@ -200,6 +201,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     log = TraceLog(config.record_trace)
     xi_log: list = []
     union_size = 0   # |Union(Body)|, kept only when xi_log is on
+    shared = config.coverage == "shared"
 
     covers = CoverIndex(n)   # Body + Boundary, with multiplicity
     boundary = _Boundary(covers)
@@ -245,8 +247,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  trace=log.records)
             var = pick_split_var(p, meeting, config.split_heuristic)
             halves = p.split(var)
-            verdicts = [is_covered(half, covers, config.coverage)
-                        for half in halves]
+            verdicts = [is_covered(half, covers, shared) for half in halves]
             boundary.push_front([half for half, verdict in zip(halves, verdicts)
                                  if verdict != COVERED])
             log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
@@ -280,7 +281,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 # another: all are judged before any is pushed.
                 fresh = []
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
-                    new = is_covered(neighbor, covers, config.coverage) != COVERED
+                    new = is_covered(neighbor, covers, shared) != COVERED
                     log.add("nbhd", lambda: (
                         f"cube {p.to_text()} 0 clause {clause.cid} dir {abs(lit)} "
                         f"-> cube {neighbor.to_text()} 0 "

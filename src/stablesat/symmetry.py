@@ -62,19 +62,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(v) = self(other(v))."""
-        return Permutation(self.images[i - 1] for i in other.images)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(inv)
-
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
-
     def cycles(self):
         seen = set()
         out = []

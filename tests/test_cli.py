@@ -123,6 +123,10 @@ def test_sym_mode_refuses_lifo(tmp_path, capsys, pop):
     ("ssc", ["--sym", "unread.sym"]),
     ("ssc-ne", ["--orbit-limit", "5"]),
     ("ssp", ["--orbit-limit", "5"]),
+    # No mode reads --trace-style without --trace.
+    ("ssc", ["--trace-style", "pretty"]),
+    ("ssp", ["--trace-style", "pretty"]),
+    ("sym", ["--trace-style", "pretty"]),
 ])
 def test_solve_refuses_flags_the_mode_does_not_read(tmp_path, capsys,
                                                     mode, flags):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesat.coverage import (COVERED, SCOPE_FULL, SCOPE_SHARED, UNCOVERED,
-                                UNKNOWN, CoverageConfig, CoverIndex,
-                                is_covered, union_count)
+from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
+                                union_count)
 from stablesat.cubes import Cube
+from stablesat.ssc import SscConfig
 
 
 def cube(lits, n):
@@ -78,14 +78,13 @@ def test_is_covered_matches_brute_force():
 
 def test_shared_scope_is_sound_but_not_exact():
     rng = random.Random(3)
-    shared_cfg = CoverageConfig(scope=SCOPE_SHARED)
     weaker = 0
     for _ in range(300):
         n = rng.randint(1, 6)
         target_mask = rng.getrandbits(n)
         target = Cube(n, target_mask, rng.getrandbits(n) & target_mask)
         covers = random_cubes(n, rng.randint(0, 5), rng)
-        shared = is_covered(target, covers, shared_cfg)
+        shared = is_covered(target, covers, shared_literal=True)
         full = is_covered(target, covers)
         if shared == COVERED:
             assert full == COVERED
@@ -100,24 +99,12 @@ def test_shared_scope_misses_a_true_cover():
     target = Cube.full(1)
     covers = [cube([-1], 1), cube([1], 1)]
     assert is_covered(target, covers) == COVERED
-    assert is_covered(target, covers, CoverageConfig(scope=SCOPE_SHARED)) == UNCOVERED
-
-
-def test_split_budget_exhaustion_returns_unknown():
-    n = 6
-    covers = [cube([v], n) for v in range(1, n + 1)]
-    covers.append(cube([-v for v in range(1, n + 1)], n))
-    target = Cube.full(n)
-    assert is_covered(target, covers) == COVERED
-    tight = CoverageConfig(split_budget=2)
-    assert is_covered(target, covers, tight) == UNKNOWN
+    assert is_covered(target, covers, shared_literal=True) == UNCOVERED
 
 
 def test_coverage_config_validation():
     with pytest.raises(ValueError):
-        CoverageConfig(scope="partial")
-    with pytest.raises(ValueError):
-        CoverageConfig(split_budget=-1)
+        SscConfig(coverage="partial")
 
 
 def test_union_count_examples():
@@ -143,36 +130,27 @@ def shares_literal(a, b):
     return a.mask & b.mask & ~(a.val ^ b.val) != 0
 
 
-def reference_is_covered(target, covers, config=CoverageConfig()):
+def reference_is_covered(target, covers, shared_literal=False):
     """The list-scan coverage query the index replaced, kept as the
     reference: filter every cover, recurse on Cube regions."""
     for c in covers:
         if c.n != target.n:
             raise ValueError("cube arity mismatch in coverage query")
-    if config.scope == SCOPE_SHARED:
+    if shared_literal:
         covers = [c for c in covers if shares_literal(c, target)]
-    budget, splits = config.split_budget, 0
 
     def rec(region, cubes):
-        nonlocal splits
         live = [c for c in cubes if c.intersects(region)]
         if not live:
             return UNCOVERED
         if any(c.contains(region) for c in live):
             return COVERED
-        if budget and splits >= budget:
-            return UNKNOWN
-        splits += 1
         big = max(live, key=lambda c: c.free_count())
         pinned = big.mask & ~region.mask
         zero, one = region.split((pinned & -pinned).bit_length())
-        left = rec(zero, live)
-        if left == UNCOVERED:
+        if rec(zero, live) == UNCOVERED:
             return UNCOVERED
-        right = rec(one, live)
-        if right == UNCOVERED:
-            return UNCOVERED
-        return UNKNOWN if UNKNOWN in (left, right) else COVERED
+        return rec(one, live)
 
     return rec(target, list(covers))
 
@@ -224,31 +202,29 @@ def test_cover_index_matches_list_filter(run):
 
 
 @settings(max_examples=200, deadline=None)
-@given(index_runs(max_n=6), st.sampled_from([SCOPE_FULL, SCOPE_SHARED]))
-def test_is_covered_on_index_matches_brute_force(run, scope):
+@given(index_runs(max_n=6), st.booleans())
+def test_is_covered_on_index_matches_brute_force(run, shared_literal):
     n, ops, targets = run
     index, model = replay(n, ops)
     covers = list(model.elements())
-    config = CoverageConfig(scope=scope)
     for target in targets:
-        if scope == SCOPE_SHARED:
+        if shared_literal:
             scoped = [c for c in covers if shares_literal(c, target)]
         else:
             scoped = covers
         expected = COVERED if brute_covered(target, scoped) else UNCOVERED
-        assert is_covered(target, index, config) == expected
-        assert is_covered(target, covers, config) == expected
+        assert is_covered(target, index, shared_literal) == expected
+        assert is_covered(target, covers, shared_literal) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
            cubes_of(n), st.lists(cubes_of(n), max_size=10))),
-       st.integers(1, 4), st.sampled_from([SCOPE_FULL, SCOPE_SHARED]))
-def test_split_budget_on_list_matches_reference(query, budget, scope):
+       st.booleans())
+def test_is_covered_on_list_matches_reference(query, shared_literal):
     target, covers = query
-    config = CoverageConfig(scope=scope, split_budget=budget)
-    assert is_covered(target, covers, config) == \
-        reference_is_covered(target, covers, config)
+    assert is_covered(target, covers, shared_literal) == \
+        reference_is_covered(target, covers, shared_literal)
 
 
 def test_cover_index_checks_arity_once_added():

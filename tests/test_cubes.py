@@ -5,6 +5,7 @@ import pytest
 from stablesat.core import Clause, CnfFormula, point_nbhd
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
                              merge, unsat_cube)
+from stablesat.trace import prettify_payload
 from conftest import random_clause
 
 
@@ -251,6 +252,5 @@ def test_point_count_is_exact_int():
 def test_cube_text_forms():
     c = cube([-2, 4], 4)
     assert c.to_text() == "-2 4"
-    assert c.to_text(pretty=True) == "¬x2 x4"
+    assert prettify_payload(f"cube {c.to_text()} 0") == "cube ¬x2 x4"
     assert Cube.full(3).to_text() == ""
-    assert Cube.full(3).to_text(pretty=True) == "T"

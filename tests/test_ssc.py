@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
                             point_nbhd)
-from stablesat.coverage import (CoverageConfig, CoverIndex, SCOPE_SHARED,
-                                union_count)
+from stablesat.coverage import CoverIndex, union_count
 from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
 from stablesat.oracle import brute_force_sat
 from stablesat.ssc import (SscConfig, _find_merge, expand_body_to_points,
@@ -264,12 +263,11 @@ def test_expand_body_matches_appendix_construction(vb_formula, golden_config):
 
 def test_lifo_and_shared_coverage_stay_sound():
     rng = random.Random(55)
-    shared = CoverageConfig(scope=SCOPE_SHARED)
     for _ in range(40):
         f = random_3cnf(rng.randint(4, 7), rng.randint(8, 25), rng)
         oracle = brute_force_sat(f)
         for config in (SscConfig(pop_policy="lifo"),
-                       SscConfig(coverage=shared),
+                       SscConfig(coverage="shared"),
                        SscConfig(split_heuristic="most-constrained"),
                        SscConfig(merge_enabled=False)):
             result = gen_ssc(f, config)

@@ -44,14 +44,16 @@ def test_permutation_validation_and_cycles():
         Permutation([1, 1, 3])
     perm = Permutation.from_cycles([[1, 4], [2, 5], [3, 6]], 6)
     assert perm.to_cycle_text() == "(1 4)(2 5)(3 6)"
-    assert perm.inverse() == perm  # product of transpositions
-    assert Permutation.identity(4).is_identity()
+    # A product of transpositions is its own inverse.
+    assert Permutation(perm(perm(v)) for v in range(1, 7)) == \
+        Permutation.identity(6)
+    assert Permutation.identity(4).cycles() == []
 
 
 def test_parse_permutation_roundtrip():
     perm = parse_permutation("(1 4)(2 5)(3 6)", 6)
     assert perm == Permutation.from_cycles([[1, 4], [2, 5], [3, 6]], 6)
-    assert parse_permutation("()", 3).is_identity()
+    assert parse_permutation("()", 3) == Permutation.identity(3)
     with pytest.raises(ValueError):
         parse_permutation("1 4)(", 6)
 
@@ -77,7 +79,8 @@ def test_apply_perm_point_composition_law():
         n = rng.randint(2, 8)
         pi, sigma = random_perm(n, rng), random_perm(n, rng)
         point = tuple(rng.randint(0, 1) for _ in range(n))
-        assert apply_perm_point(pi.compose(sigma), point) == \
+        pi_sigma = Permutation(pi(sigma(v)) for v in range(1, n + 1))
+        assert apply_perm_point(pi_sigma, point) == \
             apply_perm_point(pi, apply_perm_point(sigma, point))
 
 
