@@ -9,6 +9,7 @@ satisfiable, 20 for unsatisfiable, 0 for successful verify/generate,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .core import CnfFormula, parse_point
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 
 
+@functools.cache   # built once per process, at the first command
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="stablesat",

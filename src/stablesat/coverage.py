@@ -105,8 +105,10 @@ def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
     """Whether the target cube lies inside the union of the cover cubes.
 
     `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
-    The index only narrows the candidates: every verdict comes from the
-    recursion's own intersection and containment tests on them. With
+    The answer is UNCOVERED at once when no candidate meets the target and
+    COVERED at once when one contains it; otherwise the target is split.
+    The index only narrows the candidates: every verdict comes from this
+    function's own intersection and containment tests on them. With
     shared_literal the candidates are narrowed further to those sharing
     at least one literal component with the target; that may report a
     covered cube as uncovered, which is sound for the solver (it only
@@ -114,24 +116,38 @@ def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
     """
     index = covers if isinstance(covers, CoverIndex) else \
         CoverIndex(target.n, covers)
-    candidates = [(c.mask, c.val) for c in
-                  index.meeting(target, shared_literal)]
+    found = index.meeting(target, shared_literal)
+    if not found:
+        return UNCOVERED
+    mask, val = target.mask, target.val
+    for c in found:
+        if not (c.mask & ~mask or (c.val ^ val) & c.mask):
+            return COVERED
+    # Per cover: (pinned, pinned to 1, pinned to 0), fewest pins first, so
+    # the first survivor of a region is its largest cover.
+    candidates = sorted(((c.mask, c.val, c.mask & ~c.val) for c in found
+                         if not (c.val ^ val) & c.mask & mask),
+                        key=lambda c: c[0].bit_count())
 
-    def rec(mask: int, val: int, cubes) -> bool:
-        live = [c for c in cubes if not (c[1] ^ val) & c[0] & mask]
-        if not live:
-            return False
-        for c in live:
+    def rec(mask: int, cubes) -> bool:
+        # Every cover in cubes meets the region `mask` pins.
+        for c in cubes:
             if not c[0] & ~mask:
                 return True
-        # The largest survivor neither contains nor misses the region, so
-        # it pins some variable that is still free in the region.
-        big = min(live, key=lambda c: c[0].bit_count())
-        pinned = big[0] & ~mask
+        # The largest cover neither contains nor misses the region, so it
+        # pins some variable that is still free in the region. A cover
+        # meets a half exactly when it does not pin that variable the
+        # other way.
+        pinned = cubes[0][0] & ~mask
         bit = pinned & -pinned
-        return rec(mask | bit, val, live) and rec(mask | bit, val | bit, live)
+        mask |= bit
+        zero = [c for c in cubes if not c[1] & bit]
+        if not zero or not rec(mask, zero):
+            return False
+        one = [c for c in cubes if not c[2] & bit]
+        return bool(one) and rec(mask, one)
 
-    return COVERED if rec(target.mask, target.val, candidates) else UNCOVERED
+    return COVERED if candidates and rec(mask, candidates) else UNCOVERED
 
 
 def union_count(covers, num_vars: int) -> int:

@@ -208,20 +208,24 @@ def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):
     The merged cube is the component-wise union, which is valid exactly
     when both cubes falsify every literal of the resolvent; that check is
     part of the precondition, so failure is a normal fall-through for the
-    caller, not an error.
+    caller, not an error. The precondition is decided on bits, and the
+    resolvent is built only for a merge that happens.
     """
     if p1.n != p2.n:
         raise ValueError("cube arity mismatch")
-    try:
-        resolvent = resolve(c1, c2, pivot)
-    except ValueError:   # the clauses do not clash exactly on pivot
+    bit = 1 << (pivot - 1)
+    if c1.fmask & c2.fmask & (c1.fval ^ c2.fval) != bit:
+        return None   # the clauses do not clash exactly on pivot
+    # Each cube lies inside Unsat of its own clause and of the resolvent:
+    # it pins every variable of both clauses, each to its falsifying value
+    # (the pivot to its own clause's).
+    need = c1.fmask | c2.fmask
+    if need & ~(p1.mask & p2.mask):
         return None
-    if not (cube_falsifies(p1, c1) and cube_falsifies(p2, c2)):
-        return None
-    # Falsifying resolvable clauses already pins the pivot components to
-    # opposite values, so no separate pivot check is needed.
-    if not (cube_falsifies(p1, resolvent) and cube_falsifies(p2, resolvent)):
+    rval = (c1.fval | c2.fval) & ~bit
+    if p1.val & need != rval | c1.fval & bit or \
+            p2.val & need != rval | c2.fval & bit:
         return None
     mask = p1.mask & p2.mask & ~(p1.val ^ p2.val)
     merged = Cube(p1.n, mask, p1.val & mask)
-    return merged, resolvent
+    return merged, resolve(c1, c2, pivot)

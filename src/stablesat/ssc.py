@@ -159,22 +159,36 @@ def pick_split_var(cube: Cube, meeting,
     return min(counts, key=lambda v: (-counts[v], v))
 
 
-def _find_merge(boundary, p: Cube, formula: CnfFormula, h_cache: dict):
-    """Scan the Boundary in insertion order for a merge partner of p."""
+class _Falsified:
+    """The clauses each Boundary cube falsifies, in formula order.
 
-    def falsified_cached(cube):
-        # Clauses are only appended, so an entry needs only the new ones.
-        count, hits = h_cache.get(cube, (0, []))
-        if count != len(formula.clauses):
-            hits = hits + formula.falsified(cube.mask, cube.val, count)
-            h_cache[cube] = (len(formula.clauses), hits)
+    Clauses are only appended, so an entry needs only the clauses learned
+    since it was made. The engine drops an entry when its cube leaves the
+    Boundary, so the cache never outgrows it.
+    """
+
+    __slots__ = ("formula", "entries")
+
+    def __init__(self, formula: CnfFormula):
+        self.formula = formula
+        self.entries: dict = {}   # Cube -> (clauses tested, falsified)
+
+    def __call__(self, cube: Cube) -> list:
+        count, hits = self.entries.get(cube, (0, []))
+        if count != len(self.formula.clauses):
+            hits = hits + self.formula.falsified(cube.mask, cube.val, count)
+            self.entries[cube] = (len(self.formula.clauses), hits)
         return hits
 
-    h_p = falsified_cached(p)
-    if not h_p:
-        return None
+    def drop(self, cube: Cube):
+        self.entries.pop(cube, None)
+
+
+def _find_merge(boundary, p: Cube, h_p: list, falsified: _Falsified):
+    """Scan the Boundary in insertion order for a merge partner of p, which
+    falsifies the clauses h_p."""
     for q in boundary:
-        for c2 in falsified_cached(q):
+        for c2 in falsified(q):
             for c1 in h_p:
                 pivot = resolvable_on(c1, c2)
                 if pivot is None:
@@ -224,7 +238,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     transport: dict[Cube, int] = {}   # the Body, in insertion order
     learned: list[Clause] = []
     learn_steps: list[LearnStep] = []
-    h_cache: dict = {}
+    falsified = _Falsified(work)
     iterations = 0
 
     def record_xi():
@@ -234,7 +248,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     while len(boundary):
         iterations += 1
         p = boundary.pop()
-        h = work.falsified(p.mask, p.val)
+        h = falsified(p)
+        falsified.drop(p)
+        # A cube falsifying nothing may still meet clauses: split it.
         if not h:
             meeting = work.meeting(p.mask, p.val)
             if not meeting:
@@ -257,10 +273,11 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         else:
             outcome = None
             if config.merge_enabled:
-                outcome = _find_merge(boundary, p, work, h_cache)
+                outcome = _find_merge(boundary, p, h, falsified)
             if outcome is not None:
                 partner = outcome.merged[1]
                 boundary.remove(partner)
+                falsified.drop(partner)
                 clause, created = work.learn(outcome.resolvent.lits)
                 if created:
                     learned.append(clause)

@@ -49,7 +49,8 @@ class TraceLog:
         self.records.append(TraceRecord(len(self.records) + 1, kind, payload()))
 
 
-_CUBE_SPAN = re.compile(r"cube((?: -?\d+)*) 0")
+# The all-free cube has no literal and is written `cube  0`, two spaces.
+_CUBE_SPAN = re.compile(r"cube((?: -?\d+)*) {1,2}0")
 
 
 def _pretty_cube(match) -> str:

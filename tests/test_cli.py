@@ -187,6 +187,21 @@ def test_pretty_trace_style(vb_file, tmp_path):
     assert lines[-1] == "16 finish result UNSAT"
 
 
+def test_pretty_trace_writes_the_all_free_cube_as_t(tmp_path):
+    path = tmp_path / "free.cnf"
+    path.write_text("p cnf 2 2\n1 2 0\n-1 0\n")
+    pretty, dimacs = tmp_path / "pretty.trace", tmp_path / "dimacs.trace"
+    for trace, style in ((pretty, "pretty"), (dimacs, "dimacs")):
+        assert cli_main(["solve", "--trace", str(trace), "--trace-style",
+                         style, str(path)]) == 10
+    assert pretty.read_text().splitlines()[:2] == [
+        "1 initialize cube T",
+        "2 split cube T var 1 -> cube ¬x1 kept | cube x1 kept"]
+    assert dimacs.read_text().splitlines()[:2] == [
+        "1 initialize cube  0",
+        "2 split cube  0 var 1 -> cube -1 0 kept | cube 1 0 kept"]
+
+
 def test_traces_are_deterministic(vb_file, tmp_path):
     a, b = tmp_path / "a.trace", tmp_path / "b.trace"
     for path in (a, b):

@@ -64,6 +64,35 @@ def test_is_covered_arity_mismatch():
         is_covered(cube([1], 2), [cube([1], 3)])
 
 
+def test_is_covered_fast_exits():
+    target = cube([1, -2], 4)
+    # The target is among the covers.
+    assert is_covered(target, [cube([3], 4), target]) == COVERED
+    # A strict superset cover.
+    assert is_covered(target, [cube([2, 3], 4), cube([-2], 4)]) == COVERED
+    # No cover meets the target.
+    assert is_covered(target, [cube([-1], 4), cube([2, 3], 4)]) == UNCOVERED
+    # Covers meeting it, none containing it, decided by splitting.
+    assert is_covered(target, [cube([1, -2, 3], 4)]) == UNCOVERED
+    assert is_covered(target, [cube([1, -2, 3], 4), cube([-3], 4)]) == COVERED
+    # A containing cover under shared_literal.
+    assert is_covered(target, [cube([-1, 3], 4), cube([1], 4)],
+                      shared_literal=True) == COVERED
+    assert is_covered(target, [cube([3], 4)], shared_literal=True) == UNCOVERED
+
+
+def test_is_covered_arity_mismatch_raises_before_fast_exits():
+    # The covers would answer at once: the empty index misses the target,
+    # and the full cube contains it.
+    target = cube([1], 2)
+    with pytest.raises(ValueError):
+        is_covered(target, CoverIndex(3))
+    for covers in ([Cube.full(3)], CoverIndex(3, [Cube.full(3)])):
+        for shared_literal in (False, True):
+            with pytest.raises(ValueError):
+                is_covered(target, covers, shared_literal)
+
+
 def test_is_covered_matches_brute_force():
     rng = random.Random(2)
     for _ in range(300):

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
-from stablesat.core import Clause, CnfFormula, point_nbhd
+from stablesat.core import (Clause, CnfFormula, point_nbhd, resolvable_on,
+                            resolve)
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
                              merge, unsat_cube)
 from stablesat.trace import prettify_payload
@@ -235,6 +237,84 @@ def test_merge_result_properties():
         assert merged.contains(p1)
         assert merged.contains(p2)
         assert cube_falsifies(merged, resolvent)
+
+
+def build_then_check_merge(p1, p2, pivot, c1, c2):
+    """merge as it was before its precondition moved onto bits: build the
+    resolvent, then test the four containments on Cube objects."""
+    try:
+        resolvent = resolve(c1, c2, pivot)
+    except ValueError:
+        return None
+    if not (cube_falsifies(p1, c1) and cube_falsifies(p2, c2)):
+        return None
+    if not (cube_falsifies(p1, resolvent) and cube_falsifies(p2, resolvent)):
+        return None
+    mask = p1.mask & p2.mask & ~(p1.val ^ p2.val)
+    return Cube(p1.n, mask, p1.val & mask), resolvent
+
+
+def merge_case(rng):
+    """Two clauses over n <= 8 variables with 0, 1 or 2 clashes, a pivot
+    (the first clash, or any variable), and two cubes falsifying both
+    clauses, one of them then loosened: a pinned variable freed or
+    flipped."""
+    n = rng.randint(2, 8)
+    order = rng.sample(range(1, n + 1), n)
+    clashes = rng.randint(0, 2)
+    lits1, lits2 = [], []
+    for v in order[:clashes]:
+        lit = v if rng.random() < 0.5 else -v
+        lits1.append(lit)
+        lits2.append(-lit)
+    for v in order[clashes:]:
+        lit = v if rng.random() < 0.5 else -v
+        role = int(rng.random() * 4)   # in neither, c1, c2 or both
+        if role & 1:
+            lits1.append(lit)
+        if role & 2:
+            lits2.append(lit)
+    c1, c2 = Clause(lits1), Clause(lits2)
+    pivot = order[0] if clashes and rng.random() < 0.9 else rng.randint(1, n)
+    cubes = []
+    for own in (c1, c2):
+        # Pin both clauses' variables to their falsifying values, the pivot
+        # to its own clause's, and some other variables at random.
+        lits = {abs(l): -l for l in c1.lits + c2.lits}
+        lits.update((abs(l), -l) for l in own.lits if abs(l) == pivot)
+        for v in range(1, n + 1):
+            if v not in lits and rng.random() < 0.3:
+                lits[v] = v if rng.random() < 0.5 else -v
+        cubes.append(Cube.from_literals(lits.values(), n))
+    side = int(rng.random() * 3)   # loosen p1, p2 or neither
+    if side < 2 and cubes[side].mask:
+        pinned = [l for l in cubes[side].literals()]
+        lit = pinned[int(rng.random() * len(pinned))]
+        rest = [l for l in pinned if l != lit]
+        if rng.random() < 0.5:
+            rest.append(-lit)
+        cubes[side] = Cube.from_literals(rest, n)
+    return cubes[0], cubes[1], pivot, c1, c2
+
+
+def test_merge_matches_build_then_check_merge():
+    rng = random.Random(11)
+    # Per case that clashes on the pivot alone: which of p1 in Unsat(c1),
+    # p2 in Unsat(c2), p1 in Unsat(R), p2 in Unsat(R) fail, R the resolvent.
+    failing = Counter()
+    for _ in range(4000):
+        p1, p2, pivot, c1, c2 = case = merge_case(rng)
+        got, want = merge(*case), build_then_check_merge(*case)
+        assert (got is None) == (want is None), case
+        if got is not None:
+            assert got[0] == want[0] and got[1].lits == want[1].lits, case
+        if resolvable_on(c1, c2) == pivot:
+            r = resolve(c1, c2, pivot)
+            failing[tuple(not cube_falsifies(p, c) for p, c in
+                          ((p1, c1), (p2, c2), (p1, r), (p2, r)))] += 1
+    assert failing[(False,) * 4] >= 100   # merges that happen
+    for k in range(4):   # each condition failing alone
+        assert failing[tuple(i == k for i in range(4))] >= 20, failing
 
 
 def test_cube_contains_examples():

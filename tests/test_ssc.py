@@ -10,8 +10,9 @@ from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
 from stablesat.coverage import CoverIndex, union_count
 from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
 from stablesat.oracle import brute_force_sat
-from stablesat.ssc import (SscConfig, _find_merge, expand_body_to_points,
-                           gen_ssc, pick_split_var, verify_ssc)
+from stablesat.ssc import (SscConfig, _Falsified, _find_merge,
+                           expand_body_to_points, gen_ssc, pick_split_var,
+                           verify_ssc)
 from stablesat.ssp import verify_ssp
 from stablesat.trace import format_trace
 from conftest import random_3cnf
@@ -19,6 +20,12 @@ from conftest import random_3cnf
 
 def cube(lits, n=4):
     return Cube.from_literals(lits, n)
+
+
+def find_merge(boundary, p, formula):
+    """_find_merge as the engine calls it, with a fresh cache."""
+    return _find_merge(boundary, p, formula.falsified(p.mask, p.val),
+                       _Falsified(formula))
 
 
 GOLDEN_TRACE = """\
@@ -79,7 +86,7 @@ def test_ne_style_contradiction_learns_empty_clause():
 def test_merge_cubes_first_trace_step(vb_formula):
     work = vb_formula.copy()
     p2a, p2b, p3 = cube([-1, 2, -3]), cube([1, 2, -3]), cube([-2, 3])
-    outcome = _find_merge([p2b, p3], p2a, work, {})
+    outcome = find_merge([p2b, p3], p2a, work)
     assert outcome is not None
     assert outcome.merged == [p2a, p2b]
     assert outcome.cube == cube([2, -3])
@@ -91,7 +98,7 @@ def test_merge_cubes_second_trace_step(vb_formula):
     work = vb_formula.copy()
     work.learn((-2, 3))  # C6 from the first merge
     p3a, p3b, p4 = cube([-2, 3, -4]), cube([-2, 3, 4]), cube([2, 3])
-    outcome = _find_merge([p3b, p4], p3a, work, {})
+    outcome = find_merge([p3b, p4], p3a, work)
     assert outcome is not None
     assert outcome.merged == [p3a, p3b]
     assert outcome.cube == cube([-2, 3])
@@ -100,21 +107,24 @@ def test_merge_cubes_second_trace_step(vb_formula):
 
 
 def test_merge_cubes_no_partner(vb_formula):
-    outcome = _find_merge([], cube([-2, -3]), vb_formula, {})
+    outcome = find_merge([], cube([-2, -3]), vb_formula)
     assert outcome is None
 
 
 def test_find_merge_sees_clauses_learned_after_caching():
     work = CnfFormula(2, [[1, -2]])
     p, q = cube([-1, 2], 2), cube([1, 2], 2)
-    h_cache = {}
-    assert _find_merge([q], p, work, h_cache) is None   # q falsifies nothing
+    falsified = _Falsified(work)
+    h_p = work.falsified(p.mask, p.val)
+    assert _find_merge([q], p, h_p, falsified) is None   # q falsifies nothing
+    assert falsified.entries == {q: (1, [])}
     work.learn((-1, -2))
-    outcome = _find_merge([q], p, work, h_cache)
+    outcome = _find_merge([q], p, h_p, falsified)
     assert outcome is not None and outcome.cube == cube([2], 2)
     assert outcome.resolvent.lits == (-2,) and outcome.pivot == 1
-    for c in (p, q):
-        assert h_cache[c] == (2, work.falsified(c.mask, c.val))
+    assert falsified.entries == {q: (2, work.falsified(q.mask, q.val))}
+    falsified.drop(q)
+    assert falsified.entries == {}
 
 
 def test_verify_ssc_golden_body(vb_formula, golden_config):
