@@ -9,8 +9,7 @@ generators, a brute-force oracle and the DIMACS/proof/trace formats.
 """
 
 from .core import (Clause, CnfFormula, VerifyReport, evaluate_clause,
-                   falsified_clauses, parse_point, point_nbhd, point_str,
-                   resolvable_on, resolve)
+                   parse_point, point_nbhd, point_str, resolvable_on, resolve)
 from .coverage import COVERED, UNCOVERED, is_covered, union_count
 from .cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies, merge,
                     unsat_cube)
@@ -20,7 +19,7 @@ from .proofs import (Proof, emit_proof, format_proof, parse_proof,
                      proof_from_result, replay_proof)
 from .ssc import (LearnStep, SscConfig, SscResult, expand_body_to_points,
                   gen_ssc, pick_split_var, verify_ssc)
-from .ssp import SspConfig, SspResult, gen_ssp, verify_ssp
+from .ssp import SspConfig, SspResult, gen_ssp
 from .symmetry import (OrbitLimitExceeded, Permutation, PhInstance,
                        SymmetryGroup, apply_perm_clause, apply_perm_point,
                        expand_mod_sym_to_ssp, gen_ssp_mod_symmetry,

@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .core import CnfFormula, parse_point
+from .core import CnfFormula, bits_to_point, parse_point
 from .cubes import Cube
 from .dimacs import parse_dimacs, write_dimacs
 from .oracle import DEFAULT_CAP, brute_force_sat
@@ -91,11 +91,6 @@ def _print_model(point):
         print("v " + " ".join(str(l) for l in line))
 
 
-def _witness_point(cube: Cube):
-    # Any completion of the cube is a model; pin free variables to 0.
-    return tuple((cube.val >> i) & 1 for i in range(cube.n))
-
-
 # Flags read by some modes only: (attribute, flag, the modes reading it).
 _MODE_FLAGS = [("pop", "--pop", ("ssp", "ssc", "ssc-ne")),
                ("trace", "--trace", ("ssp", "ssc", "ssc-ne")),
@@ -125,7 +120,9 @@ def _solve_ssc(args, formula):
     result = gen_ssc(formula, config)
     if result.satisfiable:
         print(f"c witness cube: {result.witness.to_text() or 'T'}")
-        return result, result, _witness_point(result.witness)
+        # Any completion of the cube is a model; free variables read 0.
+        return result, result, bits_to_point(result.witness.val,
+                                             result.witness.n)
     print(f"c body clusters: {len(result.body)}  learned clauses: "
           f"{len(result.learned)}  iterations: {result.iterations}")
     return result, result, None

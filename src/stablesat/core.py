@@ -83,11 +83,10 @@ class CnfFormula:
         self.clauses: list[Clause] = []
         self._by_lits: dict[tuple, Clause] = {}
         for lits in clause_lits:
-            self._append(lits)
+            self._register(Clause(lits, cid=len(self.clauses) + 1))
         self.original_count = len(self.clauses)
 
-    def _append(self, lits) -> Clause:
-        clause = Clause(lits, cid=len(self.clauses) + 1)
+    def _register(self, clause: Clause) -> Clause:
         if clause.max_var() > self.num_vars:
             raise ValueError(
                 f"clause {clause!r} uses a variable above num_vars={self.num_vars}")
@@ -101,11 +100,11 @@ class CnfFormula:
         Returns (clause, created); created is False when an equal clause
         was already present, in which case that clause is returned.
         """
-        probe = Clause(lits)
-        existing = self._by_lits.get(probe.lits)
+        clause = Clause(lits, cid=len(self.clauses) + 1)
+        existing = self._by_lits.get(clause.lits)
         if existing is not None:
             return existing, False
-        return self._append(probe.lits), True
+        return self._register(clause), True
 
     def find(self, lits):
         """Look up a clause by literal set; None when absent."""
@@ -194,14 +193,6 @@ def evaluate_clause(clause: Clause, point) -> bool:
     """
     _check_arity(clause, point)
     return any((point[abs(l) - 1] == 1) == (l > 0) for l in clause.lits)
-
-
-def falsified_clauses(formula: CnfFormula, point):
-    """All clauses falsified by the point, in formula order."""
-    if len(point) != formula.num_vars:
-        raise ValueError(
-            f"point of length {len(point)} for formula with {formula.num_vars} vars")
-    return formula.falsified((1 << len(point)) - 1, point_bits(point))
 
 
 def resolvable_on(c1: Clause, c2: Clause):

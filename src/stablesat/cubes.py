@@ -9,7 +9,7 @@ order, e.g. "-2 -3" for the cube fixing x2=0, x3=0.
 
 from __future__ import annotations
 
-from .core import Clause, bits_to_point, point_str, resolve
+from .core import Clause, bits_to_point, point_bits, point_str, resolve
 
 
 class Cube:
@@ -50,12 +50,7 @@ class Cube:
 
     @classmethod
     def from_point(cls, point) -> "Cube":
-        mask = (1 << len(point)) - 1
-        val = 0
-        for i, bit_value in enumerate(point):
-            if bit_value:
-                val |= 1 << i
-        return cls(len(point), mask, val)
+        return cls(len(point), (1 << len(point)) - 1, point_bits(point))
 
     def literals(self):
         """Signed literals of the literal components, ascending by variable."""
@@ -65,10 +60,6 @@ class Cube:
             if self.mask & bit:
                 out.append(i + 1 if self.val & bit else -(i + 1))
         return tuple(out)
-
-    @property
-    def free_mask(self) -> int:
-        return ~self.mask & ((1 << self.n) - 1)
 
     def free_count(self) -> int:
         return self.n - self.mask.bit_count()

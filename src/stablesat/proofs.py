@@ -10,7 +10,8 @@ Learn lines replay through the resolution engine; cluster lines rebuild
 the Body, which the cluster verifier then checks against the extended
 formula. Satisfiable runs emit a witness line followed by `result SAT`;
 the witness cube must satisfy every input clause. The result line is
-always last.
+always last, and no record carries tokens after its last field; the
+parser rejects either with `proof line N: ...`.
 """
 
 from __future__ import annotations
@@ -31,32 +32,25 @@ class Proof:
     result: str = ""                               # "SAT" or "UNSAT"
 
 
-def _point_lits(point):
-    return tuple(i + 1 if v else -(i + 1) for i, v in enumerate(point))
-
-
 def proof_from_result(result) -> Proof:
     """Build the proof object for an SscResult or SspResult."""
-    proof = Proof()
     if isinstance(result, SscResult):
-        proof.learns = list(result.learn_steps)
-        if result.satisfiable:
-            proof.witness = result.witness.literals()
-            proof.result = "SAT"
-        else:
-            proof.clusters = [(cube.literals(), result.transport[cube])
-                              for cube in result.body]
-            proof.result = "UNSAT"
+        proof = Proof(learns=list(result.learn_steps))
+        members, witness = result.body, result.witness
     elif isinstance(result, SspResult):
-        if result.satisfiable:
-            proof.witness = _point_lits(result.witness)
-            proof.result = "SAT"
-        else:
-            proof.clusters = [(_point_lits(p), result.transport[p])
-                              for p in result.points]
-            proof.result = "UNSAT"
+        proof = Proof()
+        members, witness = result.points, result.witness
+        if witness is not None:   # () is the model of zero variables
+            witness = Cube.from_point(witness)
     else:
         raise TypeError(f"no proof form for {type(result).__name__}")
+    if result.satisfiable:
+        proof.witness = witness.literals()
+        proof.result = "SAT"
+    else:
+        proof.clusters = [(cube.literals(), result.transport[cube])
+                          for cube in members]
+        proof.result = "UNSAT"
     return proof
 
 
@@ -100,6 +94,8 @@ def parse_proof(text: str) -> Proof:
             continue
         tokens = line.split()
         try:
+            if proof.result:
+                raise ValueError(f"{tokens[0]} record after the result line")
             if tokens[0] == "learn":
                 cid = int(tokens[1])
                 lits, i = _take_zero_terminated(tokens, 2)
@@ -108,21 +104,25 @@ def parse_proof(text: str) -> Proof:
                 proof.learns.append(LearnStep(cid, lits, int(tokens[i + 1]),
                                               int(tokens[i + 2]),
                                               int(tokens[i + 4])))
+                end = i + 5
             elif tokens[0] == "cluster":
                 lits, i = _take_zero_terminated(tokens, 1)
                 if tokens[i] != "clause":
                     raise ValueError("malformed cluster line")
                 proof.clusters.append((lits, int(tokens[i + 1])))
+                end = i + 2
             elif tokens[0] == "witness":
-                proof.witness, _ = _take_zero_terminated(tokens, 1)
+                proof.witness, end = _take_zero_terminated(tokens, 1)
             elif tokens[0] == "result":
                 if tokens[1] not in ("SAT", "UNSAT"):
                     raise ValueError(f"unknown result {tokens[1]!r}")
-                if proof.result:
-                    raise ValueError("duplicate result line")
                 proof.result = tokens[1]
+                end = 2
             else:
                 raise ValueError(f"unknown record {tokens[0]!r}")
+            if len(tokens) > end:
+                raise ValueError(f"unexpected {tokens[end]!r} after the "
+                                 f"{tokens[0]} record")
         except (IndexError, ValueError) as exc:
             raise ValueError(f"proof line {lineno}: {exc}") from None
     if not proof.result:

@@ -4,8 +4,9 @@ The generator keeps two point sets. Boundary holds reached points whose
 1-neighborhoods are still pending; Body holds the points already
 expanded. When Boundary drains, Body is stable: every member's
 neighborhood through its transport clause stays inside Body, which
-proves the formula unsatisfiable. The verifier below rechecks that
-property independently of how the set was built.
+proves the formula unsatisfiable. Body is returned as one-point cubes,
+so the cluster verifier `ssc.verify_ssc` rechecks it independently of
+how the set was built.
 
 An optional orbit canonicaliser turns the generator into the
 stable-modulo-symmetry engine: a fresh neighbor whose orbit
@@ -18,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import CnfFormula, VerifyReport, bits_to_point, point_bits, point_str
-from .cubes import Cube, member_name, unreached_neighbors
+from .core import CnfFormula, bits_to_point, point_bits, point_str
+from .cubes import Cube
 from .trace import TraceLog
 
 
@@ -37,9 +38,9 @@ class SspConfig:
 @dataclass
 class SspResult:
     satisfiable: bool
-    witness: tuple | None = None
-    points: list = field(default_factory=list)   # body in insertion order
-    transport: dict = field(default_factory=dict)  # point -> clause id
+    witness: tuple | None = None   # a model; () has no variables and is falsy
+    points: list = field(default_factory=list)   # body as one-point cubes, pop order
+    transport: dict = field(default_factory=dict)  # one-point cube -> clause id
     iterations: int = 0
     trace: list = field(default_factory=list)
 
@@ -102,25 +103,7 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
                 boundary.appendleft(nbits)
 
     log.add("finish", lambda: "result UNSAT")
-    transport = {bits_to_point(b, n): cid for b, cid in body.items()}
-    return SspResult(False, points=list(transport), transport=transport,
+    points = [Cube(n, full, b) for b in body]
+    return SspResult(False, points=points,
+                     transport=dict(zip(points, body.values())),
                      iterations=iterations, trace=log.records)
-
-
-def point_clusters(points, transport):
-    """The points as single-point cubes, with the transport keyed by cube."""
-    cubes = {point: Cube.from_point(point) for point in points}
-    return list(cubes.values()), {cubes[point]: cid for point, cid
-                                  in transport.items() if point in cubes}
-
-
-def verify_ssp(formula: CnfFormula, points, transport) -> VerifyReport:
-    """Check stability: each point falsifies its clause and the whole
-    1-neighborhood through that clause stays inside the set."""
-    report = VerifyReport()
-    clusters, by_cube = point_clusters(points, transport)
-    for cube, cid, neighbor in unreached_neighbors(formula, clusters, by_cube,
-                                                   report):
-        report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
-                    f"via clause {cid} leaves the set")
-    return report

@@ -16,8 +16,8 @@ from itertools import repeat
 from operator import getitem
 
 from .core import Clause, CnfFormula, VerifyReport, bits_to_point, point_bits
-from .cubes import member_name, unreached_neighbors
-from .ssp import SspConfig, SspResult, gen_ssp, point_clusters
+from .cubes import Cube, member_name, unreached_neighbors
+from .ssp import SspConfig, SspResult, gen_ssp
 
 ORBIT_LIMIT = 10 ** 6
 
@@ -284,25 +284,34 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
                                group: SymmetryGroup,
                                limit: int = ORBIT_LIMIT) -> VerifyReport:
     """Check stability modulo the group: every neighbor is in the set or
-    symmetric to a member. Orbit overflows fail the check conservatively.
+    symmetric to a member. The members are one-point cubes. Orbit
+    overflows fail the check conservatively.
 
-    A member found in a neighbor's orbit counts only after a replay: the
-    walk's parent links from the member and from the neighbor back to
-    the walk's start are each checked with `apply_perm_point`. So a fault
-    in the walker's lookup tables can make the check reject, never
-    accept.
+    Every generator must map the formula onto itself; otherwise the
+    check fails before any orbit is walked. A member found in a
+    neighbor's orbit counts only after a replay: the walk's parent links
+    from the member and from the neighbor back to the walk's start are
+    each checked with `apply_perm_point`. So a fault in the walker's
+    lookup tables can make the check reject, never accept.
 
     Each complete orbit is walked once; its parent links serve all its
     points. A walk cut by the limit is not remembered, because what it
     saw depends on where it started."""
     report = VerifyReport()
-    clusters, by_cube = point_clusters(points, transport)
-    member_bits = {cube.val for cube in clusters}
+    for gen in group.generators:
+        if not is_symmetric(formula, gen):
+            report.fail(f"formula is not symmetric under {gen!r}")
+    for cube in points:
+        if not cube.is_point():
+            report.fail(f"{member_name(cube)}: not a point")
+    if not report:
+        return report
+    member_bits = {cube.val for cube in points}
     walker = _OrbitWalker(group, limit)
     links: dict[int, int] = {}     # parent links of every complete orbit walked
     member_of: dict[int, int | None] = {}  # walk start -> a member in its orbit
     replayed: dict[int, int] = {}  # links checked by _replayed_start
-    for cube, cid, neighbor in unreached_neighbors(formula, clusters, by_cube,
+    for cube, cid, neighbor in unreached_neighbors(formula, points, transport,
                                                    report):
         tree, complete = links, True
         if neighbor.val not in links:
@@ -334,13 +343,14 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     """Blow the representative set up to the union of its orbits.
 
     Each orbit member q = pi(p) gets the transport clause pi(g(p)); the
-    result is a plain stable set. Raises OrbitLimitExceeded when the
-    expansion would hold more than `limit` points. The formula maps the
-    permuted clauses back to clause ids; representatives keep theirs.
+    result is a plain stable set, as one-point cubes with their transport.
+    Raises OrbitLimitExceeded when the expansion would hold more than
+    `limit` points. The formula maps the permuted clauses back to clause
+    ids; representatives keep theirs.
     """
     walker = _OrbitWalker(group, limit)
-    expanded: dict[tuple, int] = {}
-    n = group.num_vars
+    expanded: dict[Cube, int] = {}
+    full = (1 << group.num_vars) - 1
     images: dict[tuple[int, int], int] = {}   # (generator, id) -> image id
 
     def image_id(gi: int, cid: int) -> int:
@@ -355,19 +365,18 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
         return images[gi, cid]
 
     for point in points:
-        bits = point_bits(point)
-        if bits_to_point(bits, n) in expanded:
+        if point in expanded:
             continue
         if formula.clause_by_id(transport[point]) is None:
             raise ValueError(f"transport id {transport[point]} not in formula")
         # Each image inherits its parent's clause moved by the generator.
-        ids = {bits: transport[point]}
-        for image, parent, gi in walker.walk(bits, ids):
+        ids = {point.val: transport[point]}
+        for image, parent, gi in walker.walk(point.val, ids):
             if len(expanded) + len(ids) >= limit:
                 raise OrbitLimitExceeded(f"expansion exceeds {limit} points")
             ids[image] = image_id(gi, ids[parent])
         for member, cid in ids.items():
-            expanded[bits_to_point(member, n)] = cid
+            expanded[Cube(group.num_vars, full, member)] = cid
     return list(expanded), expanded
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from stablesat.core import CnfFormula
+from stablesat.core import CnfFormula, evaluate_clause, point_nbhd
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig
 
@@ -41,12 +41,46 @@ CHAIN6_POINTS = [
 CHAIN6_TRANSPORT = [1, 2, 3, 4, 5, 6, 7, 4, 3, 2, 1, 7, 6, 5]
 
 
+def chain6_points():
+    """The known 14-point stable set of the chain formula as tuples, with
+    its transport."""
+    points = [tuple(int(ch) for ch in text) for text in CHAIN6_POINTS]
+    return points, dict(zip(points, CHAIN6_TRANSPORT))
+
+
 @pytest.fixture
 def chain6_ssp():
-    """The known 14-point stable set of the chain formula, with transport."""
-    points = [tuple(int(ch) for ch in text) for text in CHAIN6_POINTS]
-    transport = dict(zip(points, CHAIN6_TRANSPORT))
-    return points, transport
+    """The same stable set as one-point cubes, the form the engines return
+    and the checkers take."""
+    return point_cubes(*chain6_points())
+
+
+def point_cubes(points, transport):
+    """Tuple points and their transport as one-point cubes."""
+    cubes = [Cube.from_point(point) for point in points]
+    return cubes, {cube: transport[point] for cube, point in zip(cubes, points)
+                   if point in transport}
+
+
+def point_tuples(cubes, transport):
+    """One-point cubes and their transport as tuple points."""
+    return ([cube.to_point() for cube in cubes],
+            {cube.to_point(): cid for cube, cid in transport.items()})
+
+
+def reference_stable(formula, points, transport) -> bool:
+    """Point stability by its definition, on tuples, as the reference the
+    checkers are compared with: the set is non-empty, and every point
+    falsifies its transport clause and has its whole 1-neighborhood
+    through that clause inside the set."""
+    members = set(points)
+    for point in members:
+        clause = formula.clause_by_id(transport.get(point, 0))
+        if clause is None or evaluate_clause(clause, point):
+            return False
+        if not members.issuperset(point_nbhd(point, clause)):
+            return False
+    return bool(members)
 
 
 def random_3cnf(n, m, rng: random.Random) -> CnfFormula:

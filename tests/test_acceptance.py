@@ -22,12 +22,13 @@ from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import parse_proof, proof_from_result, replay_proof
 from stablesat.ssc import SscConfig, expand_body_to_points, gen_ssc, verify_ssc
-from stablesat.ssp import gen_ssp, verify_ssp
+from stablesat.ssp import gen_ssp
 from stablesat.symmetry import (apply_perm_clause, apply_perm_point,
                                 gen_ssp_mod_symmetry, ph_formula,
                                 ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
-from conftest import CHAIN6_POINTS, CHAIN6_TRANSPORT, random_3cnf
+from conftest import (chain6_points, point_cubes, point_tuples, random_3cnf,
+                      reference_stable)
 
 
 @contextmanager
@@ -94,7 +95,7 @@ def _process(summary, formula, config=None):
         if formula.num_vars <= 5:
             summary.expansions += 1
             points, transport = expand_body_to_points(ssc.body, ssc.transport)
-            if verify_ssp(ssc.formula, points, transport):
+            if reference_stable(ssc.formula, *point_tuples(points, transport)):
                 summary.expansions_ok += 1
 
 
@@ -160,13 +161,15 @@ def test_criterion_2_stable_set_verification():
         start = time.perf_counter()
         formula = CnfFormula(6, [[1, 2], [-2, 3], [-3, 4], [-4, 1],
                                  [-1, 5], [-5, 6], [-6, -1]])
-        points = [tuple(int(ch) for ch in text) for text in CHAIN6_POINTS]
-        transport = dict(zip(points, CHAIN6_TRANSPORT))
-        assert verify_ssp(formula, points, transport)
+        points, transport = chain6_points()
+        assert reference_stable(formula, points, transport)
+        assert verify_ssc(formula, *point_cubes(points, transport))
         for removed in points:
             rest = [p for p in points if p != removed]
             restricted = {p: c for p, c in transport.items() if p != removed}
-            assert not verify_ssp(formula, rest, restricted), \
+            assert not reference_stable(formula, rest, restricted), \
+                f"removal of {removed} was not rejected by the reference"
+            assert not verify_ssc(formula, *point_cubes(rest, restricted)), \
                 f"removal of {removed} was not rejected"
         assert time.perf_counter() - start < 1.0
 

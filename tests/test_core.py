@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from stablesat.core import (Clause, CnfFormula, evaluate_clause,
-                            falsified_clauses, point_nbhd, resolvable_on,
-                            resolve)
+from stablesat.core import (Clause, CnfFormula, evaluate_clause, point_bits,
+                            point_nbhd, resolvable_on, resolve)
 
 
 def test_clause_canonical_order_and_dedup():
@@ -37,6 +36,12 @@ def test_formula_ids_stable_across_learning():
     assert not created and again.cid == 3
     assert f.original_count == 2
     assert [c.cid for c in f.learned] == [3]
+    # A learned clause over a variable above num_vars is refused, and
+    # nothing is added.
+    with pytest.raises(ValueError):
+        f.learn([4])
+    assert [c.cid for c in f.clauses] == [1, 2, 3]
+    assert f.find([2, 3]) is learned
 
 
 def test_formula_rejects_out_of_range_variable():
@@ -63,19 +68,29 @@ def test_evaluate_arity_mismatch():
         evaluate_clause(Clause([3]), (0, 1))
 
 
+def _falsified_at(formula, point):
+    """CnfFormula.falsified of a point: every variable pinned."""
+    return formula.falsified((1 << len(point)) - 1, point_bits(point))
+
+
 def test_falsified_clauses_chain_top(chain6_formula):
-    falsified = falsified_clauses(chain6_formula, (1, 1, 1, 1, 1, 1))
+    falsified = _falsified_at(chain6_formula, (1, 1, 1, 1, 1, 1))
     assert [c.cid for c in falsified] == [7]
 
 
 def test_falsified_clauses_satisfying_point():
     f = CnfFormula(1, [[1]])
-    assert falsified_clauses(f, (1,)) == []
+    assert _falsified_at(f, (1,)) == []
 
 
 def test_falsified_clauses_vb_origin(vb_formula):
-    falsified = falsified_clauses(vb_formula, (0, 0, 0, 0))
+    falsified = _falsified_at(vb_formula, (0, 0, 0, 0))
     assert [c.cid for c in falsified] == [1]
+    # The cube x2 = x3 = 0 lies inside only Unsat(x2 | x3), and past the
+    # first clause the origin falsifies nothing.
+    assert _falsified_at(vb_formula, (0, 0, 0, 0)) == \
+        vb_formula.falsified(0b0110, 0)
+    assert vb_formula.falsified(0b1111, 0, start=1) == []
 
 
 def test_resolvable_on_single_clash():

@@ -170,7 +170,7 @@ def test_cube_nbhd_equals_pointwise_union():
         clause = Clause(random_clause(n, rng))
         base = unsat_cube(clause, n)
         # Shrink the falsifying cube randomly so it still falsifies.
-        extra = rng.getrandbits(n) & base.free_mask & rng.getrandbits(n)
+        extra = rng.getrandbits(n) & ~base.mask & rng.getrandbits(n)
         c = Cube(n, base.mask | extra, base.val | (extra & rng.getrandbits(n)))
         lifted = set()
         for nb in cube_nbhd(c, clause):
@@ -227,7 +227,7 @@ def test_merge_result_properties():
         c1, c2 = Clause([pivot] + shared), Clause([-pivot] + shared)
 
         def shrink(base):
-            extra = rng.getrandbits(n) & base.free_mask
+            extra = rng.getrandbits(n) & ~base.mask
             return Cube(n, base.mask | extra, base.val | (extra & rng.getrandbits(n)))
 
         p1, p2 = shrink(unsat_cube(c1, n)), shrink(unsat_cube(c2, n))

@@ -1,10 +1,11 @@
-"""Byte identity of everything the cube-cluster CLI writes.
+"""Byte identity of everything the CLI writes, in every solve mode.
 
 Each run solves one formula under one flag set with --trace and --proof,
 then verifies the proof. Its exit codes, stdout, trace file and proof
 file are hashed into one SHA-256 digest, pinned in
-tests/data/output_digests.json. A speed-up of the engine or its checker
-must leave every digest unchanged. After an intended output change,
+tests/data/output_digests.json. The sym runs read the pigeon-hole
+generators and write no trace, which that mode refuses. A speed-up of
+the engine or its checker must leave every digest unchanged. After an intended output change,
 regenerate the file with
 
     PYTHONPATH=src python tests/test_output_identity.py > tests/data/output_digests.json
@@ -22,7 +23,8 @@ import tempfile
 
 from stablesat.cli import cli_main
 from stablesat.dimacs import write_dimacs
-from stablesat.symmetry import ph_formula
+from stablesat.symmetry import (format_symmetry_file, ph_formula,
+                                ph_symmetry_generators)
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "data", "output_digests.json")
 
@@ -33,6 +35,8 @@ FLAG_SETS = {
     "most-constrained": ["--split", "most-constrained"],
     "shared": ["--coverage", "shared"],
     "no-merge": ["--no-merge"],
+    "ssp": ["--mode", "ssp"],
+    "ssp-lifo": ["--mode", "ssp", "--pop", "lifo"],
 }
 
 
@@ -66,24 +70,41 @@ def _run(cmd: list) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def _digest(text: str, flags: list, tmp: str) -> str:
-    cnf, trace, proof = (os.path.join(tmp, name)
-                         for name in ("f.cnf", "f.trace", "f.proof"))
+def _digest(text: str, flags: list, tmp: str, trace: bool = True) -> str:
+    cnf, trace_path, proof = (os.path.join(tmp, name)
+                              for name in ("f.cnf", "f.trace", "f.proof"))
     with open(cnf, "w", encoding="utf-8") as handle:
         handle.write(text)
-    parts = [_run(["solve", *flags, "--trace", trace, "--proof", proof, cnf])]
-    for path in (trace, proof):
+    traced = ["--trace", trace_path] if trace else []
+    written = [trace_path, proof] if trace else [proof]
+    parts = [_run(["solve", *flags, *traced, "--proof", proof, cnf])]
+    for path in written:
         with open(path, "r", encoding="utf-8") as handle:
             parts.append(handle.read())
     parts.append(_run(["verify", "--proof", proof, cnf]))
     return hashlib.sha256("\0".join(parts).encode()).hexdigest()
 
 
+def _sym_digests(tmp: str) -> dict:
+    out = {}
+    for p, h in ((3, 2), (4, 3)):
+        formula, inst = ph_formula(p, h)
+        sym = os.path.join(tmp, f"ph{p}{h}.sym")
+        with open(sym, "w", encoding="utf-8") as handle:
+            handle.write(format_symmetry_file(ph_symmetry_generators(inst)))
+        out[f"ph{p}{h} sym"] = _digest(write_dimacs(formula),
+                                       ["--mode", "sym", "--sym", sym], tmp,
+                                       trace=False)
+    return out
+
+
 def compute_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        return {f"{name} {label}": _digest(text, flags, tmp)
-                for name, text in _formulas().items()
-                for label, flags in FLAG_SETS.items()}
+        digests = {f"{name} {label}": _digest(text, flags, tmp)
+                   for name, text in _formulas().items()
+                   for label, flags in FLAG_SETS.items()}
+        digests.update(_sym_digests(tmp))
+        return digests
 
 
 def test_cli_output_matches_pinned_digests():

@@ -106,6 +106,29 @@ def test_parse_proof_errors():
         parse_proof("result SAT\nresult SAT\n")
 
 
+def test_parse_proof_rejects_records_after_the_result():
+    with pytest.raises(ValueError, match="proof line 2: cluster record after "
+                                         "the result line"):
+        parse_proof("result UNSAT\ncluster -1 0 clause 1 9 9\n"
+                    "learn 3 0 from 1 2 pivot 1 junk\n")
+    # Comments may follow it.
+    assert parse_proof("result UNSAT\nc done\n\n").result == "UNSAT"
+
+
+@pytest.mark.parametrize("line, extra", [
+    ("learn 3 0 from 1 2 pivot 1 junk", "junk"),
+    ("cluster -1 0 clause 1 9 9", "9"),
+    ("witness 1 0 1", "1"),
+    ("result UNSAT 0", "0"),
+])
+def test_parse_proof_rejects_trailing_tokens(line, extra):
+    text = "\n".join(["c header", line] + ["result UNSAT"] * (
+        not line.startswith("result"))) + "\n"
+    with pytest.raises(ValueError, match=f"proof line 2: unexpected '{extra}' "
+                                         f"after the {line.split()[0]} record"):
+        parse_proof(text)
+
+
 def test_empty_clause_learn_line():
     f = CnfFormula(1, [[1], [-1]])
     result = gen_ssc(f, SscConfig(init_strategy="ne-style"))

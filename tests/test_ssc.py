@@ -13,9 +13,8 @@ from stablesat.oracle import brute_force_sat
 from stablesat.ssc import (SscConfig, _Falsified, _find_merge,
                            expand_body_to_points, gen_ssc, pick_split_var,
                            verify_ssc)
-from stablesat.ssp import verify_ssp
 from stablesat.trace import format_trace
-from conftest import random_3cnf
+from conftest import point_tuples, random_3cnf, reference_stable
 
 
 def cube(lits, n=4):
@@ -268,7 +267,8 @@ def test_expand_body_matches_appendix_construction(vb_formula, golden_config):
     result = gen_ssc(vb_formula, golden_config)
     points, transport = expand_body_to_points(result.body, result.transport)
     assert len(points) == 16
-    assert verify_ssp(result.formula, points, transport)
+    assert reference_stable(result.formula, *point_tuples(points, transport))
+    assert verify_ssc(result.formula, points, transport)
 
 
 def test_lifo_and_shared_coverage_stay_sound():

@@ -3,17 +3,20 @@ import random
 import pytest
 
 from stablesat.core import CnfFormula, evaluate_clause
+from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
-from stablesat.ssp import SspConfig, gen_ssp, verify_ssp
-from conftest import random_3cnf
+from stablesat.ssc import verify_ssc
+from stablesat.ssp import SspConfig, gen_ssp
+from conftest import point_cubes, point_tuples, random_3cnf, reference_stable
 
 
 def test_one_variable_contradiction():
     f = CnfFormula(1, [[1], [-1]])
     result = gen_ssp(f, init=(0,))
     assert not result.satisfiable
-    assert set(result.points) == {(0,), (1,)}
-    assert verify_ssp(f, result.points, result.transport)
+    assert result.points == [Cube.from_point((0,)), Cube.from_point((1,))]
+    assert result.transport == {result.points[0]: 1, result.points[1]: 2}
+    assert verify_ssc(f, result.points, result.transport)
 
 
 def test_init_already_satisfying():
@@ -23,27 +26,39 @@ def test_init_already_satisfying():
     assert result.witness == (1, 1)
 
 
+def test_zero_variable_formulas():
+    # The model of zero variables is (), which is falsy.
+    result = gen_ssp(CnfFormula(0, []))
+    assert result.satisfiable and result.witness == ()
+    result = gen_ssp(CnfFormula(0, [[]]))
+    assert not result.satisfiable
+    assert result.points == [Cube.full(0)]
+    assert verify_ssc(CnfFormula(0, [[]]), result.points, result.transport)
+
+
 def test_chain_formula_reproduces_known_stable_set(chain6_formula, chain6_ssp):
     points, _ = chain6_ssp
     result = gen_ssp(chain6_formula, init=(0,) * 6)
     assert not result.satisfiable
     assert set(result.points) == set(points)
-    assert verify_ssp(chain6_formula, result.points, result.transport)
+    assert verify_ssc(chain6_formula, result.points, result.transport)
 
 
 def test_verify_accepts_known_stable_set(chain6_formula, chain6_ssp):
     points, transport = chain6_ssp
-    assert verify_ssp(chain6_formula, points, transport)
+    assert verify_ssc(chain6_formula, points, transport)
 
 
 def test_verify_rejects_after_removing_point(chain6_formula, chain6_ssp):
     points, transport = chain6_ssp
-    p9 = tuple(int(ch) for ch in "011011")
+    p9 = Cube.from_point(tuple(int(ch) for ch in "011011"))
     rest = [p for p in points if p != p9]
-    report = verify_ssp(chain6_formula, rest,
+    report = verify_ssc(chain6_formula, rest,
                         {p: c for p, c in transport.items() if p != p9})
     assert not report
-    assert any("010011" in msg for msg in report.failures)
+    # A point and its neighbour read as points.
+    assert "point 010011: neighbor point 011011 via clause 2 is not covered" \
+        in report.failures
 
 
 def test_full_space_is_trivial_stable_set():
@@ -52,14 +67,15 @@ def test_full_space_is_trivial_stable_set():
     transport = {}
     for p in points:
         transport[p] = 1 if p[0] == 0 else 2
-    assert verify_ssp(f, points, transport)
+    assert reference_stable(f, points, transport)
+    assert verify_ssc(f, *point_cubes(points, transport))
 
 
 def test_verify_reports_missing_transport(chain6_formula, chain6_ssp):
     points, transport = chain6_ssp
     broken = dict(transport)
     del broken[points[0]]
-    report = verify_ssp(chain6_formula, points, broken)
+    report = verify_ssc(chain6_formula, points, broken)
     assert not report
     assert any("no transport" in msg for msg in report.failures)
 
@@ -68,18 +84,20 @@ def test_verify_rejects_satisfied_transport(chain6_formula, chain6_ssp):
     points, transport = chain6_ssp
     broken = dict(transport)
     broken[points[0]] = 3  # C3 = -x3 | x4 is satisfied by 000000
-    assert not verify_ssp(chain6_formula, points, broken)
+    assert not verify_ssc(chain6_formula, points, broken)
 
 
 def test_verify_requires_nonempty_set(chain6_formula):
     with pytest.raises(ValueError):
-        verify_ssp(chain6_formula, [], {})
+        verify_ssc(chain6_formula, [], {})
 
 
 def test_lifo_policy_still_sound(chain6_formula):
     result = gen_ssp(chain6_formula, config=SspConfig(pop="lifo"))
     assert not result.satisfiable
-    assert verify_ssp(chain6_formula, result.points, result.transport)
+    assert verify_ssc(chain6_formula, result.points, result.transport)
+    assert reference_stable(chain6_formula,
+                            *point_tuples(result.points, result.transport))
 
 
 def test_oracle_agreement_random():
@@ -99,7 +117,7 @@ def test_oracle_agreement_random():
         if result.satisfiable:
             assert all(evaluate_clause(c, result.witness) for c in f.clauses)
         else:
-            assert verify_ssp(f, result.points, result.transport)
+            assert verify_ssc(f, result.points, result.transport)
 
 
 def test_iteration_bound_and_monotone_body():

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from stablesat import symmetry
 from stablesat.core import (Clause, CnfFormula, bits_to_point, evaluate_clause,
                             point_bits, point_nbhd)
+from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import proof_from_result, replay_proof
-from stablesat.ssp import SspConfig, SspResult, gen_ssp, verify_ssp
+from stablesat.ssc import verify_ssc
+from stablesat.ssp import SspConfig, SspResult, gen_ssp
 from stablesat.symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, Permutation,
                                 SymmetryGroup, _OrbitWalker,
                                 apply_perm_clause, apply_perm_point,
@@ -19,7 +21,7 @@ from stablesat.symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, Permutation,
                                 parse_permutation, parse_symmetry_file,
                                 ph_formula, ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
-from conftest import random_3cnf
+from conftest import point_cubes, point_tuples, random_3cnf, reference_stable
 
 
 def random_perm(n, rng):
@@ -201,7 +203,29 @@ def test_gen_mod_sym_ph21_roundtrip():
     assert verify_stable_mod_symmetry(f, result.points, result.transport, group)
     points, transport = expand_mod_sym_to_ssp(f, result.points,
                                               result.transport, group)
-    assert verify_ssp(f, points, transport)
+    assert reference_stable(f, *point_tuples(points, transport))
+
+
+def test_verify_mod_sym_rejects_an_asymmetric_group(monkeypatch):
+    # The formula is satisfiable (x1 = 1, x2 = 0), and (1 2) does not map
+    # it onto itself. Under (1 2) the neighbour 10 of 00 lies in the orbit
+    # of the member 01, so only the generator check rejects the set.
+    f = CnfFormula(2, [[1], [-2]])
+    swap = Permutation.from_cycles([[1, 2]], 2)
+    points, transport = point_cubes([(0, 0), (0, 1)], {(0, 0): 1, (0, 1): 2})
+    monkeypatch.setattr(_OrbitWalker, "walk", lambda *args: pytest.fail(
+        "an orbit was walked before the generators were checked"))
+    report = verify_stable_mod_symmetry(f, points, transport,
+                                        SymmetryGroup([swap], 2))
+    assert report.failures == [f"formula is not symmetric under {swap!r}"]
+
+
+def test_verify_mod_sym_rejects_a_cluster():
+    f = CnfFormula(2, [[1], [-1]])
+    cluster = Cube.from_literals([-1], 2)
+    report = verify_stable_mod_symmetry(f, [cluster], {cluster: 1},
+                                        SymmetryGroup([], 2))
+    assert report.failures == ["cluster -1: not a point"]
 
 
 def test_gen_mod_sym_trivial_group_matches_plain():
@@ -256,28 +280,28 @@ def test_verify_mod_sym_rejects_mutation():
     assert not verify_stable_mod_symmetry(f, points, transport, group)
 
 
-def _three_verdicts(f, points, transport):
+def _verdicts(f, points, transport):
     proof = proof_from_result(SspResult(False, points=points,
                                         transport=transport))
-    return (bool(verify_ssp(f, points, transport)),
+    return (reference_stable(f, *point_tuples(points, transport)),
+            bool(verify_ssc(f, points, transport)),
             bool(replay_proof(f, proof)),
             bool(verify_stable_mod_symmetry(f, points, transport,
                                             SymmetryGroup([], f.num_vars))))
 
 
-def test_verify_mod_sym_trivial_group_matches_verify_ssp(chain6_formula,
-                                                         chain6_ssp):
+def test_verify_mod_sym_trivial_group_matches_point_reference(chain6_formula,
+                                                              chain6_ssp):
     points, transport = chain6_ssp
-    group = SymmetryGroup([], 6)
-    assert verify_stable_mod_symmetry(chain6_formula, points, transport, group)
+    assert _verdicts(chain6_formula, points, transport) == (True,) * 4
     broken = [p for p in points if p != points[8]]
     tb = {p: c for p, c in transport.items() if p != points[8]}
-    assert bool(verify_ssp(chain6_formula, broken, tb)) == \
-        bool(verify_stable_mod_symmetry(chain6_formula, broken, tb, group))
+    assert _verdicts(chain6_formula, broken, tb) == (False,) * 4
     # The same certificate, intact and mutated, gets one verdict from the
-    # point verifier, proof replay and the trivial-group symmetry check.
+    # point reference, the cluster verifier, proof replay and the
+    # trivial-group symmetry check.
     rng = random.Random(64)
-    checked = 0
+    checked = rejected = 0
     while checked < 60:
         n = rng.randint(3, 8)
         f = random_3cnf(n, round(n * rng.choice((5.5, 7.0))), rng)
@@ -286,20 +310,25 @@ def test_verify_mod_sym_trivial_group_matches_verify_ssp(chain6_formula,
             continue
         checked += 1
         points, transport = result.points, result.transport
-        assert _three_verdicts(f, points, transport) == (True, True, True)
+        assert _verdicts(f, points, transport) == (True,) * 4
         gone = rng.choice(points)
         rest = [p for p in points if p != gone]
         kept = {p: c for p, c in transport.items() if p != gone}
-        assert len(set(_three_verdicts(f, rest, kept))) == 1
+        verdicts = _verdicts(f, rest, kept)
+        assert len(set(verdicts)) == 1
+        rejected += not verdicts[0]
         point = rng.choice(points)
-        satisfied = [c.cid for c in f.clauses if evaluate_clause(c, point)]
+        satisfied = [c.cid for c in f.clauses
+                     if evaluate_clause(c, point.to_point())]
         moved = {**transport, point: rng.choice(satisfied)}
-        assert _three_verdicts(f, points, moved) == (False, False, False)
+        assert _verdicts(f, points, moved) == (False,) * 4
+    assert rejected > 0
 
 
 def _reference_mod_sym(f, points, transport, group, limit):
-    """Stability modulo the group, asking in_same_orbit about every
-    non-member neighbor against every member."""
+    """Stability modulo the group, on tuples, asking in_same_orbit about
+    every non-member neighbor against every member."""
+    points, transport = point_tuples(points, transport)
     members = set(points)
     for point in points:
         clause = f.clause_by_id(transport[point])
@@ -341,14 +370,14 @@ def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
     assert not verify_stable_mod_symmetry(f, points, transport, group)
     # Generator 0's table (n = 6: a single byte) now sends every point onto
     # the member, so the walker finds it in every neighbor's orbit.
-    real, member = symmetry._byte_tables, point_bits(point)
+    real, member = symmetry._byte_tables, point.val
 
     def corrupted(perm):
         return [[member] * 64] if perm is group.generators[0] else real(perm)
 
     monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
     walker = _OrbitWalker(group, ORBIT_LIMIT)
-    neighbors = point_nbhd(point, f.clause_by_id(transport[point]))
+    neighbors = point_nbhd(point.to_point(), f.clause_by_id(transport[point]))
     assert all(member in walker.orbit(point_bits(q))[0] for q in neighbors)
     report = verify_stable_mod_symmetry(f, points, transport, group)
     assert not report
@@ -361,7 +390,7 @@ def test_verify_mod_sym_replays_points_of_a_cached_orbit(monkeypatch):
     group = ph_symmetry_generators(inst)
     result = gen_ssp_mod_symmetry(f, group)
     gone = (1, 0, 1, 0, 0, 0)
-    points = [p for p in result.points if p != gone]
+    points = [p for p in result.points if p != Cube.from_point(gone)]
     transport = {p: result.transport[p] for p in points}
     assert len(points) == len(result.points) - 1
     assert not verify_stable_mod_symmetry(f, points, transport, group)
@@ -403,9 +432,9 @@ def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
     assert etransport == transport
     # Clauses 1 and 2 are copies; the point (0, 0) keeps the second.
     f = CnfFormula(2, [[1], [1], [-1]])
-    points = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    transport = {(0, 0): 2, (0, 1): 1, (1, 0): 3, (1, 1): 3}
-    assert verify_ssp(f, points, transport)
+    points, transport = point_cubes([(0, 0), (0, 1), (1, 0), (1, 1)],
+                                    {(0, 0): 2, (0, 1): 1, (1, 0): 3, (1, 1): 3})
+    assert reference_stable(f, *point_tuples(points, transport))
     for group in (SymmetryGroup([], 2),
                   SymmetryGroup([Permutation.identity(2)], 2)):
         assert expand_mod_sym_to_ssp(f, points, transport, group) == \
@@ -416,7 +445,7 @@ def test_expand_rejects_a_missing_image():
     f = CnfFormula(2, [[1]])
     swap = SymmetryGroup([Permutation.from_cycles([[1, 2]], 2)], 2)
     with pytest.raises(ValueError, match="permuted transport clause"):
-        expand_mod_sym_to_ssp(f, [(0, 1)], {(0, 1): 1}, swap)
+        expand_mod_sym_to_ssp(f, *point_cubes([(0, 1)], {(0, 1): 1}), swap)
 
 
 def test_expand_overflow_raises():
@@ -435,7 +464,7 @@ def test_expand_ph32_verifies():
     result = gen_ssp_mod_symmetry(f, group)
     points, transport = expand_mod_sym_to_ssp(f, result.points,
                                               result.transport, group)
-    assert verify_ssp(f, points, transport)
+    assert reference_stable(f, *point_tuples(points, transport))
     assert len(points) >= len(result.points)
 
 
