@@ -82,6 +82,9 @@ class CnfFormula:
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
         self._by_lits: dict[tuple, Clause] = {}
+        # Slot 2(v-1)+b lists, in id order, the clauses holding the literal
+        # that x_v = b falsifies: x_v for b = 0, -x_v for b = 1.
+        self.occurs: list[list[Clause]] = [[] for _ in range(2 * num_vars)]
         for lits in clause_lits:
             self._register(Clause(lits, cid=len(self.clauses) + 1))
         self.original_count = len(self.clauses)
@@ -92,6 +95,8 @@ class CnfFormula:
                 f"clause {clause!r} uses a variable above num_vars={self.num_vars}")
         self.clauses.append(clause)
         self._by_lits.setdefault(clause.lits, clause)
+        for lit in clause.lits:
+            self.occurs[2 * abs(lit) - 2 + (lit < 0)].append(clause)
         return clause
 
     def learn(self, lits):
@@ -121,22 +126,15 @@ class CnfFormula:
 
     def falsified(self, mask: int, val: int, start: int = 0):
         """Clauses every point of the cube (mask, val) falsifies, in order,
-        among the clauses after the first `start`.
+        among the clauses after the first `start`."""
+        return falsified_among(self.clauses[start:] if start else self.clauses,
+                               mask, val)
 
-        The cube lies inside Unsat(C): each clause variable is pinned to its
-        falsifying value. A point is the cube with every variable pinned.
-        """
-        free = ~mask
-        clauses = self.clauses[start:] if start else self.clauses
-        # The value test goes first: it rejects most clauses of a point.
-        return [c for c in clauses
-                if val & c.fmask == c.fval and not c.fmask & free]
-
-    def meeting(self, mask: int, val: int):
-        """Clauses some point of the cube (mask, val) falsifies, in order:
-        the cube meets Unsat(C), no pinned variable satisfies the clause."""
-        return [c for c in self.clauses
-                if not (c.fval ^ val) & c.fmask & mask]
+    def meeting(self, mask: int, val: int, start: int = 0):
+        """Clauses some point of the cube (mask, val) falsifies, in order,
+        among the clauses after the first `start`."""
+        return meeting_among(self.clauses[start:] if start else self.clauses,
+                             mask, val)
 
     @property
     def learned(self):
@@ -146,6 +144,7 @@ class CnfFormula:
         dup = CnfFormula(self.num_vars)
         dup.clauses = list(self.clauses)
         dup._by_lits = dict(self._by_lits)
+        dup.occurs = [list(occ) for occ in self.occurs]
         dup.original_count = self.original_count
         return dup
 
@@ -154,6 +153,24 @@ class CnfFormula:
 
     def __repr__(self):
         return f"CnfFormula(n={self.num_vars}, clauses={len(self.clauses)})"
+
+
+def falsified_among(clauses, mask: int, val: int):
+    """Those of `clauses` every point of the cube (mask, val) falsifies, in
+    their order: the cube lies inside Unsat(C), each clause variable is
+    pinned to its falsifying value. A point is the cube with every
+    variable pinned."""
+    free = ~mask
+    # The value test goes first: it rejects most clauses of a point.
+    return [c for c in clauses
+            if val & c.fmask == c.fval and not c.fmask & free]
+
+
+def meeting_among(clauses, mask: int, val: int):
+    """Those of `clauses` some point of the cube (mask, val) falsifies, in
+    their order: the cube meets Unsat(C), no pinned variable satisfies the
+    clause. With one bit as `mask`, the test reads that variable alone."""
+    return [c for c in clauses if not (c.fval ^ val) & c.fmask & mask]
 
 
 def point_bits(point) -> int:

@@ -71,23 +71,46 @@ class CoverIndex:
         self._toggle(cube, slot)
         self._free.append(slot)
 
-    def meeting(self, target: Cube, shared_literal: bool = False) -> list:
-        """The covers that meet the target, in slot order, one per copy.
+    def narrow(self, mask: int, val: int, shared_literal: bool = False,
+               base=None):
+        """The slots meeting the literals (mask, val), as a base for
+        `meeting` on any target that holds these literals.
+
+        A base is (mask, val, live, shared): the literals it was narrowed
+        on, the slots that pin none of them the other way, and, for the
+        shared-literal scope, the slots that pin one of them the same way
+        (None for the full scope). Narrowing from `base` reads only the
+        literals it lacks. The base is stale once the index changes.
+        """
+        if base is None:
+            base = (0, 0, self.present, 0 if shared_literal else None)
+        bmask, bval, live, shared = base
+        if bmask & ~mask or (bval ^ val) & bmask:
+            raise ValueError("a base must hold only literals of the target")
+        if (shared is None) == shared_literal:
+            raise ValueError("a base is narrowed for one coverage scope")
+        pins, rest = self.pins, mask & ~bmask
+        while rest:
+            low = rest & -rest
+            same = 2 * low.bit_length() - (1 if val & low else 2)
+            live &= ~pins[same ^ 1]
+            if shared_literal:
+                shared |= pins[same]
+            rest ^= low
+        return mask, val & mask, live, shared
+
+    def meeting(self, target: Cube, shared_literal: bool = False,
+                base=None) -> list:
+        """The covers that meet the target, in slot order, one per copy,
+        narrowed from `base` (see `narrow`) when one is given.
 
         With shared_literal, only those that also pin one of the target's
         literals the same way.
         """
         if target.n != self.n:
             raise ValueError("cube arity mismatch in coverage query")
-        pins, live, shared = self.pins, self.present, 0
-        mask, val = target.mask, target.val
-        while mask:
-            low = mask & -mask
-            same = 2 * low.bit_length() - (1 if val & low else 2)
-            live &= ~pins[same ^ 1]
-            if shared_literal:
-                shared |= pins[same]
-            mask ^= low
+        _, _, live, shared = self.narrow(target.mask, target.val,
+                                         shared_literal, base)
         if shared_literal:
             live &= shared
         cubes, out = self._cubes, []
@@ -101,7 +124,8 @@ class CoverIndex:
         return self.present.bit_count()
 
 
-def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
+def is_covered(target: Cube, covers, shared_literal: bool = False,
+               base=None) -> str:
     """Whether the target cube lies inside the union of the cover cubes.
 
     `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
@@ -112,11 +136,13 @@ def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
     shared_literal the candidates are narrowed further to those sharing
     at least one literal component with the target; that may report a
     covered cube as uncovered, which is sound for the solver (it only
-    re-adds work) but not exact.
+    re-adds work) but not exact. `base` is a narrowing of the index
+    (`CoverIndex.narrow`) on some of the target's literals, in the same
+    scope; it only saves the index work on them.
     """
     index = covers if isinstance(covers, CoverIndex) else \
         CoverIndex(target.n, covers)
-    found = index.meeting(target, shared_literal)
+    found = index.meeting(target, shared_literal, base)
     if not found:
         return UNCOVERED
     mask, val = target.mask, target.val

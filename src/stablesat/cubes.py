@@ -13,7 +13,7 @@ from .core import Clause, bits_to_point, point_bits, point_str, resolve
 
 
 class Cube:
-    __slots__ = ("n", "mask", "val")
+    __slots__ = ("n", "mask", "val", "_hash")
 
     def __init__(self, n: int, mask: int = 0, val: int = 0):
         if n < 0:
@@ -25,6 +25,9 @@ class Cube:
         self.n = n
         self.mask = mask
         self.val = val
+        # Cubes are never changed after construction, and they key the
+        # engine's sets and maps: hash once.
+        self._hash = hash((n, mask, val))
 
     @classmethod
     def full(cls, n: int) -> "Cube":
@@ -120,7 +123,7 @@ class Cube:
             (self.n, self.mask, self.val) == (other.n, other.mask, other.val)
 
     def __hash__(self):
-        return hash((self.n, self.mask, self.val))
+        return self._hash
 
     def __repr__(self):
         return f"Cube({self.to_text() or 'T'}, n={self.n})"

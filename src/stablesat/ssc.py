@@ -21,8 +21,10 @@ stale snapshot merely re-adds covered cubes and never flips a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
-from .core import Clause, CnfFormula, VerifyReport, resolvable_on
+from .core import (Clause, CnfFormula, VerifyReport, falsified_among,
+                   meeting_among, resolvable_on)
 from .coverage import COVERED, CoverIndex, is_covered, union_count
 from .cubes import (Cube, cube_nbhd, member_name, merge, unreached_neighbors,
                     unsat_cube)
@@ -88,7 +90,9 @@ class SscResult:
 class _Boundary:
     """Insertion-ordered cube set with front pops and front/back pushes.
 
-    Every change is mirrored in `covers`, the index the Body shares.
+    Every push and removal is mirrored in `covers`, the index the Body
+    shares. A popped cube stays there: the engine discards it or keeps
+    that copy as its Body copy.
     """
 
     def __init__(self, covers: CoverIndex):
@@ -99,7 +103,6 @@ class _Boundary:
     def pop(self) -> Cube:
         cube = self.items.pop(0)
         self.members.discard(cube)
-        self.covers.discard(cube)
         return cube
 
     def push_front(self, cubes):
@@ -160,10 +163,13 @@ def pick_split_var(cube: Cube, meeting,
 
 
 class _Falsified:
-    """The clauses each Boundary cube falsifies, in formula order.
+    """The clauses each Boundary cube falsifies, in formula order, and for
+    a split half the clauses its parent met.
 
-    Clauses are only appended, so an entry needs only the clauses learned
-    since it was made. The engine drops an entry when its cube leaves the
+    A child's lists are derived from its parent's when it is pushed
+    (`seed`); a cube without an entry is scanned in full. Clauses are
+    only appended, so an entry needs only the clauses learned since it
+    was made. The engine drops an entry when its cube leaves the
     Boundary, so the cache never outgrows it.
     """
 
@@ -171,17 +177,53 @@ class _Falsified:
 
     def __init__(self, formula: CnfFormula):
         self.formula = formula
-        self.entries: dict = {}   # Cube -> (clauses tested, falsified)
+        # Cube -> (clauses tested, falsified, met); a split half's met is
+        # (clauses tested, clauses its parent met, split bit), else None.
+        self.entries: dict = {}
 
     def __call__(self, cube: Cube) -> list:
-        count, hits = self.entries.get(cube, (0, []))
+        count, hits, met = self.entries.get(cube, (0, [], None))
         if count != len(self.formula.clauses):
             hits = hits + self.formula.falsified(cube.mask, cube.val, count)
-            self.entries[cube] = (len(self.formula.clauses), hits)
+            self.entries[cube] = (len(self.formula.clauses), hits, met)
         return hits
+
+    def meeting(self, cube: Cube) -> list:
+        """The clauses the cube meets, in formula order. A split half keeps
+        those of its parent's that the split pin does not satisfy."""
+        entry = self.entries.get(cube)
+        if entry is None or entry[2] is None:
+            return self.formula.meeting(cube.mask, cube.val)
+        count, met, bit = entry[2]
+        met = meeting_among(met, bit, cube.val)
+        if count != len(self.formula.clauses):
+            met += self.formula.meeting(cube.mask, cube.val, count)
+        return met
+
+    def seed(self, cube: Cube, hits: list, met=None):
+        """Enter lists derived over every clause so far (see `entries`)."""
+        self.entries[cube] = (len(self.formula.clauses), hits, met)
 
     def drop(self, cube: Cube):
         self.entries.pop(cube, None)
+
+
+def _falsified_after_pin(formula: CnfFormula, h: list, cube: Cube,
+                         bit: int) -> list:
+    """The clauses the cube falsifies, in id order, from the clauses `h` a
+    cube falsifies that differs from it only at the variable of `bit`,
+    which it leaves free or pins the other way.
+
+    Only clauses holding that variable change: those in h go, and those
+    the cube falsifies join from the occurrence list of the literal its
+    pin falsifies.
+    """
+    kept = [c for c in h if not c.fmask & bit]
+    slot = 2 * bit.bit_length() - (1 if cube.val & bit else 2)
+    gained = falsified_among(formula.occurs[slot], cube.mask, cube.val)
+    if not kept:
+        return gained
+    return sorted(kept + gained, key=attrgetter("cid")) if gained else kept
 
 
 def _find_merge(boundary, p: Cube, h_p: list, falsified: _Falsified):
@@ -219,6 +261,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
     covers = CoverIndex(n)   # Body + Boundary, with multiplicity
     boundary = _Boundary(covers)
+    falsified = _Falsified(work)
     if config.init_strategy == "ne-style":
         # One start per clause; with no clause to falsify, the whole space.
         starts = [(unsat_cube(c, n), c) for c in work.clauses] or \
@@ -228,6 +271,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         if init.n != n:
             raise ValueError(f"init cube arity {init.n}, expected {n}")
         first = work.falsified(init.mask, init.val)
+        falsified.seed(init, first)
         starts = [(init, first[0] if first else None)]
     for cube, clause in starts:
         if cube not in boundary:
@@ -238,7 +282,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     transport: dict[Cube, int] = {}   # the Body, in insertion order
     learned: list[Clause] = []
     learn_steps: list[LearnStep] = []
-    falsified = _Falsified(work)
     iterations = 0
 
     def record_xi():
@@ -249,10 +292,10 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         iterations += 1
         p = boundary.pop()
         h = falsified(p)
+        meeting = None if h else falsified.meeting(p)
         falsified.drop(p)
         # A cube falsifying nothing may still meet clauses: split it.
         if not h:
-            meeting = work.meeting(p.mask, p.val)
             if not meeting:
                 log.add("satisfied", lambda: f"cube {p.to_text()} 0")
                 log.add("finish", lambda: "result SAT")
@@ -261,11 +304,19 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  learn_steps=learn_steps, formula=work,
                                  xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
+            covers.discard(p)   # it contains both halves
             var = pick_split_var(p, meeting, config.split_heuristic)
             halves = p.split(var)
-            verdicts = [is_covered(half, covers, shared) for half in halves]
-            boundary.push_front([half for half, verdict in zip(halves, verdicts)
-                                 if verdict != COVERED])
+            base = covers.narrow(p.mask, p.val, shared)
+            verdicts = [is_covered(half, covers, shared, base)
+                        for half in halves]
+            bit = 1 << (var - 1)
+            kept = [half for half, verdict in zip(halves, verdicts)
+                    if verdict != COVERED]
+            for half in kept:
+                falsified.seed(half, _falsified_after_pin(work, h, half, bit),
+                               (len(work.clauses), meeting, bit))
+            boundary.push_front(kept)
             log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
                     " | ".join(f"cube {half.to_text()} 0 "
                                f"{'covered' if verdict == COVERED else 'kept'}"
@@ -275,6 +326,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             if config.merge_enabled:
                 outcome = _find_merge(boundary, p, h, falsified)
             if outcome is not None:
+                covers.discard(p)
                 partner = outcome.merged[1]
                 boundary.remove(partner)
                 falsified.drop(partner)
@@ -285,6 +337,12 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                                  outcome.left.cid,
                                                  outcome.right.cid,
                                                  outcome.pivot))
+                if outcome.cube not in boundary:
+                    # It contains p, so it falsifies only clauses p does,
+                    # and the resolvent; a reused resolvent is among h.
+                    falsified.seed(outcome.cube, falsified_among(
+                        h, outcome.cube.mask, outcome.cube.val) +
+                        ([clause] if created else []))
                 boundary.push_front([outcome.cube])
                 log.add("merge", lambda: (
                     f"cube {p.to_text()} 0 clause {outcome.left.cid} "
@@ -295,27 +353,32 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             else:
                 clause = h[0]
                 # The neighbours are pairwise disjoint, so none can cover
-                # another: all are judged before any is pushed.
+                # another: all are judged before any is pushed, on one
+                # narrowing by p's literals outside the clause. p stays
+                # in the index; it meets none of them.
+                base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
                 fresh = []
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
-                    new = is_covered(neighbor, covers, shared) != COVERED
+                    new = is_covered(neighbor, covers, shared, base) != COVERED
                     log.add("nbhd", lambda: (
                         f"cube {p.to_text()} 0 clause {clause.cid} dir {abs(lit)} "
                         f"-> cube {neighbor.to_text()} 0 "
                         f"{'new' if new else 'covered'}"))
                     if new:
                         fresh.append(neighbor)
+                        falsified.seed(neighbor, _falsified_after_pin(
+                            work, h, neighbor, 1 << (abs(lit) - 1)))
                 for neighbor in fresh:
                     if config.pop_policy == "fifo":
                         boundary.push_back(neighbor)
                     else:
                         boundary.push_front([neighbor])
-                if p not in transport:
-                    if config.xi_log:
-                        overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
-                                   for q in transport if q.intersects(p)]
-                        union_size += p.count_points() - union_count(overlap, n)
-                    covers.add(p)
+                if p in transport:
+                    covers.discard(p)   # the Body holds a copy already
+                elif config.xi_log:
+                    overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
+                               for q in transport if q.intersects(p)]
+                    union_size += p.count_points() - union_count(overlap, n)
                 transport[p] = clause.cid
                 log.add("move-to-body",
                         lambda: f"cube {p.to_text()} 0 clause {clause.cid}")
@@ -332,18 +395,24 @@ def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
     and each of its 1-neighborhood cubes is covered by the cluster union.
 
     The cluster index is built at the first neighbour that is not itself a
-    member, so point certificates never pay for it. It only narrows the
+    member, so point certificates never pay for it, and it is narrowed
+    once per member on the member's literals outside its transport
+    clause, which all its neighbours hold. It only narrows the
     candidates of each query: a cover it dropped could only turn an
     accept into a reject, never the other way.
     """
     clusters = list(clusters)
     report = VerifyReport()
-    index = None
+    index = member = base = None
     for cube, cid, neighbor in unreached_neighbors(formula, clusters,
                                                    transport, report):
         if index is None:
             index = CoverIndex(neighbor.n, clusters)
-        if is_covered(neighbor, index) != COVERED:
+        if cube is not member:
+            member = cube
+            outside = cube.mask & ~formula.clause_by_id(cid).fmask
+            base = index.narrow(outside, cube.val)
+        if is_covered(neighbor, index, False, base) != COVERED:
             report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
                         f"via clause {cid} is not covered")
     return report

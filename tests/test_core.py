@@ -4,6 +4,7 @@ import pytest
 
 from stablesat.core import (Clause, CnfFormula, evaluate_clause, point_bits,
                             point_nbhd, resolvable_on, resolve)
+from conftest import random_clause
 
 
 def test_clause_canonical_order_and_dedup():
@@ -42,6 +43,42 @@ def test_formula_ids_stable_across_learning():
         f.learn([4])
     assert [c.cid for c in f.clauses] == [1, 2, 3]
     assert f.find([2, 3]) is learned
+
+
+def occurrence_filter(formula):
+    """Per literal slot 2(v-1)+b, the clauses holding the literal x_v = b
+    falsifies, filtered from the clause list."""
+    return [[c for c in formula.clauses if (-v if b else v) in c.lits]
+            for v in range(1, formula.num_vars + 1) for b in (0, 1)]
+
+
+def test_occurrence_lists_follow_the_clause_list():
+    f = CnfFormula(3, [[1, 2], [-1, 3], [], [2, -3], [-1, -2, -3]])
+    assert f.occurs == occurrence_filter(f)
+    assert f.occurs[0] == [f.clauses[0]] and f.occurs[1] == [f.clauses[1],
+                                                             f.clauses[4]]
+    f.learn([2, 3])
+    assert f.occurs == occurrence_filter(f)
+    before = [list(occ) for occ in f.occurs]
+    _, created = f.learn([3, 2])
+    assert not created and f.occurs == before
+    dup = f.copy()
+    dup.learn([-2, 1])
+    assert dup.occurs == occurrence_filter(dup)
+    assert f.occurs == before == occurrence_filter(f)
+    assert len(dup.occurs[3]) == len(f.occurs[3]) + 1   # x2 = 1 falsifies -2
+
+
+def test_occurrence_lists_of_random_formulas():
+    rng = random.Random(9)
+    for _ in range(30):
+        n = rng.randint(1, 8)
+        f = CnfFormula(n, [random_clause(n, rng) for _ in range(rng.randint(0, 12))])
+        copy = f.copy()
+        for _ in range(5):
+            copy.learn(random_clause(n, rng))
+        assert f.occurs == occurrence_filter(f)
+        assert copy.occurs == occurrence_filter(copy)
 
 
 def test_formula_rejects_out_of_range_variable():

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from unittest import mock
 
 from hypothesis import assume, given, settings
@@ -10,6 +11,7 @@ from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
 from stablesat.coverage import CoverIndex, union_count
 from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
 from stablesat.oracle import brute_force_sat
+from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Falsified, _find_merge,
                            expand_body_to_points, gen_ssc, pick_split_var,
                            verify_ssc)
@@ -116,12 +118,12 @@ def test_find_merge_sees_clauses_learned_after_caching():
     falsified = _Falsified(work)
     h_p = work.falsified(p.mask, p.val)
     assert _find_merge([q], p, h_p, falsified) is None   # q falsifies nothing
-    assert falsified.entries == {q: (1, [])}
+    assert falsified.entries == {q: (1, [], None)}
     work.learn((-1, -2))
     outcome = _find_merge([q], p, h_p, falsified)
     assert outcome is not None and outcome.cube == cube([2], 2)
     assert outcome.resolvent.lits == (-2,) and outcome.pivot == 1
-    assert falsified.entries == {q: (2, work.falsified(q.mask, q.val))}
+    assert falsified.entries == {q: (2, work.falsified(q.mask, q.val), None)}
     falsified.drop(q)
     assert falsified.entries == {}
 
@@ -172,8 +174,8 @@ def dropping(keep):
     """CoverIndex.meeting patched to return only keep(candidates)."""
     original = CoverIndex.meeting
 
-    def meeting(self, target, shared_literal=False):
-        return keep(original(self, target, shared_literal))
+    def meeting(self, target, shared_literal=False, base=None):
+        return keep(original(self, target, shared_literal, base))
 
     return mock.patch.object(CoverIndex, "meeting", meeting)
 
@@ -328,3 +330,122 @@ def test_formula_without_clauses_is_sat():
             result = gen_ssc(CnfFormula(n, []), SscConfig(init_strategy=strategy))
             assert result.satisfiable
             assert result.witness == Cube.full(n)
+
+
+def checked_lists(looked):
+    """_Falsified with every lookup compared, in order, with a fresh scan
+    of the same clauses; `looked` counts the lookups of derived entries."""
+    call, meeting = _Falsified.__call__, _Falsified.meeting
+
+    def checked_call(self, cube):
+        derived = cube in self.entries
+        hits = call(self, cube)
+        assert hits == self.formula.falsified(cube.mask, cube.val)
+        looked["falsified"] += derived
+        return hits
+
+    def checked_meeting(self, cube):
+        derived = cube in self.entries and self.entries[cube][2] is not None
+        met = meeting(self, cube)
+        assert met == self.formula.meeting(cube.mask, cube.val)
+        looked["meeting"] += derived
+        return met
+
+    return mock.patch.multiple(_Falsified, __call__=checked_call,
+                               meeting=checked_meeting)
+
+
+LIST_CONFIGS = [SscConfig(), SscConfig(init_strategy="ne-style"),
+                SscConfig(pop_policy="lifo"),
+                SscConfig(split_heuristic="most-constrained"),
+                SscConfig(merge_enabled=False), SscConfig(coverage="shared")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 12), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(LIST_CONFIGS), st.booleans(), st.booleans())
+def test_inherited_lists_match_fresh_scans(n, seed, config, empty, pinned):
+    # Children derive their clause lists from their parent's; each must
+    # equal a scan of the whole formula whenever the engine reads it.
+    rng = random.Random(seed)
+    formula = random_3cnf(n, rng.randint(1, 6 * n), rng)
+    if pinned and config.init_strategy == "single-cube":
+        # A start cube pinning many variables falsifies several clauses,
+        # so neighbours both keep and gain clauses.
+        mask = rng.getrandbits(n) | rng.getrandbits(n)
+        config = dataclasses.replace(
+            config, init_cube=Cube(n, mask, rng.getrandbits(n) & mask))
+    if empty:
+        # The empty clause is in no occurrence list: only inheritance
+        # carries it to a child.
+        clauses = [c.lits for c in formula.clauses]
+        clauses.insert(rng.randint(0, len(clauses)), ())
+        formula = CnfFormula(n, clauses)
+    with checked_lists(Counter()):
+        result = gen_ssc(formula, config)
+    assert result.satisfiable == brute_force_sat(formula).satisfiable
+
+
+def test_inherited_lists_are_read():
+    # Derived entries of both kinds are looked up, learned resolvents
+    # included, so the comparison above checks them.
+    looked = Counter()
+    rng = random.Random(11)
+    with checked_lists(looked):
+        for _ in range(10):
+            result = gen_ssc(random_3cnf(10, 50, rng))
+            assert not result.satisfiable or result.witness is not None
+        result = gen_ssc(ph_formula(4, 3)[0])
+    assert not result.satisfiable and result.learned
+    assert looked["falsified"] > 0 and looked["meeting"] > 0
+
+
+def test_neighbor_list_merges_kept_and_gained_in_id_order():
+    # The start cube falsifies clauses 1 and 3; its neighbour through x1
+    # keeps 3 and gains 2, so its list is [2, 3] only once sorted.
+    f = CnfFormula(3, [[1, 2], [-1, 2], [3]])
+    with checked_lists(Counter()):
+        result = gen_ssc(f, SscConfig(init_cube=cube([-1, -2, -3], 3)))
+    assert result.witness == cube([-1, 2, 3], 3)
+
+
+def test_empty_clause_is_inherited_by_every_child():
+    # The empty clause comes last, so the first clause is expanded and
+    # its neighbours carry the empty clause on from their parent.
+    f = CnfFormula(3, [[1, 2], [-1, 3], []])
+    with checked_lists(Counter()):
+        result = gen_ssc(f, SscConfig(init_cube=Cube.from_literals([-1, -2], 3)))
+    assert not result.satisfiable
+    assert verify_ssc(result.formula, result.body, result.transport)
+
+
+def full_scans():
+    """CnfFormula.falsified and .meeting patched to record the cube
+    (mask, val) of each scan over the whole clause list (start 0)."""
+    scans = {"falsified": [], "meeting": []}
+    originals = {name: getattr(CnfFormula, name) for name in scans}
+
+    def recording(name):
+        def scan(self, mask, val, start=0):
+            if not start:
+                scans[name].append((mask, val))
+            return originals[name](self, mask, val, start)
+        return scan
+
+    patch = mock.patch.multiple(CnfFormula, **{name: recording(name)
+                                               for name in scans})
+    return patch, scans
+
+
+def test_engine_scans_whole_formula_only_for_the_start_cube():
+    # A regression to rescanning the formula per popped cube shows here as
+    # a count, with no timing: every other cube's lists are derived.
+    formulas = [ph_formula(5, 4)[0],
+                random_3cnf(20, 85, random.Random(4))]
+    for formula in formulas:
+        patch, scans = full_scans()
+        with patch:
+            result = gen_ssc(formula)
+        assert result.iterations > 100
+        assert scans["falsified"] == [(0, 0)]
+        assert scans["meeting"] in ([], [(0, 0)])
