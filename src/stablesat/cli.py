@@ -16,12 +16,12 @@ from .core import CnfFormula, bits_to_point, parse_point
 from .cubes import Cube
 from .dimacs import parse_dimacs, write_dimacs
 from .oracle import DEFAULT_CAP, brute_force_sat
-from .proofs import emit_proof, parse_proof, replay_proof
+from .proofs import emit_proof, parse_proof, proof_from_result, replay_proof
 from .ssc import SscConfig, gen_ssc
-from .ssp import SspConfig, SspResult, gen_ssp
+from .ssp import SspConfig, gen_ssp
 from .symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, expand_mod_sym_to_ssp,
                        format_symmetry_file, gen_ssp_mod_symmetry,
-                       parse_symmetry_file, ph_formula,
+                       group_from_cycles, parse_symmetry_file, ph_formula,
                        ph_symmetry_generators, verify_stable_mod_symmetry)
 from .trace import emit_trace
 
@@ -154,13 +154,10 @@ def _solve_sym(args, formula):
     if not report:
         raise ValueError("internal check failed: " + "; ".join(report.failures))
     print(f"c stable modulo symmetry, representatives: {len(result.points)}")
-    if not args.proof:
-        return result, None, None
-    # The proof is the plain stable set: the union of the orbits.
-    points, transport = expand_mod_sym_to_ssp(
-        formula, result.points, result.transport, group, limit=limit)
-    print(f"c expanded stable set written: {len(points)} points")
-    return result, SspResult(False, points=points, transport=transport), None
+    # The proof names the generators and the representatives; verify
+    # expands them to the plain stable set, the union of their orbits.
+    return result, proof_from_result(
+        result, [g.cycles() for g in group.generators]), None
 
 
 _RUNNERS = {"ssc": _solve_ssc, "ssc-ne": _solve_ssc, "ssp": _solve_ssp,
@@ -214,7 +211,14 @@ def _cmd_verify(args) -> int:
     formula = _load_formula(args.file)
     with open(args.proof, "r", encoding="utf-8") as handle:
         proof = parse_proof(handle.read())
-    report = replay_proof(formula, proof)
+    expand = None
+    if proof.generators:   # the checker judges the union of the orbits
+        group = group_from_cycles(proof.generators, formula.num_vars)
+
+        def expand(points, transport):
+            return expand_mod_sym_to_ssp(formula, points, transport, group,
+                                         limit=ORBIT_LIMIT)
+    report = replay_proof(formula, proof, expand)
     if report:
         print(f"verified: result {proof.result}")
         return EXIT_OK

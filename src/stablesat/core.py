@@ -1,4 +1,5 @@
-"""Propositional basics: clauses, CNF formulas, points, resolution.
+"""Propositional basics: clauses, CNF formulas, points, resolution, and
+the cycle notation of variable permutations.
 
 Literals are signed DIMACS-style integers (3 means x3, -3 means not-x3).
 A point is a complete assignment, stored as a tuple of 0/1 ints indexed
@@ -8,6 +9,7 @@ used internally are variable - 1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 Point = tuple
@@ -195,6 +197,28 @@ def parse_point(text: str):
     if not text or any(ch not in "01" for ch in text):
         raise ValueError(f"not a 0/1 point string: {text!r}")
     return tuple(int(ch) for ch in text)
+
+
+# One way to match each character, so a long bad line fails in linear time.
+_CYCLES_RE = re.compile(r"(?:\([\d\s,]*\)\s*)+")
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_cycles(text: str):
+    """Cycle notation like '(1 4)(2 5)(3 6)' as lists of variables; `()`
+    is the identity. Syntax only: the permutation checks the range."""
+    stripped = text.strip()
+    if not stripped:
+        raise ValueError("empty permutation text")
+    if _CYCLES_RE.fullmatch(stripped) is None:
+        raise ValueError(f"bad cycle notation: {text!r}")
+    return [[int(tok) for tok in body.replace(",", " ").split()]
+            for body in _CYCLE_RE.findall(stripped) if body.strip()]
+
+
+def cycle_text(cycles) -> str:
+    """Cycle notation of cycle lists; `()` for none."""
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
 
 
 def _check_arity(clause: Clause, point):

@@ -8,17 +8,23 @@ An unsatisfiability proof is line-oriented:
 
 Learn lines replay through the resolution engine; cluster lines rebuild
 the Body, which the cluster verifier then checks against the extended
-formula. Satisfiable runs emit a witness line followed by `result SAT`;
-the witness cube must satisfy every input clause. The result line is
+formula. A proof modulo symmetry opens with one `sym <cycles>` record
+per generator, in cycle notation, and holds no learn record; its
+cluster lines are points, one representative per orbit, and the
+verifier checks the union of their orbits, which the caller expands.
+Satisfiable runs emit a witness line followed by `result SAT`; the
+witness cube must satisfy every input clause. The result line is
 always last, and no record carries tokens after its last field; the
-parser rejects either with `proof line N: ...`.
+parser rejects either, and a misplaced sym record, with
+`proof line N: ...`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import CnfFormula, VerifyReport, resolvable_on, resolve
+from .core import (CnfFormula, VerifyReport, cycle_text, parse_cycles,
+                   resolvable_on, resolve)
 from .cubes import Cube, cube_satisfies
 from .ssc import LearnStep, SscResult, verify_ssc
 from .ssp import SspResult
@@ -26,14 +32,16 @@ from .ssp import SspResult
 
 @dataclass
 class Proof:
+    generators: list = field(default_factory=list)  # cycle lists, one each
     learns: list = field(default_factory=list)     # LearnStep records
     clusters: list = field(default_factory=list)   # (literal tuple, clause id)
     witness: tuple | None = None                   # literal tuple
     result: str = ""                               # "SAT" or "UNSAT"
 
 
-def proof_from_result(result) -> Proof:
-    """Build the proof object for an SscResult or SspResult."""
+def proof_from_result(result, generators=()) -> Proof:
+    """Build the proof object for an SscResult or SspResult. An UNSAT
+    result stable modulo a group names its generators (cycle lists)."""
     if isinstance(result, SscResult):
         proof = Proof(learns=list(result.learn_steps))
         members, witness = result.body, result.witness
@@ -48,6 +56,7 @@ def proof_from_result(result) -> Proof:
         proof.witness = witness.literals()
         proof.result = "SAT"
     else:
+        proof.generators = list(generators)
         proof.clusters = [(cube.literals(), result.transport[cube])
                           for cube in members]
         proof.result = "UNSAT"
@@ -55,7 +64,7 @@ def proof_from_result(result) -> Proof:
 
 
 def format_proof(proof: Proof) -> str:
-    lines = []
+    lines = ["sym " + cycle_text(cycles) for cycles in proof.generators]
     for step in proof.learns:
         body = " ".join(str(l) for l in step.lits + (0,))
         lines.append(f"learn {step.cid} {body} from {step.left} {step.right} "
@@ -69,9 +78,11 @@ def format_proof(proof: Proof) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_proof(result, sink):
-    """Serialize a solver result's certificate to a text sink."""
-    sink.write(format_proof(proof_from_result(result)))
+def emit_proof(certificate, sink):
+    """Serialize a certificate, a Proof or a solver result, to a text sink."""
+    if not isinstance(certificate, Proof):
+        certificate = proof_from_result(certificate)
+    sink.write(format_proof(certificate))
 
 
 def _take_zero_terminated(tokens, start):
@@ -96,7 +107,16 @@ def parse_proof(text: str) -> Proof:
         try:
             if proof.result:
                 raise ValueError(f"{tokens[0]} record after the result line")
-            if tokens[0] == "learn":
+            if proof.generators and tokens[0] in ("learn", "witness"):
+                raise ValueError(f"{tokens[0]} record in a proof with sym "
+                                 f"records")
+            if tokens[0] == "sym":
+                if proof.learns or proof.clusters or proof.witness is not None:
+                    raise ValueError("sym record after a learn, cluster or "
+                                     "witness record")
+                proof.generators.append(parse_cycles(line[len("sym"):]))
+                end = len(tokens)
+            elif tokens[0] == "learn":
                 cid = int(tokens[1])
                 lits, i = _take_zero_terminated(tokens, 2)
                 if tokens[i] != "from" or tokens[i + 3] != "pivot":
@@ -130,13 +150,17 @@ def parse_proof(text: str) -> Proof:
     return proof
 
 
-def replay_proof(formula: CnfFormula, proof: Proof) -> VerifyReport:
+def replay_proof(formula: CnfFormula, proof: Proof,
+                 expand=None) -> VerifyReport:
     """Re-derive every learn step and re-verify the certificate.
 
     The caller's formula is not modified; learn steps extend a copy. An
     UNSAT proof must yield clusters that the independent cluster verifier
     accepts; a SAT proof must carry a witness cube satisfying every input
-    clause.
+    clause. A proof with sym records needs `expand`, which maps its
+    clusters and their transport to the union of their orbits, as cubes
+    and transport again; the cluster verifier judges that union, so a
+    wrong generator or a faulty expansion can only make it reject.
     """
     report = VerifyReport()
     work = formula.copy()
@@ -187,6 +211,11 @@ def replay_proof(formula: CnfFormula, proof: Proof) -> VerifyReport:
             return report
         clusters.append(cube)
         transport[cube] = cid
+    if proof.generators:
+        if expand is None:
+            report.fail("sym records without an orbit expansion")
+            return report
+        clusters, transport = expand(clusters, transport)
     inner = verify_ssc(work, clusters, transport)
     report.ok = report.ok and inner.ok
     report.failures.extend(inner.failures)

@@ -10,16 +10,19 @@ which is all the stability arguments need.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import getitem
 
-from .core import Clause, CnfFormula, VerifyReport, bits_to_point, point_bits
+from .core import (Clause, CnfFormula, VerifyReport, bits_to_point,
+                   cycle_text, parse_cycles, point_bits)
 from .cubes import Cube, member_name, unreached_neighbors
 from .ssp import SspConfig, SspResult, gen_ssp
 
 ORBIT_LIMIT = 10 ** 6
+# Bytes the orbit walker's lookup tables may take (see table_bytes): a
+# symmetry file or proof that needs more is refused before any is built.
+TABLE_LIMIT = 64 * 2 ** 20
 
 
 class OrbitLimitExceeded(RuntimeError):
@@ -80,10 +83,7 @@ class Permutation:
         return out
 
     def to_cycle_text(self) -> str:
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+        return cycle_text(self.cycles())
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -95,22 +95,25 @@ class Permutation:
         return f"Permutation({self.to_cycle_text()}, n={self.n})"
 
 
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
 def parse_permutation(text: str, n: int) -> Permutation:
     """Parse cycle notation like '(1 4)(2 5)(3 6)'."""
-    stripped = text.strip()
-    if not stripped:
-        raise ValueError("empty permutation text")
-    if re.fullmatch(r"(\s*\(\s*[\d\s,]*\)\s*)+", stripped) is None:
-        raise ValueError(f"bad cycle notation: {text!r}")
-    cycles = []
-    for body in _CYCLE_RE.findall(stripped):
-        body = body.replace(",", " ").strip()
-        if body:
-            cycles.append([int(tok) for tok in body.split()])
-    return Permutation.from_cycles(cycles, n)
+    return Permutation.from_cycles(parse_cycles(text), n)
+
+
+def table_bytes(generators: int, num_vars: int) -> int:
+    """About the bytes of the orbit walker's lookup tables (_byte_tables):
+    per generator, 256 entries per 8-bit chunk of a point, each a list
+    slot and an int of up to num_vars bits. It errs high."""
+    return generators * 256 * -(-num_vars // 8) * (40 + num_vars // 8)
+
+
+def _check_table_size(generators: int, num_vars: int):
+    size = table_bytes(generators, num_vars)
+    if size > TABLE_LIMIT:
+        raise ValueError(
+            f"{generators} generators over {num_vars} variables need about "
+            f"{size / 2 ** 20:.0f} MB of orbit tables, over the limit of "
+            f"{TABLE_LIMIT / 2 ** 20:.0f} MB")
 
 
 @dataclass
@@ -122,17 +125,24 @@ class SymmetryGroup:
         for g in self.generators:
             if g.n != self.num_vars:
                 raise ValueError("generator arity mismatch")
+        _check_table_size(len(self.generators), self.num_vars)
+
+
+def group_from_cycles(cycle_lists, num_vars: int) -> SymmetryGroup:
+    """The group generated by one permutation per list of cycles. A list
+    too long for the table limit is refused before any permutation is
+    built: `()` is two characters of text and n ints as a permutation."""
+    _check_table_size(len(cycle_lists), num_vars)
+    return SymmetryGroup([Permutation.from_cycles(cycles, num_vars)
+                          for cycles in cycle_lists], num_vars)
 
 
 def parse_symmetry_file(text: str, num_vars: int) -> SymmetryGroup:
     """One permutation per non-comment line, in cycle notation."""
-    gens = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("c"):
-            continue
-        gens.append(parse_permutation(line, num_vars))
-    return SymmetryGroup(gens, num_vars)
+    lines = (raw.strip() for raw in text.splitlines())
+    return group_from_cycles([parse_cycles(line) for line in lines
+                              if line and not line.startswith(("#", "c"))],
+                             num_vars)
 
 
 def format_symmetry_file(group: SymmetryGroup) -> str:
@@ -345,8 +355,10 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     Each orbit member q = pi(p) gets the transport clause pi(g(p)); the
     result is a plain stable set, as one-point cubes with their transport.
     Raises OrbitLimitExceeded when the expansion would hold more than
-    `limit` points. The formula maps the permuted clauses back to clause
-    ids; representatives keep theirs.
+    `limit` points, and ValueError on a member that is not a point or a
+    transport clause the formula lacks. The formula maps the permuted
+    clauses back to clause ids; representatives keep theirs. Nothing
+    else is checked: `verify_ssc` judges the result.
     """
     walker = _OrbitWalker(group, limit)
     expanded: dict[Cube, int] = {}
@@ -367,6 +379,8 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     for point in points:
         if point in expanded:
             continue
+        if not point.is_point():
+            raise ValueError(f"{member_name(point)}: not a point")
         if formula.clause_by_id(transport[point]) is None:
             raise ValueError(f"transport id {transport[point]} not in formula")
         # Each image inherits its parent's clause moved by the generator.

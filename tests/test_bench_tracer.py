@@ -32,6 +32,8 @@ def test_every_traced_layer_fires(tmp_path):
         (["solve", "--mode", "ssp", "--proof", proofs["ssp"], str(cnf)], 20),
         (["solve", "--mode", "sym", "--sym", str(sym), "--proof", proofs["sym"],
           str(cnf)], 20),
+        # The orbit expansion runs when verify reads the sym proof.
+        (["verify", "--proof", proofs["sym"], str(cnf)], 0),
     ]
     tracer = tracer_module["Tracer"](time.perf_counter)
     tracer.install()

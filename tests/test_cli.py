@@ -1,6 +1,8 @@
 import pytest
 
+from stablesat import cli
 from stablesat.cli import cli_main
+from stablesat.symmetry import is_symmetric, parse_permutation, ph_formula
 
 VB_DIMACS = """\
 c worked example
@@ -86,6 +88,116 @@ def test_sym_mode_with_generated_file(tmp_path):
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
                      "--proof", str(proof), str(cnf)]) == 20
     assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
+
+
+def _ph32_sym_proof(tmp_path):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    proof = tmp_path / "ph.proof"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     "--proof", str(proof), str(cnf)]) == 20
+    return cnf, proof
+
+
+PH32_SYM_PROOF = """\
+sym (1 3)(2 4)
+sym (3 5)(4 6)
+sym (1 2)(3 4)(5 6)
+cluster -1 -2 -3 -4 -5 -6 0 clause 1
+cluster 1 -2 -3 -4 -5 -6 0 clause 2
+cluster 1 -2 3 -4 -5 -6 0 clause 3
+cluster 1 -2 -3 4 -5 -6 0 clause 3
+cluster 1 -2 3 -4 5 -6 0 clause 4
+cluster 1 -2 3 -4 -5 6 0 clause 4
+result UNSAT
+"""
+
+
+def test_sym_proof_names_generators_and_representatives(tmp_path, capsys):
+    cnf, proof = _ph32_sym_proof(tmp_path)
+    assert capsys.readouterr().out == (
+        "c stable modulo symmetry, representatives: 6\ns UNSATISFIABLE\n")
+    assert proof.read_text() == PH32_SYM_PROOF
+    assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
+    assert capsys.readouterr().out == "verified: result UNSAT\n"
+
+
+def test_ph65_sym_proof_is_small_and_verifies(tmp_path, capsys):
+    # 29 representatives stand for 46656 points.
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    proof = tmp_path / "ph.proof"
+    cli_main(["gen-ph", "6", "5", "-o", str(cnf), "--sym-out", str(sym)])
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     "--proof", str(proof), str(cnf)]) == 20
+    assert proof.stat().st_size < 5000
+    assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
+    assert capsys.readouterr().out.endswith("verified: result UNSAT\n")
+
+
+# Each edit of the PH(3,2) sym proof, and a part of the error it must give.
+SYM_PROOF_MUTATIONS = {
+    "generator not a symmetry": (
+        ("sym (1 2)(3 4)(5 6)", "sym (1 3)"), "is not covered"),
+    "representative removed": (
+        ("cluster 1 -2 3 -4 -5 -6 0 clause 3\n", ""), "is not covered"),
+    "transport id changed": (
+        ("-5 -6 0 clause 2", "-5 -6 0 clause 1"), "does not falsify clause 1"),
+    "transport id out of range": (
+        ("-5 -6 0 clause 2", "-5 -6 0 clause 99"),
+        "transport id 99 not in formula"),
+    "cluster not a point": (
+        ("1 -2 -3 -4 -5 -6 0 clause 2", "1 -2 -3 -4 -5 0 clause 2"),
+        "not a point"),
+    "cycle element above num_vars": (
+        ("sym (3 5)(4 6)", "sym (3 7)(4 6)"), "cycle element x7 outside 1..6"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SYM_PROOF_MUTATIONS))
+def test_verify_rejects_a_mutated_sym_proof(tmp_path, capsys, mutation):
+    (old, new), error = SYM_PROOF_MUTATIONS[mutation]
+    cnf, proof = _ph32_sym_proof(tmp_path)
+    text = proof.read_text()
+    assert text.count(old) == 1
+    proof.write_text(text.replace(old, new))
+    capsys.readouterr()
+    assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and error in err
+    assert "Traceback" not in err
+
+
+def test_mutated_generator_expands_but_is_no_symmetry():
+    # The premise of the first mutation: (1 3) maps no placement clause
+    # onto a clause, yet every transport it meets has an image.
+    formula, _ = ph_formula(3, 2)
+    assert not is_symmetric(formula, parse_permutation("(1 3)", 6))
+
+
+def test_verify_refuses_an_expansion_over_the_orbit_limit(tmp_path, capsys,
+                                                          monkeypatch):
+    cnf, proof = _ph32_sym_proof(tmp_path)
+    monkeypatch.setattr(cli, "ORBIT_LIMIT", 10)
+    capsys.readouterr()
+    assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: expansion exceeds 10 points\n"
+
+
+def test_orbit_tables_over_the_limit_are_refused(tmp_path, capsys):
+    # A hundred generators over 1000 variables would need about 500 MB of
+    # lookup tables.
+    cnf, sym = tmp_path / "wide.cnf", tmp_path / "many.sym"
+    proof = tmp_path / "many.proof"
+    cnf.write_text("p cnf 1000 1\n1 0\n")
+    sym.write_text("()\n" * 100)
+    proof.write_text("sym ()\n" * 100 + "cluster -1 0 clause 1\nresult UNSAT\n")
+    for argv in (["solve", "--mode", "sym", "--sym", str(sym), str(cnf)],
+                 ["verify", "--proof", str(proof), str(cnf)]):
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 100 generators over 1000 variables")
+        assert err.count("\n") == 1 and "over the limit of 64 MB" in err
 
 
 def test_sym_mode_requires_generators(vb_file):

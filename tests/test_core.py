@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from stablesat.core import (Clause, CnfFormula, evaluate_clause, point_bits,
-                            point_nbhd, resolvable_on, resolve)
+from stablesat.core import (Clause, CnfFormula, cycle_text, evaluate_clause,
+                            parse_cycles, point_bits, point_nbhd, resolvable_on,
+                            resolve)
 from conftest import random_clause
 
 
@@ -225,3 +226,22 @@ def test_resolve_symmetric_in_arguments():
         c1 = Clause([pivot] + [shared[v] for v in rest[:k1]])
         c2 = Clause([-pivot] + [shared[v] for v in rest[:k2]])
         assert resolve(c1, c2, pivot) == resolve(c2, c1, pivot)
+
+
+def test_parse_cycles_and_cycle_text():
+    assert parse_cycles("(1 4)(2 5)(3 6)") == [[1, 4], [2, 5], [3, 6]]
+    assert parse_cycles(" ( 1, 4 ) (2) ") == [[1, 4], [2]]
+    assert parse_cycles("()") == []
+    assert cycle_text([[1, 4], [2, 5]]) == "(1 4)(2 5)"
+    assert cycle_text([]) == "()"
+    for text in ("", "1 4)(", "(1 4", "(1 -4)", "(a)", "(1)(2)x"):
+        with pytest.raises(ValueError):
+            parse_cycles(text)
+
+
+def test_parse_cycles_refuses_a_long_bad_line_at_once():
+    # With an ambiguous pattern (whitespace matched on either side of a
+    # cycle) a regex search backtracks exponentially in the number of
+    # gaps; ten gaps took about 4 s.
+    with pytest.raises(ValueError, match="bad cycle notation"):
+        parse_cycles("()" + "    ()" * 40 + " x")

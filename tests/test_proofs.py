@@ -1,7 +1,10 @@
+import ast
 import io
+from pathlib import Path
 
 import pytest
 
+from stablesat import proofs
 from stablesat.core import CnfFormula
 from stablesat.proofs import (emit_proof, format_proof, parse_proof,
                               proof_from_result, replay_proof)
@@ -136,3 +139,62 @@ def test_empty_clause_learn_line():
     proof = parse_proof(text)
     assert replay_proof(f, proof)
     assert any(step.lits == () for step in proof.learns)
+
+
+SYM_PROOF = """\
+sym (1 3)(2 4)
+sym (1 2)(3 4)
+cluster -1 -2 -3 -4 0 clause 1
+result UNSAT
+"""
+
+
+def test_sym_records_parse_and_format():
+    proof = parse_proof(SYM_PROOF)
+    assert proof.generators == [[[1, 3], [2, 4]], [[1, 2], [3, 4]]]
+    assert format_proof(proof) == SYM_PROOF
+    assert parse_proof("sym ()\nresult UNSAT\n").generators == [[]]
+    assert format_proof(parse_proof("sym ( 1, 2 )\nresult UNSAT\n")) == \
+        "sym (1 2)\nresult UNSAT\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("sym (1 2\nresult UNSAT\n", "proof line 1: bad cycle notation"),
+    ("sym (1 -2)\nresult UNSAT\n", "proof line 1: bad cycle notation"),
+    ("sym\nresult UNSAT\n", "proof line 1: empty permutation text"),
+    ("sym ()" + "    ()" * 40 + " x\nresult UNSAT\n",
+     "proof line 1: bad cycle notation"),
+    ("sym (1 2)\ncluster 1 2 0 clause 1\nsym (1 2)\nresult UNSAT\n",
+     "proof line 3: sym record after a learn, cluster or witness record"),
+    ("sym (1 2)\nresult UNSAT\nsym (1 2)\n",
+     "proof line 3: sym record after the result line"),
+    ("learn 3 0 from 1 2 pivot 1\nsym (1 2)\nresult UNSAT\n",
+     "proof line 2: sym record after a learn, cluster or witness record"),
+    ("sym (1 2)\nlearn 3 0 from 1 2 pivot 1\nresult UNSAT\n",
+     "proof line 2: learn record in a proof with sym records"),
+    ("witness 1 2 0\nsym (1 2)\nresult SAT\n",
+     "proof line 2: sym record after a learn, cluster or witness record"),
+    ("sym (1 2)\nwitness 1 2 0\nresult SAT\n",
+     "proof line 2: witness record in a proof with sym records"),
+])
+def test_parse_proof_rejects_misplaced_or_malformed_sym(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_proof(text)
+
+
+def test_sym_proof_needs_an_expansion():
+    f = CnfFormula(4, [[1, 2, 3, 4]])
+    report = replay_proof(f, parse_proof(SYM_PROOF))
+    assert not report
+    assert report.failures == ["sym records without an orbit expansion"]
+    # Under the identity expansion the one point is checked as it stands:
+    # its neighbours are not members.
+    report = replay_proof(f, parse_proof(SYM_PROOF), lambda *set_: set_)
+    assert not report and "is not covered" in report.failures[0]
+
+
+def test_proofs_module_imports_no_symmetry():
+    tree = ast.parse(Path(proofs.__file__).read_text(encoding="utf-8"))
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "symmetry" not in imported

@@ -1,26 +1,35 @@
+import contextlib
+import io
+import os
 import random
+import tempfile
+import tracemalloc
 from itertools import islice
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stablesat import symmetry
+from stablesat import proofs, symmetry
+from stablesat.cli import cli_main
 from stablesat.core import (Clause, CnfFormula, bits_to_point, evaluate_clause,
                             point_bits, point_nbhd)
 from stablesat.cubes import Cube
+from stablesat.dimacs import write_dimacs
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import proof_from_result, replay_proof
 from stablesat.ssc import verify_ssc
 from stablesat.ssp import SspConfig, SspResult, gen_ssp
-from stablesat.symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, Permutation,
-                                SymmetryGroup, _OrbitWalker,
+from stablesat.symmetry import (ORBIT_LIMIT, TABLE_LIMIT, OrbitLimitExceeded,
+                                Permutation, SymmetryGroup, _OrbitWalker,
                                 apply_perm_clause, apply_perm_point,
                                 expand_mod_sym_to_ssp, format_symmetry_file,
-                                gen_ssp_mod_symmetry, is_symmetric,
-                                parse_permutation, parse_symmetry_file,
+                                gen_ssp_mod_symmetry, group_from_cycles,
+                                is_symmetric, parse_permutation,
+                                parse_symmetry_file,
                                 ph_formula, ph_symmetry_generators,
-                                verify_stable_mod_symmetry)
+                                table_bytes, verify_stable_mod_symmetry)
 from conftest import point_cubes, point_tuples, random_3cnf, reference_stable
 
 
@@ -530,3 +539,105 @@ def test_table_walker_matches_apply_perm_point(group_and_point):
         seen.add(image)
         steps.append((bits_to_point(image, n), bits_to_point(parent, n), gi))
     assert steps == _reference_walk(group, point, cap)
+
+
+def test_table_limit_refuses_before_building_anything():
+    many = [[]] * 10 ** 5      # `sym ()` a hundred thousand times
+    wide = [[[1, 2]]]          # one transposition over 10^6 variables
+    tracemalloc.start()
+    try:
+        for cycle_lists, n in ((many, 30), (wide, 10 ** 6)):
+            with pytest.raises(ValueError, match="orbit tables, over the limit"):
+                group_from_cycles(cycle_lists, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+    with pytest.raises(ValueError, match="over the limit"):
+        SymmetryGroup([Permutation.identity(1000)] * 100, 1000)
+    # PH(6,5), the largest group the benchmark walks, is far below it.
+    _, inst = ph_formula(6, 5)
+    assert table_bytes(len(ph_symmetry_generators(inst).generators),
+                       inst.num_vars) * 100 < TABLE_LIMIT
+
+
+def test_table_bytes_errs_high():
+    # By less than half: the bound is meant to refuse only what is large.
+    rng = random.Random(5)
+    for n in (30, 200, 1000):
+        tracemalloc.start()
+        try:
+            symmetry._byte_tables(random_perm(n, rng))
+            size = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size <= table_bytes(1, n) < 2 * size
+
+
+@st.composite
+def renamed_ph_with_group(draw):
+    """PH(3,2) or PH(4,3) with its variables renamed and its clauses
+    shuffled, and the pigeon and hole swaps conjugated to match."""
+    pigeons = draw(st.sampled_from((3, 4)))
+    formula, inst = ph_formula(pigeons, pigeons - 1)
+    n = formula.num_vars
+    sigma = (0, *draw(st.permutations(range(1, n + 1))))
+    order = draw(st.permutations(range(len(formula.clauses))))
+    clauses = [[sigma[l] if l > 0 else -sigma[-l]
+                for l in formula.clauses[i].lits] for i in order]
+    generators = [Permutation.from_cycles(
+        [[sigma[v] for v in cycle] for cycle in g.cycles()], n)
+        for g in ph_symmetry_generators(inst).generators]
+    return CnfFormula(n, clauses), SymmetryGroup(generators, n)
+
+
+def _verify_sees(formula, group):
+    """Solve `formula` with `--mode sym --proof` and verify the proof;
+    return what verify handed to the checker and the proof's text."""
+    seen = []
+
+    def recording(formula, clusters, transport):
+        seen.append((clusters, transport))
+        return verify_ssc(formula, clusters, transport)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            mock.patch.object(proofs, "verify_ssc", recording):
+        cnf, sym, proof = (os.path.join(tmp, name)
+                           for name in ("f.cnf", "f.sym", "f.proof"))
+        with open(cnf, "w", encoding="utf-8") as handle:
+            handle.write(write_dimacs(formula))
+        with open(sym, "w", encoding="utf-8") as handle:
+            handle.write(format_symmetry_file(group))
+        assert cli_main(["solve", "--mode", "sym", "--sym", sym,
+                         "--proof", proof, cnf]) == 20
+        assert cli_main(["verify", "--proof", proof, cnf]) == 0
+        with open(proof, encoding="utf-8") as handle:
+            return seen, handle.read()
+
+
+@settings(max_examples=20, deadline=None)
+@given(renamed_ph_with_group())
+def test_compact_sym_proof_round_trip(formula_and_group):
+    formula, group = formula_and_group
+    seen, text = _verify_sees(formula, group)
+    result = gen_ssp_mod_symmetry(formula, group)
+    lines = text.splitlines()
+    assert sum(line.startswith("sym ") for line in lines) == \
+        len(group.generators)
+    assert len(lines) == len(group.generators) + len(result.points) + 1
+    points, transport = expand_mod_sym_to_ssp(formula, result.points,
+                                              result.transport, group)
+    assert seen == [(points, transport)]
+    assert reference_stable(formula, *point_tuples(points, transport))
+
+
+def test_compact_sym_proof_round_trip_trivial_group(chain6_formula):
+    group = SymmetryGroup([], 6)
+    seen, text = _verify_sees(chain6_formula, group)
+    assert not text.startswith("sym")
+    result = gen_ssp_mod_symmetry(chain6_formula, group)
+    [(clusters, transport)] = seen
+    assert (clusters, transport) == expand_mod_sym_to_ssp(
+        chain6_formula, result.points, result.transport, group)
+    assert len(clusters) == 14
