@@ -90,38 +90,53 @@ class SscResult:
 class _Boundary:
     """Insertion-ordered cube set with front pops and front/back pushes.
 
-    Every push and removal is mirrored in `covers`, the index the Body
-    shares. A popped cube stays there: the engine discards it or keeps
-    that copy as its Body copy.
+    Pushed cubes are pending: `flush` adds them to `covers`, the index
+    the Body shares, just before the engine's next coverage query, so a
+    cube popped before then never enters it. A popped cube that did enter
+    stays there: the engine discards it or keeps that copy as its Body
+    copy.
     """
 
     def __init__(self, covers: CoverIndex):
         self.items: list[Cube] = []
         self.members: set[Cube] = set()
+        self.pending: dict[Cube, None] = {}   # members not yet in covers
         self.covers = covers
 
-    def pop(self) -> Cube:
+    def pop(self) -> tuple[Cube, bool]:
+        """The front cube, and whether it is in `covers`."""
         cube = self.items.pop(0)
         self.members.discard(cube)
-        return cube
+        if cube in self.pending:
+            del self.pending[cube]
+            return cube, False
+        return cube, True
 
     def push_front(self, cubes):
         fresh = [c for c in cubes if c not in self.members]
         self.items[0:0] = fresh
         self.members.update(fresh)
-        for cube in fresh:
-            self.covers.add(cube)
+        self.pending.update(dict.fromkeys(fresh))
 
     def push_back(self, cube: Cube):
         if cube not in self.members:
             self.items.append(cube)
             self.members.add(cube)
-            self.covers.add(cube)
+            self.pending[cube] = None
 
     def remove(self, cube: Cube):
         self.items.remove(cube)
         self.members.discard(cube)
-        self.covers.discard(cube)
+        if cube in self.pending:
+            del self.pending[cube]
+        else:
+            self.covers.discard(cube)
+
+    def flush(self):
+        """Add the pending cubes to `covers`, in push order."""
+        for cube in self.pending:
+            self.covers.add(cube)
+        self.pending.clear()
 
     def __contains__(self, cube):
         return cube in self.members
@@ -290,7 +305,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
     while len(boundary):
         iterations += 1
-        p = boundary.pop()
+        p, indexed = boundary.pop()
         h = falsified(p)
         meeting = None if h else falsified.meeting(p)
         falsified.drop(p)
@@ -304,9 +319,11 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  learn_steps=learn_steps, formula=work,
                                  xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
-            covers.discard(p)   # it contains both halves
+            if indexed:
+                covers.discard(p)   # it contains both halves
             var = pick_split_var(p, meeting, config.split_heuristic)
             halves = p.split(var)
+            boundary.flush()
             base = covers.narrow(p.mask, p.val, shared)
             verdicts = [is_covered(half, covers, shared, base)
                         for half in halves]
@@ -326,7 +343,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             if config.merge_enabled:
                 outcome = _find_merge(boundary, p, h, falsified)
             if outcome is not None:
-                covers.discard(p)
+                if indexed:
+                    covers.discard(p)
                 partner = outcome.merged[1]
                 boundary.remove(partner)
                 falsified.drop(partner)
@@ -354,8 +372,11 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 clause = h[0]
                 # The neighbours are pairwise disjoint, so none can cover
                 # another: all are judged before any is pushed, on one
-                # narrowing by p's literals outside the clause. p stays
-                # in the index; it meets none of them.
+                # narrowing by p's literals outside the clause. p is in
+                # the index as its Body copy; it meets none of them.
+                boundary.flush()
+                if not indexed:
+                    covers.add(p)
                 base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
                 fresh = []
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):

@@ -102,9 +102,10 @@ def parse_permutation(text: str, n: int) -> Permutation:
 
 def table_bytes(generators: int, num_vars: int) -> int:
     """About the bytes of the orbit walker's lookup tables (_byte_tables):
-    per generator, 256 entries per 8-bit chunk of a point, each a list
-    slot and an int of up to num_vars bits. It errs high."""
-    return generators * 256 * -(-num_vars // 8) * (40 + num_vars // 8)
+    256 entries per 8-bit chunk of a point, each a list slot and an int
+    of generators * num_vars bits (CPython keeps 30 bits in 4 bytes). It
+    errs high."""
+    return 256 * -(-num_vars // 8) * (40 + generators * num_vars // 7)
 
 
 def _check_table_size(generators: int, num_vars: int):
@@ -167,14 +168,20 @@ def apply_perm_clause(perm: Permutation, clause: Clause) -> Clause:
 
 
 def is_symmetric(formula: CnfFormula, perm: Permutation) -> bool:
-    """True when the permuted formula has exactly the same clause multiset."""
+    """True when the permuted formula has exactly the same clause multiset.
+
+    A clause's image is its relabelled literals sorted by variable, which
+    is `apply_perm_clause(perm, clause).lits`: a bijection makes no
+    duplicate literal and no tautology."""
     if perm.n != formula.num_vars:
         return False
+    # image[l] is the image of literal l; a negative l indexes from the end.
+    image = (0, *perm.images, *(-v for v in reversed(perm.images))).__getitem__
     original: dict[tuple, int] = {}
     for clause in formula.clauses:
         original[clause.lits] = original.get(clause.lits, 0) + 1
     for clause in formula.clauses:
-        key = apply_perm_clause(perm, clause).lits
+        key = tuple(sorted(map(image, clause.lits), key=abs))
         count = original.get(key, 0)
         if not count:
             return False
@@ -182,44 +189,58 @@ def is_symmetric(formula: CnfFormula, perm: Permutation) -> bool:
     return True
 
 
-def _byte_tables(perm: Permutation):
-    """Lookup tables that push a packed point through the permutation a
-    byte at a time: entry b of table k is the image of the bits
-    b << 8k. Entry b is entry b minus its lowest bit, plus that bit's
-    image, so a table costs one step per entry."""
+def _byte_tables(generators, n: int):
+    """Lookup tables that push a packed point through every generator a
+    byte at a time: entry b of table k holds the images of the bits
+    b << 8k, generator i's at bits i*n to i*n + n - 1. Entry b is entry b
+    minus its lowest bit, plus that bit's images, so a table costs one
+    step per entry."""
+    size = -(-len(generators) * n // 8)
     tables = []
-    for shift in range(0, perm.n, 8):
-        images = [1 << (v - 1) for v in perm.images[shift:shift + 8]]
-        table = [0]
-        for b in range(1, 1 << len(images)):
+    for shift in range(0, n, 8):
+        images = []
+        for v in range(shift, min(shift + 8, n)):
+            packed = bytearray(size)
+            for gi, g in enumerate(generators):
+                bit = gi * n + g.images[v] - 1
+                packed[bit >> 3] |= 1 << (bit & 7)
+            images.append(int.from_bytes(packed, "little"))
+        table = [0] * (1 << len(images))
+        for b in range(1, len(table)):
             low = b & -b
-            table.append(table[b ^ low] | images[low.bit_length() - 1])
+            table[b] = table[b ^ low] | images[low.bit_length() - 1]
         tables.append(table)
     return tables
 
 
 class _OrbitWalker:
-    """Bounded BFS over generator applications, on packed points."""
+    """Bounded BFS over generator applications, on packed points. One
+    table sum per point gives its images under every generator; generator
+    i's is the n-bit slice at i*n."""
 
     def __init__(self, group: SymmetryGroup, limit: int):
         if limit < 1:
             raise ValueError("orbit limit must be positive")
-        self.tables = [_byte_tables(g) for g in group.generators]
-        self.shifts = range(0, group.num_vars, 8)
+        n = group.num_vars
+        self.tables = _byte_tables(group.generators, n)
+        self.nbytes = len(self.tables)
+        self.offsets = [gi * n for gi in range(len(group.generators))]
+        self.full = (1 << n) - 1
         self.limit = limit
 
     def walk(self, bits: int, seen):
         """Breadth-first walk of the orbit of bits. Yields (image, parent,
         generator index) for each image not in `seen`; the caller adds it."""
-        shifts = self.shifts
+        tables, nbytes = self.tables, self.nbytes
+        offsets, full = self.offsets, self.full
         frontier = [bits]
         while frontier:
             nxt = []
             for b in frontier:
-                chunks = [(b >> shift) & 255 for shift in shifts]
-                for gi, tables in enumerate(self.tables):
-                    # The bytes' images have disjoint bits: the sum is their OR.
-                    image = sum(map(getitem, tables, chunks))
+                # The bytes' images have disjoint bits: the sum is their OR.
+                images = sum(map(getitem, tables, b.to_bytes(nbytes, "little")))
+                for gi, offset in enumerate(offsets):
+                    image = images >> offset & full
                     if image not in seen:
                         yield image, b, gi
                         nxt.append(image)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from collections import Counter
 from unittest import mock
 
@@ -11,6 +12,7 @@ from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
 from stablesat.coverage import CoverIndex, union_count
 from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
 from stablesat.oracle import brute_force_sat
+from stablesat import ssc
 from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Falsified, _find_merge,
                            expand_body_to_points, gen_ssc, pick_split_var,
@@ -449,3 +451,81 @@ def test_engine_scans_whole_formula_only_for_the_start_cube():
         assert result.iterations > 100
         assert scans["falsified"] == [(0, 0)]
         assert scans["meeting"] in ([], [(0, 0)])
+
+
+def checked_queries(checks):
+    """ssc.is_covered patched to assert, at each engine query, that the
+    cover index holds Body + Boundary, plus the popped cube while its
+    neighbours are judged (they are disjoint from it; split halves lie
+    inside it). Appends one entry to `checks` per query."""
+    original = ssc.is_covered
+
+    def is_covered(target, covers, *args):
+        frame = sys._getframe(1)
+        while frame.f_code is not gen_ssc.__code__:
+            frame = frame.f_back
+        engine = frame.f_locals
+        p = engine["p"]
+        expected = Counter(list(engine["transport"]))
+        expected.update(engine["boundary"])
+        if not p.contains(target):
+            expected[p] += 1
+        assert Counter({cube: len(slots) for cube, slots
+                        in covers._slots.items()}) == expected
+        assert len(covers) == expected.total()
+        checks.append(target)
+        return original(target, covers, *args)
+
+    return mock.patch.object(ssc, "is_covered", is_covered)
+
+
+@st.composite
+def index_instances(draw):
+    """A random 3-CNF over at most 10 variables, or PH(4,3) with its
+    variables renamed and its clauses shuffled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 10))
+        ratio = draw(st.sampled_from((3.0, 4.26, 5.5)))
+        return random_3cnf(n, round(n * ratio),
+                           random.Random(draw(st.integers(0, 10 ** 6))))
+    formula, _ = ph_formula(4, 3)
+    sigma = (0, *draw(st.permutations(range(1, formula.num_vars + 1))))
+    clauses = [[sigma[l] if l > 0 else -sigma[-l] for l in clause.lits]
+               for clause in draw(st.permutations(formula.clauses))]
+    return CnfFormula(formula.num_vars, clauses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_instances(), st.sampled_from(("fifo", "lifo")),
+       st.sampled_from(("full", "shared")))
+def test_cover_index_holds_body_and_boundary_at_every_query(formula, pop,
+                                                            scope):
+    checks = []
+    with checked_queries(checks):
+        result = gen_ssc(formula, SscConfig(pop_policy=pop, coverage=scope))
+    assert result.satisfiable or checks
+
+
+def test_golden_run_index_upkeep(vb_formula, golden_config):
+    # Pushed cubes enter the index only at the next coverage query, so a
+    # cube popped before one (the start cube, the split halves) is never
+    # added and never discarded.
+    calls = Counter()
+
+    def counting(name):
+        original = getattr(CoverIndex, name)
+
+        def method(self, cube):
+            calls[name] += 1
+            return original(self, cube)
+        return method
+
+    checks = []
+    with mock.patch.multiple(CoverIndex, add=counting("add"),
+                             discard=counting("discard")), \
+            checked_queries(checks):
+        result = gen_ssc(vb_formula, golden_config)
+    assert not result.satisfiable
+    assert len(checks) == 10
+    # An index that took every push at once made 10 adds and 6 discards.
+    assert calls == {"add": 5, "discard": 1}

@@ -4,7 +4,8 @@ import os
 import random
 import tempfile
 import tracemalloc
-from itertools import islice
+from collections import Counter
+from itertools import islice, product
 from unittest import mock
 
 import pytest
@@ -139,6 +140,20 @@ def test_is_symmetric_ph_generators():
 def test_is_symmetric_negative():
     f = CnfFormula(2, [[1]])
     assert not is_symmetric(f, Permutation.from_cycles([[1, 2]], 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_is_symmetric_matches_apply_perm_clause(n, data):
+    # Few variables, so that a drawn permutation is often a symmetry.
+    literal = st.integers(-n, n).filter(bool)
+    clauses = data.draw(st.lists(st.lists(literal, max_size=3, unique_by=abs),
+                                 max_size=5))
+    formula = CnfFormula(n, clauses)
+    perm = Permutation(data.draw(st.permutations(range(1, n + 1))))
+    reference = Counter(c.lits for c in formula.clauses) == Counter(
+        apply_perm_clause(perm, c).lits for c in formula.clauses)
+    assert is_symmetric(formula, perm) == reference
 
 
 def test_in_same_orbit_cases():
@@ -377,12 +392,15 @@ def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
     point = result.points[0]
     points, transport = [point], {point: result.transport[point]}
     assert not verify_stable_mod_symmetry(f, points, transport, group)
-    # Generator 0's table (n = 6: a single byte) now sends every point onto
-    # the member, so the walker finds it in every neighbor's orbit.
+    # Generator 0's images (n = 6: one table, bits 0..5 of each entry) now
+    # send every point onto the member, so the walker finds it in every
+    # neighbor's orbit.
     real, member = symmetry._byte_tables, point.val
 
-    def corrupted(perm):
-        return [[member] * 64] if perm is group.generators[0] else real(perm)
+    def corrupted(generators, n):
+        tables = real(generators, n)
+        tables[0] = [entry >> n << n | member for entry in tables[0]]
+        return tables
 
     monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
     walker = _OrbitWalker(group, ORBIT_LIMIT)
@@ -409,10 +427,10 @@ def test_verify_mod_sym_replays_points_of_a_cached_orbit(monkeypatch):
     # member, and trusts the orbit it cached, accepts this set.
     real = symmetry._byte_tables
 
-    def corrupted(perm):
-        tables = real(perm)
-        if perm is group.generators[0]:
-            tables[0][point_bits((1, 0, 0, 0, 0, 0))] = point_bits(gone)
+    def corrupted(generators, n):
+        tables = real(generators, n)
+        entry = point_bits((1, 0, 0, 0, 0, 0))
+        tables[0][entry] = tables[0][entry] >> n << n | point_bits(gone)
         return tables
 
     monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
@@ -513,8 +531,10 @@ def in_same_orbit(p1, p2, group, limit=ORBIT_LIMIT):
 
 @st.composite
 def groups_and_points(draw):
-    n = draw(st.sampled_from((0, 1, 7, 8, 9, 17, 65)))
-    images = draw(st.lists(st.permutations(range(1, n + 1)), max_size=3))
+    # Up to 8 generators; over 64 or 65 variables their packed images
+    # cross machine words and byte chunks.
+    n = draw(st.sampled_from((0, 1, 7, 8, 9, 17, 64, 65)))
+    images = draw(st.lists(st.permutations(range(1, n + 1)), max_size=8))
     point = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return SymmetryGroup([Permutation(i) for i in images], n), tuple(point)
 
@@ -563,15 +583,23 @@ def test_table_limit_refuses_before_building_anything():
 
 def test_table_bytes_errs_high():
     # By less than half: the bound is meant to refuse only what is large.
+    # The peak is the walker's construction, temporaries included.
     rng = random.Random(5)
-    for n in (30, 200, 1000):
+    for count, n in product((1, 9, 40), (30, 200, 1000)):
+        generators = [random_perm(n, rng) for _ in range(count)]
+        if table_bytes(count, n) > TABLE_LIMIT:
+            assert (count, n) == (40, 1000)
+            with pytest.raises(ValueError, match="over the limit"):
+                SymmetryGroup(generators, n)
+            continue
+        group = SymmetryGroup(generators, n)
         tracemalloc.start()
         try:
-            symmetry._byte_tables(random_perm(n, rng))
+            _OrbitWalker(group, ORBIT_LIMIT)
             size = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size <= table_bytes(1, n) < 2 * size
+        assert size <= table_bytes(count, n) < 2 * size, (count, n)
 
 
 @st.composite
