@@ -92,7 +92,8 @@ def _print_model(point):
 
 
 # Flags read by some modes only: (attribute, flag, the modes reading it).
-_MODE_FLAGS = [("pop", "--pop", ("ssp", "ssc", "ssc-ne")),
+_MODE_FLAGS = [("init", "--init", ("ssp", "ssc", "sym")),
+               ("pop", "--pop", ("ssp", "ssc", "ssc-ne")),
                ("trace", "--trace", ("ssp", "ssc", "ssc-ne")),
                ("no_merge", "--no-merge", ("ssc", "ssc-ne")),
                ("split", "--split", ("ssc", "ssc-ne")),

@@ -49,6 +49,9 @@ class SscConfig:
             raise ValueError(f"unknown pop policy {self.pop_policy!r}")
         if self.coverage not in ("full", "shared"):
             raise ValueError(f"unknown coverage scope {self.coverage!r}")
+        if self.init_strategy == "ne-style" and self.init_cube is not None:
+            raise ValueError("ne-style starts from every clause's cube; "
+                             "it reads no init cube")
         if self.split_heuristic not in ("first-intersecting", "most-constrained"):
             raise ValueError(f"unknown split heuristic {self.split_heuristic!r}")
 
@@ -65,7 +68,7 @@ class LearnStep:
 
 @dataclass
 class MergeOutcome:
-    merged: list        # the merged Boundary cubes, popped cube first
+    partner: Cube       # the Boundary cube merged with the popped one
     cube: Cube          # their component-wise union
     resolvent: Clause   # unregistered resolvent falsified by the union
     left: Clause
@@ -88,7 +91,14 @@ class SscResult:
 
 
 class _Boundary:
-    """Insertion-ordered cube set with front pops and front/back pushes.
+    """Insertion-ordered cube set with front pops and front/back pushes,
+    holding each cube's clause lists.
+
+    A cube's record lists the clauses it falsifies, in formula order, and
+    for a split half the clauses its parent met. Each push carries the
+    lists, a child's derived from its parent's; clauses are only
+    appended, so a lookup scans only the clauses learned since the record
+    was made. A record goes when its cube leaves.
 
     Pushed cubes are pending: `flush` adds them to `covers`, the index
     the Body shares, just before the engine's next coverage query, so a
@@ -97,36 +107,47 @@ class _Boundary:
     copy.
     """
 
-    def __init__(self, covers: CoverIndex):
+    def __init__(self, formula: CnfFormula, covers: CoverIndex):
+        self.formula = formula
         self.items: list[Cube] = []
-        self.members: set[Cube] = set()
+        # Cube -> (clauses tested, falsified, met); a split half's met is
+        # (clauses tested, clauses its parent met, split bit), else None.
+        self.records: dict = {}
         self.pending: dict[Cube, None] = {}   # members not yet in covers
         self.covers = covers
 
-    def pop(self) -> tuple[Cube, bool]:
-        """The front cube, and whether it is in `covers`."""
+    def pop(self) -> tuple[Cube, bool, list, list | None]:
+        """The front cube, whether it is in `covers`, the clauses it
+        falsifies and, when it falsifies none, the clauses it meets."""
         cube = self.items.pop(0)
-        self.members.discard(cube)
-        if cube in self.pending:
-            del self.pending[cube]
-            return cube, False
-        return cube, True
+        hits = self.falsified(cube)
+        meeting = None if hits else self.meeting(cube)
+        del self.records[cube]
+        indexed = cube not in self.pending
+        self.pending.pop(cube, None)
+        return cube, indexed, hits, meeting
 
-    def push_front(self, cubes):
-        fresh = [c for c in cubes if c not in self.members]
+    def push_front(self, entries):
+        """Put (cube, falsified, met) entries at the front, in order. A cube
+        already here keeps its place and record."""
+        tested = len(self.formula.clauses)
+        fresh = []
+        for cube, hits, met in entries:
+            if cube not in self.records:
+                self.records[cube] = (tested, hits, met)
+                fresh.append(cube)
         self.items[0:0] = fresh
-        self.members.update(fresh)
         self.pending.update(dict.fromkeys(fresh))
 
-    def push_back(self, cube: Cube):
-        if cube not in self.members:
+    def push_back(self, cube: Cube, hits: list):
+        if cube not in self.records:
+            self.records[cube] = (len(self.formula.clauses), hits, None)
             self.items.append(cube)
-            self.members.add(cube)
             self.pending[cube] = None
 
     def remove(self, cube: Cube):
         self.items.remove(cube)
-        self.members.discard(cube)
+        del self.records[cube]
         if cube in self.pending:
             del self.pending[cube]
         else:
@@ -138,8 +159,28 @@ class _Boundary:
             self.covers.add(cube)
         self.pending.clear()
 
+    def falsified(self, cube: Cube) -> list:
+        """The clauses a member falsifies, in formula order."""
+        count, hits, met = self.records[cube]
+        if count != len(self.formula.clauses):
+            hits = hits + self.formula.falsified(cube.mask, cube.val, count)
+            self.records[cube] = (len(self.formula.clauses), hits, met)
+        return hits
+
+    def meeting(self, cube: Cube) -> list:
+        """The clauses a member meets, in formula order. A split half keeps
+        those of its parent's that the split pin does not satisfy."""
+        met = self.records[cube][2]
+        if met is None:
+            return self.formula.meeting(cube.mask, cube.val)
+        count, met, bit = met
+        met = meeting_among(met, bit, cube.val)
+        if count != len(self.formula.clauses):
+            met += self.formula.meeting(cube.mask, cube.val, count)
+        return met
+
     def __contains__(self, cube):
-        return cube in self.members
+        return cube in self.records
 
     def __iter__(self):
         return iter(self.items)
@@ -177,52 +218,6 @@ def pick_split_var(cube: Cube, meeting,
     return min(counts, key=lambda v: (-counts[v], v))
 
 
-class _Falsified:
-    """The clauses each Boundary cube falsifies, in formula order, and for
-    a split half the clauses its parent met.
-
-    A child's lists are derived from its parent's when it is pushed
-    (`seed`); a cube without an entry is scanned in full. Clauses are
-    only appended, so an entry needs only the clauses learned since it
-    was made. The engine drops an entry when its cube leaves the
-    Boundary, so the cache never outgrows it.
-    """
-
-    __slots__ = ("formula", "entries")
-
-    def __init__(self, formula: CnfFormula):
-        self.formula = formula
-        # Cube -> (clauses tested, falsified, met); a split half's met is
-        # (clauses tested, clauses its parent met, split bit), else None.
-        self.entries: dict = {}
-
-    def __call__(self, cube: Cube) -> list:
-        count, hits, met = self.entries.get(cube, (0, [], None))
-        if count != len(self.formula.clauses):
-            hits = hits + self.formula.falsified(cube.mask, cube.val, count)
-            self.entries[cube] = (len(self.formula.clauses), hits, met)
-        return hits
-
-    def meeting(self, cube: Cube) -> list:
-        """The clauses the cube meets, in formula order. A split half keeps
-        those of its parent's that the split pin does not satisfy."""
-        entry = self.entries.get(cube)
-        if entry is None or entry[2] is None:
-            return self.formula.meeting(cube.mask, cube.val)
-        count, met, bit = entry[2]
-        met = meeting_among(met, bit, cube.val)
-        if count != len(self.formula.clauses):
-            met += self.formula.meeting(cube.mask, cube.val, count)
-        return met
-
-    def seed(self, cube: Cube, hits: list, met=None):
-        """Enter lists derived over every clause so far (see `entries`)."""
-        self.entries[cube] = (len(self.formula.clauses), hits, met)
-
-    def drop(self, cube: Cube):
-        self.entries.pop(cube, None)
-
-
 def _falsified_after_pin(formula: CnfFormula, h: list, cube: Cube,
                          bit: int) -> list:
     """The clauses the cube falsifies, in id order, from the clauses `h` a
@@ -241,11 +236,11 @@ def _falsified_after_pin(formula: CnfFormula, h: list, cube: Cube,
     return sorted(kept + gained, key=attrgetter("cid")) if gained else kept
 
 
-def _find_merge(boundary, p: Cube, h_p: list, falsified: _Falsified):
+def _find_merge(boundary: _Boundary, p: Cube, h_p: list):
     """Scan the Boundary in insertion order for a merge partner of p, which
     falsifies the clauses h_p."""
     for q in boundary:
-        for c2 in falsified(q):
+        for c2 in boundary.falsified(q):
             for c1 in h_p:
                 pivot = resolvable_on(c1, c2)
                 if pivot is None:
@@ -253,7 +248,7 @@ def _find_merge(boundary, p: Cube, h_p: list, falsified: _Falsified):
                 outcome = merge(p, q, pivot, c1, c2)
                 if outcome is not None:
                     cube, resolvent = outcome
-                    return MergeOutcome([p, q], cube, resolvent, c1, c2, pivot)
+                    return MergeOutcome(q, cube, resolvent, c1, c2, pivot)
     return None
 
 
@@ -275,8 +270,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     shared = config.coverage == "shared"
 
     covers = CoverIndex(n)   # Body + Boundary, with multiplicity
-    boundary = _Boundary(covers)
-    falsified = _Falsified(work)
+    boundary = _Boundary(work, covers)
     if config.init_strategy == "ne-style":
         # One start per clause; with no clause to falsify, the whole space.
         starts = [(unsat_cube(c, n), c) for c in work.clauses] or \
@@ -285,17 +279,17 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         init = config.init_cube if config.init_cube is not None else Cube.full(n)
         if init.n != n:
             raise ValueError(f"init cube arity {init.n}, expected {n}")
-        first = work.falsified(init.mask, init.val)
-        falsified.seed(init, first)
-        starts = [(init, first[0] if first else None)]
+        starts = [(init, None)]
     for cube, clause in starts:
         if cube not in boundary:
-            boundary.push_back(cube)
+            hits = work.falsified(cube.mask, cube.val)
+            boundary.push_back(cube, hits)
+            if clause is None and hits:
+                clause = hits[0]   # the single start names its first clause
             log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
                 "" if clause is None else f" clause {clause.cid}"))
 
     transport: dict[Cube, int] = {}   # the Body, in insertion order
-    learned: list[Clause] = []
     learn_steps: list[LearnStep] = []
     iterations = 0
 
@@ -305,17 +299,15 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
     while len(boundary):
         iterations += 1
-        p, indexed = boundary.pop()
-        h = falsified(p)
-        meeting = None if h else falsified.meeting(p)
-        falsified.drop(p)
+        p, indexed, h, meeting = boundary.pop()
         # A cube falsifying nothing may still meet clauses: split it.
         if not h:
             if not meeting:
                 log.add("satisfied", lambda: f"cube {p.to_text()} 0")
                 log.add("finish", lambda: "result SAT")
                 record_xi()
-                return SscResult(True, witness=p, learned=learned,
+                return SscResult(True, witness=p,
+                                 learned=work.clauses[len(formula.clauses):],
                                  learn_steps=learn_steps, formula=work,
                                  xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
@@ -330,10 +322,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             bit = 1 << (var - 1)
             kept = [half for half, verdict in zip(halves, verdicts)
                     if verdict != COVERED]
-            for half in kept:
-                falsified.seed(half, _falsified_after_pin(work, h, half, bit),
-                               (len(work.clauses), meeting, bit))
-            boundary.push_front(kept)
+            boundary.push_front([(half, _falsified_after_pin(work, h, half, bit),
+                                  (len(work.clauses), meeting, bit))
+                                 for half in kept])
             log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
                     " | ".join(f"cube {half.to_text()} 0 "
                                f"{'covered' if verdict == COVERED else 'kept'}"
@@ -341,27 +332,24 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         else:
             outcome = None
             if config.merge_enabled:
-                outcome = _find_merge(boundary, p, h, falsified)
+                outcome = _find_merge(boundary, p, h)
             if outcome is not None:
                 if indexed:
                     covers.discard(p)
-                partner = outcome.merged[1]
+                partner = outcome.partner
                 boundary.remove(partner)
-                falsified.drop(partner)
                 clause, created = work.learn(outcome.resolvent.lits)
                 if created:
-                    learned.append(clause)
                     learn_steps.append(LearnStep(clause.cid, clause.lits,
                                                  outcome.left.cid,
                                                  outcome.right.cid,
                                                  outcome.pivot))
-                if outcome.cube not in boundary:
-                    # It contains p, so it falsifies only clauses p does,
-                    # and the resolvent; a reused resolvent is among h.
-                    falsified.seed(outcome.cube, falsified_among(
-                        h, outcome.cube.mask, outcome.cube.val) +
-                        ([clause] if created else []))
-                boundary.push_front([outcome.cube])
+                # It contains p, so it falsifies only clauses p does, and
+                # the resolvent; a reused resolvent is among h.
+                merged = outcome.cube
+                boundary.push_front([(merged, falsified_among(
+                    h, merged.mask, merged.val) + ([clause] if created else []),
+                    None)])
                 log.add("merge", lambda: (
                     f"cube {p.to_text()} 0 clause {outcome.left.cid} "
                     f"with cube {partner.to_text()} 0 clause {outcome.right.cid} "
@@ -386,14 +374,13 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                         f"-> cube {neighbor.to_text()} 0 "
                         f"{'new' if new else 'covered'}"))
                     if new:
-                        fresh.append(neighbor)
-                        falsified.seed(neighbor, _falsified_after_pin(
-                            work, h, neighbor, 1 << (abs(lit) - 1)))
-                for neighbor in fresh:
+                        fresh.append((neighbor, _falsified_after_pin(
+                            work, h, neighbor, 1 << (abs(lit) - 1))))
+                for neighbor, hits in fresh:
                     if config.pop_policy == "fifo":
-                        boundary.push_back(neighbor)
+                        boundary.push_back(neighbor, hits)
                     else:
-                        boundary.push_front([neighbor])
+                        boundary.push_front([(neighbor, hits, None)])
                 if p in transport:
                     covers.discard(p)   # the Body holds a copy already
                 elif config.xi_log:
@@ -407,8 +394,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
     log.add("finish", lambda: "result UNSAT")
     return SscResult(False, body=list(transport), transport=transport,
-                     learned=learned, learn_steps=learn_steps, formula=work,
-                     xi_log=xi_log, iterations=iterations, trace=log.records)
+                     learned=work.clauses[len(formula.clauses):],
+                     learn_steps=learn_steps, formula=work, xi_log=xi_log,
+                     iterations=iterations, trace=log.records)
 
 
 def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:

@@ -239,6 +239,8 @@ def test_sym_mode_refuses_lifo(tmp_path, capsys, pop):
     ("ssc", ["--trace-style", "pretty"]),
     ("ssp", ["--trace-style", "pretty"]),
     ("sym", ["--trace-style", "pretty"]),
+    # ssc-ne starts from every clause's cube, so it reads no --init.
+    ("ssc-ne", ["--init", "-2 -3"]),
 ])
 def test_solve_refuses_flags_the_mode_does_not_read(tmp_path, capsys,
                                                     mode, flags):

@@ -4,6 +4,7 @@ import sys
 from collections import Counter
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -14,7 +15,7 @@ from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
 from stablesat.oracle import brute_force_sat
 from stablesat import ssc
 from stablesat.symmetry import ph_formula
-from stablesat.ssc import (SscConfig, _Falsified, _find_merge,
+from stablesat.ssc import (SscConfig, _Boundary, _find_merge,
                            expand_body_to_points, gen_ssc, pick_split_var,
                            verify_ssc)
 from stablesat.trace import format_trace
@@ -25,10 +26,18 @@ def cube(lits, n=4):
     return Cube.from_literals(lits, n)
 
 
-def find_merge(boundary, p, formula):
-    """_find_merge as the engine calls it, with a fresh cache."""
-    return _find_merge(boundary, p, formula.falsified(p.mask, p.val),
-                       _Falsified(formula))
+def boundary_of(cubes, formula):
+    """A Boundary holding the cubes in order, each with its scanned list."""
+    boundary = _Boundary(formula, CoverIndex(formula.num_vars))
+    for q in cubes:
+        boundary.push_back(q, formula.falsified(q.mask, q.val))
+    return boundary
+
+
+def find_merge(cubes, p, formula):
+    """_find_merge as the engine calls it, over a Boundary of the cubes."""
+    return _find_merge(boundary_of(cubes, formula), p,
+                       formula.falsified(p.mask, p.val))
 
 
 GOLDEN_TRACE = """\
@@ -91,7 +100,7 @@ def test_merge_cubes_first_trace_step(vb_formula):
     p2a, p2b, p3 = cube([-1, 2, -3]), cube([1, 2, -3]), cube([-2, 3])
     outcome = find_merge([p2b, p3], p2a, work)
     assert outcome is not None
-    assert outcome.merged == [p2a, p2b]
+    assert outcome.partner == p2b
     assert outcome.cube == cube([2, -3])
     assert outcome.resolvent.lits == (-2, 3)
     assert (outcome.left.cid, outcome.right.cid, outcome.pivot) == (2, 3, 1)
@@ -103,7 +112,7 @@ def test_merge_cubes_second_trace_step(vb_formula):
     p3a, p3b, p4 = cube([-2, 3, -4]), cube([-2, 3, 4]), cube([2, 3])
     outcome = find_merge([p3b, p4], p3a, work)
     assert outcome is not None
-    assert outcome.merged == [p3a, p3b]
+    assert outcome.partner == p3b
     assert outcome.cube == cube([-2, 3])
     assert outcome.resolvent.lits == (-3,)
     assert outcome.pivot == 4
@@ -117,17 +126,17 @@ def test_merge_cubes_no_partner(vb_formula):
 def test_find_merge_sees_clauses_learned_after_caching():
     work = CnfFormula(2, [[1, -2]])
     p, q = cube([-1, 2], 2), cube([1, 2], 2)
-    falsified = _Falsified(work)
+    boundary = boundary_of([q], work)
     h_p = work.falsified(p.mask, p.val)
-    assert _find_merge([q], p, h_p, falsified) is None   # q falsifies nothing
-    assert falsified.entries == {q: (1, [], None)}
+    assert _find_merge(boundary, p, h_p) is None   # q falsifies nothing
+    assert boundary.records == {q: (1, [], None)}
     work.learn((-1, -2))
-    outcome = _find_merge([q], p, h_p, falsified)
+    outcome = _find_merge(boundary, p, h_p)
     assert outcome is not None and outcome.cube == cube([2], 2)
     assert outcome.resolvent.lits == (-2,) and outcome.pivot == 1
-    assert falsified.entries == {q: (2, work.falsified(q.mask, q.val), None)}
-    falsified.drop(q)
-    assert falsified.entries == {}
+    assert boundary.records == {q: (2, work.falsified(q.mask, q.val), None)}
+    boundary.remove(q)
+    assert boundary.records == {} and list(boundary) == []
 
 
 def test_verify_ssc_golden_body(vb_formula, golden_config):
@@ -319,6 +328,23 @@ def test_formula_not_mutated_by_solver(vb_formula):
     assert vb_formula.original_count == 5
 
 
+def test_ne_style_refuses_an_init_cube():
+    # ne-style starts from every clause's falsifying cube and reads no
+    # init cube, so it refuses one rather than drop it.
+    with pytest.raises(ValueError, match="init cube"):
+        SscConfig(init_strategy="ne-style", init_cube=cube([-2, -3]))
+
+
+def test_learned_names_only_this_runs_clauses():
+    # A formula that carries clauses an earlier run learned: the result
+    # lists only the clauses this run created, one per learn step.
+    first = gen_ssc(ph_formula(4, 3)[0], SscConfig(pop_policy="lifo"))
+    again = gen_ssc(first.formula)
+    assert first.formula.learned and again.learned
+    assert [c.cid for c in again.learned] == \
+        [s.cid for s in again.learn_steps]
+
+
 def test_empty_clause_in_formula():
     f = CnfFormula(2, [[1, 2], []])
     result = gen_ssc(f)
@@ -335,25 +361,27 @@ def test_formula_without_clauses_is_sat():
 
 
 def checked_lists(looked):
-    """_Falsified with every lookup compared, in order, with a fresh scan
-    of the same clauses; `looked` counts the lookups of derived entries."""
-    call, meeting = _Falsified.__call__, _Falsified.meeting
+    """_Boundary with every list lookup compared, in order, with a fresh
+    scan of the same clauses. `looked` counts the falsified lookups that
+    refresh a record with clauses learned since it was made, and the
+    meeting lookups of a split half's inherited list."""
+    falsified, meeting = _Boundary.falsified, _Boundary.meeting
 
-    def checked_call(self, cube):
-        derived = cube in self.entries
-        hits = call(self, cube)
+    def checked_falsified(self, cube):
+        stale = self.records[cube][0] != len(self.formula.clauses)
+        hits = falsified(self, cube)
         assert hits == self.formula.falsified(cube.mask, cube.val)
-        looked["falsified"] += derived
+        looked["falsified"] += stale
         return hits
 
     def checked_meeting(self, cube):
-        derived = cube in self.entries and self.entries[cube][2] is not None
+        derived = self.records[cube][2] is not None
         met = meeting(self, cube)
         assert met == self.formula.meeting(cube.mask, cube.val)
         looked["meeting"] += derived
         return met
 
-    return mock.patch.multiple(_Falsified, __call__=checked_call,
+    return mock.patch.multiple(_Boundary, falsified=checked_falsified,
                                meeting=checked_meeting)
 
 
@@ -457,7 +485,8 @@ def checked_queries(checks):
     """ssc.is_covered patched to assert, at each engine query, that the
     cover index holds Body + Boundary, plus the popped cube while its
     neighbours are judged (they are disjoint from it; split halves lie
-    inside it). Appends one entry to `checks` per query."""
+    inside it), and that the Boundary keeps a record for exactly its
+    cubes. Appends one entry to `checks` per query."""
     original = ssc.is_covered
 
     def is_covered(target, covers, *args):
@@ -466,8 +495,11 @@ def checked_queries(checks):
             frame = frame.f_back
         engine = frame.f_locals
         p = engine["p"]
+        boundary = engine["boundary"]
+        assert boundary.records.keys() == set(boundary)
+        assert len(boundary.records) == len(boundary)
         expected = Counter(list(engine["transport"]))
-        expected.update(engine["boundary"])
+        expected.update(boundary)
         if not p.contains(target):
             expected[p] += 1
         assert Counter({cube: len(slots) for cube, slots
