@@ -150,8 +150,7 @@ def _solve_sym(args, formula):
     if result.satisfiable:
         return result, result, result.witness
     report = verify_stable_mod_symmetry(formula, result.points,
-                                        result.transport, group,
-                                        limit=limit)
+                                        result.transport, group, result.links)
     if not report:
         raise ValueError("internal check failed: " + "; ".join(report.failures))
     print(f"c stable modulo symmetry, representatives: {len(result.points)}")

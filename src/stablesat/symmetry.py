@@ -11,7 +11,6 @@ which is all the stability arguments need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from operator import getitem
 
 from .core import (Clause, CnfFormula, VerifyReport, bits_to_point,
@@ -48,12 +47,16 @@ class Permutation:
     def from_cycles(cls, cycles, n: int) -> "Permutation":
         """Build from cycle lists, e.g. [[1, 4], [2, 5]] over n variables."""
         images = list(range(1, n + 1))
+        placed = set()
         for cycle in cycles:
             for v in cycle:
                 if not 1 <= v <= n:
                     raise ValueError(f"cycle element x{v} outside 1..{n}")
-            if len(set(cycle)) != len(cycle):
-                raise ValueError(f"repeated element in cycle {cycle}")
+                # (1 3)(3 5) is a product, not a permutation in cycle form.
+                if v in placed:
+                    raise ValueError(f"x{v} appears twice; cycles must be "
+                                     f"disjoint")
+                placed.add(v)
             for i, v in enumerate(cycle):
                 images[v - 1] = cycle[(i + 1) % len(cycle)]
         return cls(images)
@@ -265,40 +268,43 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
     A neighborhood point is dropped when some reached point lies in its
     orbit, so the result is stable modulo the group: its existence still
     proves unsatisfiability. Every generator must leave the formula's
-    clause multiset unchanged. An orbit larger than orbit_limit is not
-    searched; its point stands for itself.
+    clause multiset unchanged. Each orbit is walked once, from the first
+    of its points the engine meets; `result.links` maps each walked point
+    to the point it was reached from, a walk's start to itself. A point's
+    representative is that start, the root of its links, and the engine
+    pushes it, so on UNSAT every root is a member. An orbit larger than
+    orbit_limit is not searched: only its start is linked.
     """
     for gen in group.generators:
         if not is_symmetric(formula, gen):
             raise ValueError(f"formula is not symmetric under {gen!r}")
     walker = _OrbitWalker(group, orbit_limit)
-    cache: dict[int, int] = {}
+    links: dict[int, int] = {}
 
     def canonical(bits: int) -> int:
-        rep = cache.get(bits)
-        if rep is None:
+        parent = links.get(bits)
+        if parent is None:
             orbit, complete = walker.orbit(bits)
-            if complete:
-                rep = min(orbit)
-                # Pairs, not dict.fromkeys(orbit): a temporary orbit-sized
-                # dict (orbits of PH(6,5) reach 46656 points) can set the
-                # process's peak memory.
-                cache.update(zip(orbit, repeat(rep)))
-            else:
-                rep = cache[bits] = bits
-        return rep
+            links.update(orbit if complete else {bits: bits})
+            return bits
+        while parent != bits:
+            bits, parent = parent, links[parent]
+        return bits
 
-    return gen_ssp(formula, init, SspConfig(canonical=canonical))
+    result = gen_ssp(formula, init, SspConfig(canonical=canonical))
+    result.links = links
+    return result
 
 
 def _replayed_start(links, bits: int, group: SymmetryGroup, replayed):
-    """Follow the walk's parent links from `bits` to the start of its walk
-    (the point linked to itself) and return that start, or None when some
-    link is no generator step. Each link is checked with the plain
-    `apply_perm_point`, not the walker's tables; `replayed` remembers the
-    links already checked (child -> parent)."""
-    for _ in range(len(links)):
-        parent = links[bits]
+    """Follow parent links from `bits` to the start of its walk, the
+    first point linked to itself or not linked at all, and return that
+    start; None when some link is no generator step or the links cycle.
+    Each link is checked with the plain `apply_perm_point`, not the
+    walker's tables; `replayed` remembers the links already checked
+    (child -> parent)."""
+    for _ in range(len(links) + 1):
+        parent = links.get(bits, bits)
         if parent == bits:
             return bits
         if replayed.get(bits) != parent:
@@ -312,22 +318,18 @@ def _replayed_start(links, bits: int, group: SymmetryGroup, replayed):
 
 
 def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
-                               group: SymmetryGroup,
-                               limit: int = ORBIT_LIMIT) -> VerifyReport:
+                               group: SymmetryGroup, links) -> VerifyReport:
     """Check stability modulo the group: every neighbor is in the set or
-    symmetric to a member. The members are one-point cubes. Orbit
-    overflows fail the check conservatively.
+    symmetric to a member. The members are one-point cubes.
 
-    Every generator must map the formula onto itself; otherwise the
-    check fails before any orbit is walked. A member found in a
-    neighbor's orbit counts only after a replay: the walk's parent links
-    from the member and from the neighbor back to the walk's start are
-    each checked with `apply_perm_point`. So a fault in the walker's
-    lookup tables can make the check reject, never accept.
-
-    Each complete orbit is walked once; its parent links serve all its
-    points. A walk cut by the limit is not remembered, because what it
-    saw depends on where it started."""
+    The check walks no orbit: it replays `links` (point -> parent point),
+    as `gen_ssp_mod_symmetry` returns them. Every generator must map the
+    formula onto itself; otherwise the check fails before any link is
+    read. A neighbor that is not a member must follow its links to a
+    member, and each link it follows must be some generator's image
+    under `apply_perm_point`, so the check is sound for any links: a
+    forged link or a cycle of links fails it. It accepts the engine's
+    own links, whose roots are all members."""
     report = VerifyReport()
     for gen in group.generators:
         if not is_symmetric(formula, gen):
@@ -338,30 +340,14 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
     if not report:
         return report
     member_bits = {cube.val for cube in points}
-    walker = _OrbitWalker(group, limit)
-    links: dict[int, int] = {}     # parent links of every complete orbit walked
-    member_of: dict[int, int | None] = {}  # walk start -> a member in its orbit
     replayed: dict[int, int] = {}  # links checked by _replayed_start
     for cube, cid, neighbor in unreached_neighbors(formula, points, transport,
                                                    report):
-        tree, complete = links, True
-        if neighbor.val not in links:
-            tree, complete = walker.orbit(neighbor.val)
-            member_of[neighbor.val] = min(tree.keys() & member_bits,
-                                          default=None)
-            if complete:
-                links.update(tree)
-                tree = links
-        start = _replayed_start(tree, neighbor.val, group, replayed)
-        member = member_of.get(start)
-        if start is None or (member is not None and _replayed_start(
-                tree, member, group, replayed) != start):
+        start = _replayed_start(links, neighbor.val, group, replayed)
+        if start is None:
             failure = "reaches no member by generator steps"
-        elif member is None and complete:
+        elif start not in member_bits:
             failure = "has no symmetric member"
-        elif member is None:
-            failure = (f"orbit exceeded the limit {limit} before any member "
-                       f"was found")
         else:
             continue
         report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "

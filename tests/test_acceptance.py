@@ -229,7 +229,8 @@ def test_criterion_8_pigeon_hole():
             result = gen_ssp_mod_symmetry(formula, group)
             assert not result.satisfiable
             assert verify_stable_mod_symmetry(formula, result.points,
-                                              result.transport, group)
+                                              result.transport, group,
+                                              result.links)
             print(f"  PH({m + 1},{m}) stable-mod-symmetry size: "
                   f"{len(result.points)} (paper reports 2m+1 = {2 * m + 1})")
         assert time.perf_counter() - start < 120.0

@@ -150,6 +150,8 @@ SYM_PROOF_MUTATIONS = {
         "not a point"),
     "cycle element above num_vars": (
         ("sym (3 5)(4 6)", "sym (3 7)(4 6)"), "cycle element x7 outside 1..6"),
+    "cycles share a variable": (
+        ("sym (3 5)(4 6)", "sym (3 5)(5 6)"), "x5 appears twice"),
 }
 
 
@@ -198,6 +200,17 @@ def test_orbit_tables_over_the_limit_are_refused(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: 100 generators over 1000 variables")
         assert err.count("\n") == 1 and "over the limit of 64 MB" in err
+
+
+def test_symmetry_file_with_overlapping_cycles_is_refused(tmp_path, capsys):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf)])
+    sym.write_text("(1 3)(3 5)\n")
+    capsys.readouterr()
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     str(cnf)]) == 1
+    assert capsys.readouterr().err == (
+        "error: x3 appears twice; cycles must be disjoint\n")
 
 
 def test_sym_mode_requires_generators(vb_file):

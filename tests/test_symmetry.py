@@ -70,6 +70,15 @@ def test_parse_permutation_roundtrip():
         parse_permutation("1 4)(", 6)
 
 
+@pytest.mark.parametrize("text", ["(1 3)(3 1)", "(1 3)(3 5)", "(3)(2 3)",
+                                  "(1 3 2 3)"])
+def test_cycles_must_be_disjoint(text):
+    # Read as a product, (1 3)(3 1) is the identity; it is no cycle form.
+    with pytest.raises(ValueError, match="^x3 appears twice; cycles must "
+                                         "be disjoint$"):
+        parse_permutation(text, 6)
+
+
 def test_symmetry_file_roundtrip():
     _, inst = ph_formula(3, 2)
     group = ph_symmetry_generators(inst)
@@ -224,7 +233,8 @@ def test_gen_mod_sym_ph21_roundtrip():
     group = ph_symmetry_generators(inst)
     result = gen_ssp_mod_symmetry(f, group)
     assert not result.satisfiable
-    assert verify_stable_mod_symmetry(f, result.points, result.transport, group)
+    assert verify_stable_mod_symmetry(f, result.points, result.transport, group,
+                                      result.links)
     points, transport = expand_mod_sym_to_ssp(f, result.points,
                                               result.transport, group)
     assert reference_stable(f, *point_tuples(points, transport))
@@ -237,10 +247,17 @@ def test_verify_mod_sym_rejects_an_asymmetric_group(monkeypatch):
     f = CnfFormula(2, [[1], [-2]])
     swap = Permutation.from_cycles([[1, 2]], 2)
     points, transport = point_cubes([(0, 0), (0, 1)], {(0, 0): 1, (0, 1): 2})
-    monkeypatch.setattr(_OrbitWalker, "walk", lambda *args: pytest.fail(
-        "an orbit was walked before the generators were checked"))
+
+    class Unread(dict):
+        def unread(self, *args):
+            pytest.fail("a link was read before the generators were checked")
+        get = __getitem__ = __contains__ = __len__ = unread
+
+    # The links name the member 01 as the parent of the neighbour 10:
+    # (1 2) maps one onto the other.
     report = verify_stable_mod_symmetry(f, points, transport,
-                                        SymmetryGroup([swap], 2))
+                                        SymmetryGroup([swap], 2),
+                                        Unread({0b01: 0b10, 0b10: 0b10}))
     assert report.failures == [f"formula is not symmetric under {swap!r}"]
 
 
@@ -248,7 +265,7 @@ def test_verify_mod_sym_rejects_a_cluster():
     f = CnfFormula(2, [[1], [-1]])
     cluster = Cube.from_literals([-1], 2)
     report = verify_stable_mod_symmetry(f, [cluster], {cluster: 1},
-                                        SymmetryGroup([], 2))
+                                        SymmetryGroup([], 2), {})
     assert report.failures == ["cluster -1: not a point"]
 
 
@@ -301,7 +318,11 @@ def test_verify_mod_sym_rejects_mutation():
     points = list(result.points)
     removed = points.pop()
     transport = {p: c for p, c in result.transport.items() if p != removed}
-    assert not verify_stable_mod_symmetry(f, points, transport, group)
+    report = verify_stable_mod_symmetry(f, points, transport, group,
+                                        result.links)
+    assert report.failures
+    assert all("has no symmetric member" in failure
+               for failure in report.failures)
 
 
 def _verdicts(f, points, transport):
@@ -311,7 +332,8 @@ def _verdicts(f, points, transport):
             bool(verify_ssc(f, points, transport)),
             bool(replay_proof(f, proof)),
             bool(verify_stable_mod_symmetry(f, points, transport,
-                                            SymmetryGroup([], f.num_vars))))
+                                            SymmetryGroup([], f.num_vars),
+                                            {p.val: p.val for p in points})))
 
 
 def test_verify_mod_sym_trivial_group_matches_point_reference(chain6_formula,
@@ -349,7 +371,7 @@ def test_verify_mod_sym_trivial_group_matches_point_reference(chain6_formula,
     assert rejected > 0
 
 
-def _reference_mod_sym(f, points, transport, group, limit):
+def _reference_mod_sym(f, points, transport, group):
     """Stability modulo the group, on tuples, asking in_same_orbit about
     every non-member neighbor against every member."""
     points, transport = point_tuples(points, transport)
@@ -360,94 +382,200 @@ def _reference_mod_sym(f, points, transport, group, limit):
             return False
         for neighbor in point_nbhd(point, clause):
             if neighbor not in members and not any(
-                    in_same_orbit(neighbor, m, group, limit) == "yes"
+                    in_same_orbit(neighbor, m, group) == "yes"
                     for m in members):
                 return False
     return True
 
 
 def test_verify_mod_sym_matches_reference_on_ph():
-    # Small limits cut walks short; their verdicts depend on the start.
     for m in (1, 2, 3):
         f, inst = ph_formula(m + 1, m)
         group = ph_symmetry_generators(inst)
         result = gen_ssp_mod_symmetry(f, group)
         assert verify_stable_mod_symmetry(f, result.points, result.transport,
-                                          group)
+                                          group, result.links)
         for gone in result.points:
             points = [p for p in result.points if p != gone]
             transport = {p: c for p, c in result.transport.items() if p != gone}
-            for limit in (2, 3, 5, 9, 10 ** 6):
-                verdict = verify_stable_mod_symmetry(f, points, transport,
-                                                     group, limit)
-                assert bool(verdict) == _reference_mod_sym(
-                    f, points, transport, group, limit), (m, gone, limit)
+            verdict = verify_stable_mod_symmetry(f, points, transport, group,
+                                                 result.links)
+            assert bool(verdict) == _reference_mod_sym(
+                f, points, transport, group), (m, gone)
+
+
+def _corrupt_generator_0(monkeypatch, edit):
+    """Let `edit(table, n)` rewrite the walker's first byte table (n <= 8:
+    the only one), whose entries hold generator 0's images at bits
+    0..n-1."""
+    real = symmetry._byte_tables
+
+    def corrupted(generators, n):
+        tables = real(generators, n)
+        edit(tables[0], n)
+        return tables
+
+    monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
 
 
 def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
     f, inst = ph_formula(3, 2)
     group = ph_symmetry_generators(inst)
-    result = gen_ssp_mod_symmetry(f, group)
-    assert verify_stable_mod_symmetry(f, result.points, result.transport, group)
-    point = result.points[0]
-    points, transport = [point], {point: result.transport[point]}
-    assert not verify_stable_mod_symmetry(f, points, transport, group)
-    # Generator 0's images (n = 6: one table, bits 0..5 of each entry) now
-    # send every point onto the member, so the walker finds it in every
-    # neighbor's orbit.
-    real, member = symmetry._byte_tables, point.val
+    members = [p.val for p in gen_ssp_mod_symmetry(f, group).points]
+    for member in members:
+        # Generator 0 now sends every point onto the member, so each walk
+        # reaches it; the engine takes the walks as orbits.
+        def onto_member(table, n):
+            table[:] = [entry >> n << n | member for entry in table]
 
-    def corrupted(generators, n):
-        tables = real(generators, n)
-        tables[0] = [entry >> n << n | member for entry in tables[0]]
-        return tables
-
-    monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
-    walker = _OrbitWalker(group, ORBIT_LIMIT)
-    neighbors = point_nbhd(point.to_point(), f.clause_by_id(transport[point]))
-    assert all(member in walker.orbit(point_bits(q))[0] for q in neighbors)
-    report = verify_stable_mod_symmetry(f, points, transport, group)
-    assert not report
-    assert len(report.failures) == len(neighbors)
-    assert all("generator steps" in failure for failure in report.failures)
+        with monkeypatch.context() as patch:
+            _corrupt_generator_0(patch, onto_member)
+            result = gen_ssp_mod_symmetry(f, group)
+            walker = _OrbitWalker(group, ORBIT_LIMIT)
+        assert not result.satisfiable
+        report = verify_stable_mod_symmetry(f, result.points, result.transport,
+                                            group, result.links)
+        assert not report or _reference_mod_sym(f, result.points,
+                                                result.transport, group)
+        if member != members[1]:
+            continue
+        # The walk from the start 000000 reaches 100000 and its orbit, so
+        # the engine stops at the start alone; every link into the start
+        # from that orbit passes the fake step.
+        [start] = result.points
+        assert start.val == 0
+        neighbors = point_nbhd(start.to_point(),
+                               f.clause_by_id(result.transport[start]))
+        assert all(member in walker.orbit(point_bits(q))[0] for q in neighbors)
+        assert len(report.failures) == len(neighbors)
+        assert all("generator steps" in failure for failure in report.failures)
 
 
 def test_verify_mod_sym_replays_points_of_a_cached_orbit(monkeypatch):
     f, inst = ph_formula(3, 2)
     group = ph_symmetry_generators(inst)
-    result = gen_ssp_mod_symmetry(f, group)
-    gone = (1, 0, 1, 0, 0, 0)
-    points = [p for p in result.points if p != Cube.from_point(gone)]
-    transport = {p: result.transport[p] for p in points}
-    assert len(points) == len(result.points) - 1
-    assert not verify_stable_mod_symmetry(f, points, transport, group)
+    gone = point_bits((1, 0, 1, 0, 0, 0))
+    assert Cube.from_point(bits_to_point(gone, 6)) in \
+        gen_ssp_mod_symmetry(f, group).points
     # One wrong entry: generator 0, (1 3)(2 4), sends 100000 to 101000, not
-    # to 001000. That joins the orbit of 101000, which now holds no member,
-    # to orbits that do. A check that replays only the walk that found a
-    # member, and trusts the orbit it cached, accepts this set.
-    real = symmetry._byte_tables
+    # to 001000. That joins the orbit of 101000 to the orbit the engine
+    # walks from 100000, so the engine never pushes 101000. A check that
+    # trusted the links into that orbit would accept this set.
+    entry = point_bits((1, 0, 0, 0, 0, 0))
 
-    def corrupted(generators, n):
-        tables = real(generators, n)
-        entry = point_bits((1, 0, 0, 0, 0, 0))
-        tables[0][entry] = tables[0][entry] >> n << n | point_bits(gone)
-        return tables
+    def to_gone(table, n):
+        table[entry] = table[entry] >> n << n | gone
 
-    monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
-    report = verify_stable_mod_symmetry(f, points, transport, group)
-    assert not report
-    assert all("generator steps" in failure for failure in report.failures)
-
-
-def test_verify_mod_sym_limit_one_names_the_limit():
-    f, inst = ph_formula(3, 2)
-    group = ph_symmetry_generators(inst)
+    _corrupt_generator_0(monkeypatch, to_gone)
     result = gen_ssp_mod_symmetry(f, group)
-    assert verify_stable_mod_symmetry(f, result.points, result.transport, group)
+    assert not result.satisfiable
+    assert gone not in {p.val for p in result.points}
     report = verify_stable_mod_symmetry(f, result.points, result.transport,
-                                        group, limit=1)
-    assert not report
-    assert all("limit 1" in failure for failure in report.failures)
+                                        group, result.links)
+    assert report.failures
+    assert all("generator steps" in failure for failure in report.failures)
+    assert not _reference_mod_sym(f, result.points, result.transport, group)
+
+
+def test_cli_reports_a_failing_self_check(tmp_path, capsys, monkeypatch):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    # As in the test above: generator 0 sends every point onto 100000.
+    member = point_bits((1, 0, 0, 0, 0, 0))
+
+    def onto_member(table, n):
+        table[:] = [entry >> n << n | member for entry in table]
+
+    _corrupt_generator_0(monkeypatch, onto_member)
+    capsys.readouterr()
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     str(cnf)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal check failed: point 000000: "
+                          "neighbor point 100000 reaches no member by "
+                          "generator steps")
+    assert err.count("\n") == 1
+
+
+def test_engine_at_small_orbit_limits_checks_itself():
+    # A cut walk links only its start, so its points stand for themselves.
+    for m in (2, 3):
+        f, inst = ph_formula(m + 1, m)
+        group = ph_symmetry_generators(inst)
+        for limit in (1, 2, 3, 5, 9):
+            result = gen_ssp_mod_symmetry(f, group, orbit_limit=limit)
+            assert not result.satisfiable
+            assert verify_stable_mod_symmetry(
+                f, result.points, result.transport, group, result.links), \
+                (m, limit)
+
+
+def _ph21_witness(links):
+    """PH(2,1) under the swap (1 2) with the members 00 and 11: the
+    neighbours 10 (of 00, via x1) and 10, 01 (of 11) are judged by `links`."""
+    f, inst = ph_formula(2, 1)
+    points, transport = point_cubes([(0, 0), (1, 1)], {(0, 0): 1, (1, 1): 3})
+    report = verify_stable_mod_symmetry(f, points, transport,
+                                        ph_symmetry_generators(inst), links)
+    return sorted(set(failure.split("neighbor ")[1]
+                      for failure in report.failures))
+
+
+def test_verify_mod_sym_reads_the_links_it_is_given():
+    # Bits: 10 is 0b01, 01 is 0b10. The swap maps 10 and 01 onto each other.
+    assert _ph21_witness({}) == ["point 01 has no symmetric member",
+                                 "point 10 has no symmetric member"]
+    # A chain that ends at a root which is no member.
+    assert _ph21_witness({0b01: 0b10, 0b10: 0b10}) == [
+        "point 01 has no symmetric member", "point 10 has no symmetric member"]
+    # A cycle with no root ends, and fails.
+    assert _ph21_witness({0b01: 0b10, 0b10: 0b01}) == [
+        "point 01 reaches no member by generator steps",
+        "point 10 reaches no member by generator steps"]
+    # A forged link: no permutation maps the member 00 onto 10.
+    assert _ph21_witness({0b01: 0b00, 0b10: 0b01}) == [
+        "point 01 reaches no member by generator steps",
+        "point 10 reaches no member by generator steps"]
+
+
+def test_engine_roots_are_its_members():
+    rng = random.Random(7)
+    cases = []
+    for m in (1, 2, 3, 4):
+        f, inst = ph_formula(m + 1, m)
+        cases.append((f, ph_symmetry_generators(inst)))
+    for _ in range(30):
+        n = rng.randint(3, 8)
+        f = random_3cnf(n, round(n * 6.0), rng)
+        cases.append((f, SymmetryGroup([], n)))
+    unsat = 0
+    for f, group in cases:
+        for limit in (1, 3, ORBIT_LIMIT):
+            result = gen_ssp_mod_symmetry(f, group, orbit_limit=limit)
+            if result.satisfiable:
+                continue
+            unsat += 1
+            roots = {p for p, parent in result.links.items() if p == parent}
+            assert roots == {p.val for p in result.points}
+    assert unsat >= 30
+
+
+def test_sym_solve_walks_each_orbit_once(tmp_path, monkeypatch, capsys):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "5", "4", "-o", str(cnf), "--sym-out", str(sym)])
+    starts = []
+    orbit = _OrbitWalker.orbit
+
+    def counted(walker, bits):
+        starts.append(bits)
+        return orbit(walker, bits)
+
+    monkeypatch.setattr(_OrbitWalker, "orbit", counted)
+    capsys.readouterr()
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     str(cnf)]) == 20
+    assert "representatives: 18\n" in capsys.readouterr().out
+    assert len(starts) == len(set(starts)) == 18
 
 
 def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
