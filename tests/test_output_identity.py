@@ -37,6 +37,10 @@ FLAG_SETS = {
     "no-merge": ["--no-merge"],
     "ssp": ["--mode", "ssp"],
     "ssp-lifo": ["--mode", "ssp", "--pop", "lifo"],
+    # A start that pins x1 keeps the neighbourhood coverage queries, and
+    # only there can --pop order the pushed neighbours.
+    "init": ["--init", "-1"],
+    "init-lifo": ["--init", "-1", "--pop", "lifo"],
 }
 
 
