@@ -164,14 +164,13 @@ def member_name(cube: Cube) -> str:
     return "cluster " + (cube.to_text() or "T")
 
 
-def unreached_neighbors(formula, clusters, transport, report):
+def checked_members(formula, clusters, transport, report) -> dict:
     """The member half of the stability check, shared by every verifier.
 
     Reports on `report` each cluster whose transport id is missing, not
-    in the formula, or names a clause the cluster does not falsify. For
-    every other cluster, yields (cluster, clause id, neighbor) for each
-    neighborhood cube through the transport clause that is not itself a
-    member; the caller judges whether the set reaches it.
+    in the formula, or names a clause the cluster does not falsify.
+    Returns the distinct clusters in order, each mapped to its transport
+    clause, or to None when it failed.
     """
     members = dict.fromkeys(clusters)
     if not members:
@@ -188,11 +187,25 @@ def unreached_neighbors(formula, clusters, transport, report):
         if not cube_falsifies(cube, clause):
             report.fail(f"{member_name(cube)}: does not falsify clause {cid}")
             continue
-        # cube_nbhd would repeat the falsify test just made.
+        members[cube] = clause
+    return members
+
+
+def unreached_neighbors(members: dict):
+    """The neighbour half of the stability check, on `checked_members`.
+
+    Yields (cluster, clause id, neighbor) for each neighborhood cube of a
+    cluster that passed, through its transport clause, that is not itself
+    a member; the caller judges whether the set reaches it.
+    """
+    for cube, clause in members.items():
+        if clause is None:
+            continue
+        # cube_nbhd would repeat the falsify test checked_members made.
         for lit in clause.lits:
             neighbor = cube.nbhd_dir(abs(lit))
             if neighbor not in members:
-                yield cube, cid, neighbor
+                yield cube, clause.cid, neighbor
 
 
 def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):

@@ -26,8 +26,8 @@ from operator import attrgetter
 from .core import (Clause, CnfFormula, VerifyReport, falsified_among,
                    meeting_among, resolvable_on)
 from .coverage import COVERED, CoverIndex, is_covered, union_count
-from .cubes import (Cube, cube_nbhd, member_name, merge, unreached_neighbors,
-                    unsat_cube)
+from .cubes import (Cube, checked_members, cube_nbhd, member_name, merge,
+                    unreached_neighbors, unsat_cube)
 from .trace import TraceLog
 
 
@@ -260,6 +260,16 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     resolvents learned along the way. Termination is guaranteed: the
     measure |Union(Body)| + |F| never decreases and only finitely many
     iterations can leave it unchanged.
+
+    No step shrinks the union of Body + Boundary: a split's halves
+    partition its cube and one is dropped only when other cubes cover
+    it, a merge pushes a cube holding both parents, and a Body move only
+    adds cubes. From an all-free start that union is the whole space at
+    every step, so every neighbour of a Body move is covered and the
+    engine judges it so without a query. The shared-literal scope still
+    asks, as it may miss a cover, and so does every other start. The
+    split halves are always asked about: that no other cube covers one
+    has been observed, not proven.
     """
     config = config or SscConfig()
     n = formula.num_vars
@@ -289,6 +299,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
                 "" if clause is None else f" clause {clause.cid}"))
 
+    # Body + Boundary is the whole space at every step (see above).
+    whole = not shared and any(not cube.mask for cube, _ in starts)
     transport: dict[Cube, int] = {}   # the Body, in insertion order
     learn_steps: list[LearnStep] = []
     iterations = 0
@@ -365,10 +377,12 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 boundary.flush()
                 if not indexed:
                     covers.add(p)
-                base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
+                if not whole:
+                    base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
                 fresh = []
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
-                    new = is_covered(neighbor, covers, shared, base) != COVERED
+                    new = not whole and \
+                        is_covered(neighbor, covers, shared, base) != COVERED
                     log.add("nbhd", lambda: (
                         f"cube {p.to_text()} 0 clause {clause.cid} dir {abs(lit)} "
                         f"-> cube {neighbor.to_text()} 0 "
@@ -400,26 +414,39 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
 
 def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
-    """Check cluster stability: every cluster falsifies its transport clause
-    and each of its 1-neighborhood cubes is covered by the cluster union.
+    """Check an UNSAT certificate: every cluster falsifies its transport
+    clause, and the clusters cover the whole space or each of their
+    1-neighborhood cubes is covered by the cluster union (stability).
 
-    The cluster index is built at the first neighbour that is not itself a
-    member, so point certificates never pay for it, and it is narrowed
-    once per member on the member's literals outside its transport
-    clause, which all its neighbours hold. It only narrows the
-    candidates of each query: a cover it dropped could only turn an
-    accept into a reject, never the other way.
+    A cover of the space is a certificate by itself: every point lies in
+    a cluster and so falsifies that cluster's clause, a clause of the
+    formula. The cover is tried only when every member passed and the
+    clusters' point counts sum to at least 2^n, so a point certificate
+    of fewer points goes straight to the neighbour check. Either way
+    the verdict comes from this function's own coverage queries; it reads
+    nothing the engine computed.
+
+    The cluster index is built at the cover query or the first neighbour
+    that is not itself a member, so point certificates never pay for it.
+    For the neighbours it is narrowed once per member on the member's
+    literals outside its transport clause, which all its neighbours hold.
+    It only narrows the candidates of each query: a cover it dropped
+    could only turn an accept into a reject, never the other way.
     """
-    clusters = list(clusters)
     report = VerifyReport()
+    members = checked_members(formula, clusters, transport, report)
+    n = next(iter(members)).n
     index = member = base = None
-    for cube, cid, neighbor in unreached_neighbors(formula, clusters,
-                                                   transport, report):
+    if report and sum(cube.count_points() for cube in members) >= 1 << n:
+        index = CoverIndex(n, members)
+        if is_covered(Cube.full(n), index) == COVERED:
+            return report
+    for cube, cid, neighbor in unreached_neighbors(members):
         if index is None:
-            index = CoverIndex(neighbor.n, clusters)
+            index = CoverIndex(n, members)
         if cube is not member:
             member = cube
-            outside = cube.mask & ~formula.clause_by_id(cid).fmask
+            outside = cube.mask & ~members[cube].fmask
             base = index.narrow(outside, cube.val)
         if is_covered(neighbor, index, False, base) != COVERED:
             report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "

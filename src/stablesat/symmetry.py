@@ -15,7 +15,7 @@ from operator import getitem
 
 from .core import (Clause, CnfFormula, VerifyReport, bits_to_point,
                    cycle_text, parse_cycles, point_bits)
-from .cubes import Cube, member_name, unreached_neighbors
+from .cubes import Cube, checked_members, member_name, unreached_neighbors
 from .ssp import SspConfig, SspResult, gen_ssp
 
 ORBIT_LIMIT = 10 ** 6
@@ -341,8 +341,8 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
         return report
     member_bits = {cube.val for cube in points}
     replayed: dict[int, int] = {}  # links checked by _replayed_start
-    for cube, cid, neighbor in unreached_neighbors(formula, points, transport,
-                                                   report):
+    members = checked_members(formula, points, transport, report)
+    for cube, cid, neighbor in unreached_neighbors(members):
         start = _replayed_start(links, neighbor.val, group, replayed)
         if start is None:
             failure = "reaches no member by generator steps"

@@ -10,9 +10,12 @@ from hypothesis import strategies as st
 
 from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
                             point_nbhd)
-from stablesat.coverage import CoverIndex, union_count
-from stablesat.cubes import Cube, cube_satisfies, unreached_neighbors
+from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
+                                union_count)
+from stablesat.cubes import (Cube, checked_members, cube_falsifies,
+                             cube_satisfies, unreached_neighbors)
 from stablesat.oracle import brute_force_sat
+from stablesat.proofs import proof_from_result, replay_proof
 from stablesat import ssc
 from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Boundary, _find_merge,
@@ -206,8 +209,8 @@ def test_verify_rejects_when_the_index_drops_candidates(n, seed):
     result = unsat_certificate(n, seed)
     formula, body, transport = result.formula, result.body, result.transport
     assert verify_ssc(formula, body, transport)
-    queried = any(True for _ in unreached_neighbors(formula, body, transport,
-                                                    VerifyReport()))
+    queried = any(True for _ in unreached_neighbors(
+        checked_members(formula, body, transport, VerifyReport())))
     with dropping(lambda candidates: []):
         assert bool(verify_ssc(formula, body, transport)) == (not queried)
 
@@ -248,6 +251,135 @@ def test_verify_of_mutated_certificate_matches_point_check(n, seed, kind,
     with dropping(lambda candidates: candidates[1:]):
         if verify_ssc(formula, body, transport):
             assert expected
+
+
+def checker_queries():
+    """ssc.is_covered patched to record the target of each query; returns
+    the patch and the list it fills."""
+    targets = []
+    original = ssc.is_covered
+
+    def is_covered(target, covers, *args):
+        targets.append(target)
+        return original(target, covers, *args)
+
+    return mock.patch.object(ssc, "is_covered", is_covered), targets
+
+
+def checked_verdict(formula, clusters, transport):
+    """verify_ssc's verdict, asserted equal to the point-level check, and
+    whether the checker tried the whole-space cover."""
+    patch, targets = checker_queries()
+    with patch:
+        verdict = bool(verify_ssc(formula, clusters, transport))
+    assert verdict == point_level_stable(formula, clusters, transport)
+    return verdict, Cube.full(formula.num_vars) in targets
+
+
+def default_start_certificates():
+    """PH(4,3) and five UNSAT random 3-CNF, each with its result from the
+    all-free start, whose Body covers the space."""
+    rng = random.Random(21)
+    formulas = [ph_formula(4, 3)[0]]
+    while len(formulas) < 6:
+        n = rng.randint(6, 9)
+        formulas.append(random_3cnf(n, 6 * n, rng))
+        if brute_force_sat(formulas[-1]).satisfiable:
+            formulas.pop()
+    return [(formula, gen_ssc(formula)) for formula in formulas]
+
+
+def test_verify_accepts_a_whole_cover_with_one_query():
+    for _, result in default_start_certificates():
+        patch, targets = checker_queries()
+        with patch:
+            assert verify_ssc(result.formula, result.body, result.transport)
+        assert targets == [Cube.full(result.formula.num_vars)]
+
+
+def test_cover_path_rejects_a_dropped_cluster():
+    # Merged cubes may overlap, so a dropped cluster can leave a cover,
+    # which is then still a certificate; the point check decides.
+    tried = rejected = 0
+    for _, result in default_start_certificates():
+        body = result.body
+        for i in range(len(body)):
+            verdict, cover = checked_verdict(result.formula,
+                                             body[:i] + body[i + 1:],
+                                             result.transport)
+            tried += cover and not verdict
+            rejected += not verdict
+    assert tried > 0 and rejected > 0
+
+
+def test_cover_path_rejects_a_clause_the_cluster_does_not_falsify():
+    for _, result in default_start_certificates():
+        formula, body = result.formula, result.body
+        for victim in body:
+            cid = next(c.cid for c in formula.clauses
+                       if not cube_falsifies(victim, c))
+            transport = dict(result.transport)
+            transport[victim] = cid
+            verdict, cover = checked_verdict(formula, body, transport)
+            assert not verdict and not cover
+
+
+def test_replay_rejects_a_changed_learned_literal():
+    for formula, result in default_start_certificates():
+        proof = proof_from_result(result)
+        assert proof.learns
+        for k, step in enumerate(proof.learns):
+            assert step.lits, "a learned empty clause has no literal to change"
+            broken = dataclasses.replace(
+                step, lits=(-step.lits[0],) + tuple(step.lits[1:]))
+            mutated = dataclasses.replace(
+                proof, learns=proof.learns[:k] + [broken] + proof.learns[k + 1:])
+            report = replay_proof(formula, mutated)
+            assert not report and f"learn {step.cid}" in report.failures[0]
+
+
+def test_stable_sets_that_do_not_cover_take_the_neighbour_check():
+    # A start pinning x1 grows a stable set that need not be a cover; the
+    # checker accepts it through its neighbours, whether or not the point
+    # counts let it try the cover first.
+    rng = random.Random(0)
+    formulas = [ph_formula(4, 3)[0]]
+    for _ in range(20):
+        n = rng.randint(6, 10)
+        formulas.append(random_3cnf(n, 6 * n, rng))
+    paths = Counter()
+    for formula in formulas:
+        n = formula.num_vars
+        result = gen_ssc(formula, SscConfig(
+            init_cube=Cube.from_literals([-1], n)))
+        if result.satisfiable or is_covered(Cube.full(n), result.body) == COVERED:
+            continue
+        patch, targets = checker_queries()
+        with patch:
+            assert verify_ssc(result.formula, result.body, result.transport)
+        assert len(targets) > 1
+        paths[targets[0] == Cube.full(n)] += 1
+    assert paths[True] > 0 and paths[False] > 0
+
+
+def test_ne_style_certificates_cover_the_space():
+    # The clauses' falsifying cubes cover the space exactly when the
+    # formula is UNSAT, and the engine keeps Body + Boundary a cover, so
+    # every ne-style certificate passes on its one cover query.
+    rng = random.Random(9)
+    formulas = [ph_formula(4, 3)[0]] + [random_3cnf(8, 48, rng)
+                                        for _ in range(10)]
+    unsat = 0
+    for formula in formulas:
+        result = gen_ssc(formula, SscConfig(init_strategy="ne-style"))
+        if result.satisfiable:
+            continue
+        unsat += 1
+        patch, targets = checker_queries()
+        with patch:
+            assert verify_ssc(result.formula, result.body, result.transport)
+        assert targets == [Cube.full(formula.num_vars)]
+    assert unsat > 0
 
 
 def split_var(c, formula, heuristic="first-intersecting"):
@@ -481,34 +613,54 @@ def test_engine_scans_whole_formula_only_for_the_start_cube():
         assert scans["meeting"] in ([], [(0, 0)])
 
 
-def checked_queries(checks):
+def engine_locals():
+    """The local variables of the gen_ssc call that called the caller."""
+    frame = sys._getframe(2)
+    while frame.f_code is not gen_ssc.__code__:
+        frame = frame.f_back
+    return frame.f_locals
+
+
+def checked_queries(checks, whole=False):
     """ssc.is_covered patched to assert, at each engine query, that the
     cover index holds Body + Boundary, plus the popped cube while its
     neighbours are judged (they are disjoint from it; split halves lie
     inside it), and that the Boundary keeps a record for exactly its
-    cubes. Appends one entry to `checks` per query."""
-    original = ssc.is_covered
+    cubes. Appends (kind, verdict) to `checks` per query, kind "split"
+    for a target inside the popped cube and "nbhd" for a neighbour.
+
+    With `whole` (an all-free start), also asserts that Body + Boundary
+    and the popped cube cover the whole space at each query, and that
+    the index does at each neighbourhood step (ssc.cube_nbhd patched),
+    where the engine judges every neighbour covered without a query."""
+    original, nbhd = ssc.is_covered, ssc.cube_nbhd
 
     def is_covered(target, covers, *args):
-        frame = sys._getframe(1)
-        while frame.f_code is not gen_ssc.__code__:
-            frame = frame.f_back
-        engine = frame.f_locals
+        engine = engine_locals()
         p = engine["p"]
         boundary = engine["boundary"]
         assert boundary.records.keys() == set(boundary)
         assert len(boundary.records) == len(boundary)
         expected = Counter(list(engine["transport"]))
         expected.update(boundary)
-        if not p.contains(target):
+        split = p.contains(target)
+        if not split:
             expected[p] += 1
         assert Counter({cube: len(slots) for cube, slots
                         in covers._slots.items()}) == expected
         assert len(covers) == expected.total()
-        checks.append(target)
-        return original(target, covers, *args)
+        if whole:
+            assert original(Cube.full(p.n), [*expected, p]) == COVERED
+        verdict = original(target, covers, *args)
+        checks.append(("split" if split else "nbhd", verdict))
+        return verdict
 
-    return mock.patch.object(ssc, "is_covered", is_covered)
+    def cube_nbhd(p, clause):
+        if whole:
+            assert original(Cube.full(p.n), engine_locals()["covers"]) == COVERED
+        return nbhd(p, clause)
+
+    return mock.patch.multiple(ssc, is_covered=is_covered, cube_nbhd=cube_nbhd)
 
 
 @st.composite
@@ -533,9 +685,37 @@ def index_instances(draw):
 def test_cover_index_holds_body_and_boundary_at_every_query(formula, pop,
                                                             scope):
     checks = []
-    with checked_queries(checks):
+    with checked_queries(checks, whole=True):
         result = gen_ssc(formula, SscConfig(pop_policy=pop, coverage=scope))
     assert result.satisfiable or checks
+    # Only a shared-literal scope, which may miss a cover, still asks
+    # about neighbours.
+    if scope == "full":
+        assert all(kind == "split" for kind, _ in checks)
+
+
+def test_partial_start_queries_neighbours():
+    # A start that pins x1 leaves the rest of the space unreached, so the
+    # engine asks about each neighbour, and some are new.
+    verdicts = Counter()
+    rng = random.Random(8)
+    formulas = [ph_formula(4, 3)[0]] + [random_3cnf(10, 50, rng)
+                                        for _ in range(5)]
+    for formula in formulas:
+        checks = []
+        with checked_queries(checks):
+            gen_ssc(formula, SscConfig(
+                init_cube=Cube.from_literals([-1], formula.num_vars)))
+        verdicts.update(verdict for kind, verdict in checks if kind == "nbhd")
+    assert verdicts[COVERED] > 0 and verdicts[UNCOVERED] > 0
+
+
+def test_default_start_makes_no_neighbourhood_query():
+    checks = []
+    with checked_queries(checks, whole=True):
+        result = gen_ssc(ph_formula(5, 4)[0])
+    assert not result.satisfiable and result.body
+    assert checks and all(kind == "split" for kind, _ in checks)
 
 
 def test_golden_run_index_upkeep(vb_formula, golden_config):
