@@ -5,7 +5,10 @@ declares it satisfying (it misses every clause's falsifying cube),
 splits it on a pinned variable, merges it with another Boundary cube
 falsifying a resolvable clause (learning the resolvent), or expands its
 1-neighborhood and moves it to the Body. Coverage queries against
-Body + Boundary keep already-reached regions out of the Boundary.
+Body + Boundary keep already-reached regions out of the Boundary. From
+the all-free start with the full coverage scope every such query has a
+known answer, so the engine asks none and keeps no cover index; the
+proof is in `gen_ssc`.
 
 Split halves and merge results take their parent's place at the front
 of the Boundary; fresh neighborhood cubes go to the back under the
@@ -25,7 +28,8 @@ from operator import attrgetter
 
 from .core import (Clause, CnfFormula, VerifyReport, falsified_among,
                    meeting_among, resolvable_on)
-from .coverage import COVERED, CoverIndex, is_covered, union_count
+from .coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
+                       union_count)
 from .cubes import (Cube, checked_members, cube_nbhd, member_name, merge,
                     unreached_neighbors, unsat_cube)
 from .trace import TraceLog
@@ -100,36 +104,31 @@ class _Boundary:
     appended, so a lookup scans only the clauses learned since the record
     was made. A record goes when its cube leaves.
 
-    Pushed cubes are pending: `flush` adds them to `covers`, the index
-    the Body shares, just before the engine's next coverage query, so a
-    cube popped before then never enters it. A popped cube that did enter
-    stays there: the engine discards it or keeps that copy as its Body
-    copy.
+    It keeps no cover index: the all-free full-scope start needs none
+    (see `gen_ssc`). Every other start uses `_IndexedBoundary`.
     """
 
-    def __init__(self, formula: CnfFormula, covers: CoverIndex):
+    def __init__(self, formula: CnfFormula):
         self.formula = formula
         self.items: list[Cube] = []
         # Cube -> (clauses tested, falsified, met); a split half's met is
         # (clauses tested, clauses its parent met, split bit), else None.
         self.records: dict = {}
-        self.pending: dict[Cube, None] = {}   # members not yet in covers
-        self.covers = covers
 
     def pop(self) -> tuple[Cube, bool, list, list | None]:
-        """The front cube, whether it is in `covers`, the clauses it
-        falsifies and, when it falsifies none, the clauses it meets."""
+        """The front cube, whether it is in a cover index (never, here),
+        the clauses it falsifies and, when it falsifies none, the clauses
+        it meets."""
         cube = self.items.pop(0)
         hits = self.falsified(cube)
         meeting = None if hits else self.meeting(cube)
         del self.records[cube]
-        indexed = cube not in self.pending
-        self.pending.pop(cube, None)
-        return cube, indexed, hits, meeting
+        return cube, False, hits, meeting
 
-    def push_front(self, entries):
-        """Put (cube, falsified, met) entries at the front, in order. A cube
-        already here keeps its place and record."""
+    def push_front(self, entries) -> list:
+        """Put (cube, falsified, met) entries at the front, in order, and
+        return the cubes that were not here. A cube already here keeps its
+        place and record."""
         tested = len(self.formula.clauses)
         fresh = []
         for cube, hits, met in entries:
@@ -137,27 +136,16 @@ class _Boundary:
                 self.records[cube] = (tested, hits, met)
                 fresh.append(cube)
         self.items[0:0] = fresh
-        self.pending.update(dict.fromkeys(fresh))
+        return fresh
 
     def push_back(self, cube: Cube, hits: list):
         if cube not in self.records:
             self.records[cube] = (len(self.formula.clauses), hits, None)
             self.items.append(cube)
-            self.pending[cube] = None
 
     def remove(self, cube: Cube):
         self.items.remove(cube)
         del self.records[cube]
-        if cube in self.pending:
-            del self.pending[cube]
-        else:
-            self.covers.discard(cube)
-
-    def flush(self):
-        """Add the pending cubes to `covers`, in push order."""
-        for cube in self.pending:
-            self.covers.add(cube)
-        self.pending.clear()
 
     def falsified(self, cube: Cube) -> list:
         """The clauses a member falsifies, in formula order."""
@@ -187,6 +175,51 @@ class _Boundary:
 
     def __len__(self):
         return len(self.items)
+
+
+class _IndexedBoundary(_Boundary):
+    """A Boundary whose cubes also sit in `covers`, the cover index the
+    Body shares.
+
+    Pushed cubes are pending: `flush` adds them to `covers` just before
+    the engine's next coverage query, so a cube popped before then never
+    enters it. A popped cube that did enter stays there: the engine
+    discards it or keeps that copy as its Body copy.
+    """
+
+    def __init__(self, formula: CnfFormula, covers: CoverIndex):
+        super().__init__(formula)
+        self.pending: dict[Cube, None] = {}   # members not yet in covers
+        self.covers = covers
+
+    def pop(self) -> tuple[Cube, bool, list, list | None]:
+        cube, _, hits, meeting = super().pop()
+        indexed = cube not in self.pending
+        self.pending.pop(cube, None)
+        return cube, indexed, hits, meeting
+
+    def push_front(self, entries) -> list:
+        fresh = super().push_front(entries)
+        self.pending.update(dict.fromkeys(fresh))
+        return fresh
+
+    def push_back(self, cube: Cube, hits: list):
+        if cube not in self:
+            super().push_back(cube, hits)
+            self.pending[cube] = None
+
+    def remove(self, cube: Cube):
+        super().remove(cube)
+        if cube in self.pending:
+            del self.pending[cube]
+        else:
+            self.covers.discard(cube)
+
+    def flush(self):
+        """Add the pending cubes to `covers`, in push order."""
+        for cube in self.pending:
+            self.covers.add(cube)
+        self.pending.clear()
 
 
 def pick_split_var(cube: Cube, meeting,
@@ -264,12 +297,39 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     No step shrinks the union of Body + Boundary: a split's halves
     partition its cube and one is dropped only when other cubes cover
     it, a merge pushes a cube holding both parents, and a Body move only
-    adds cubes. From an all-free start that union is the whole space at
-    every step, so every neighbour of a Body move is covered and the
-    engine judges it so without a query. The shared-literal scope still
-    asks, as it may miss a cover, and so does every other start. The
-    split halves are always asked about: that no other cube covers one
-    has been observed, not proven.
+    adds cubes. From an all-free start with the full scope (`whole`)
+    that union is the whole space at every step, so every neighbour of a
+    Body move is covered and the engine judges it so without a query.
+
+    There no split half meets another cube either, so the engine keeps
+    both halves without a query and builds no cover index at all:
+
+    - No neighbour is pushed, so every push is a front push: split
+      halves or a merge result. A merge result falsifies its resolvent
+      for good, so it is never split. The split cubes thus form one
+      binary tree rooted at the start cube, explored depth first. Apart
+      from a merge result at the front, the Boundary holds unsplit tree
+      nodes only, each a sibling of the last popped node or of one of
+      its ancestors.
+    - The popped cube y is the last popped node or, by induction, a
+      merge result that is the region of one of its ancestors. A merge
+      partner b is the sibling of a node a on that node's root path, as
+      y is. The two pin the merge pivot apart, so b does not lie inside
+      y, and y lies inside a. So the merge result hull(y, b) is b's
+      parent: y and b agree on the parent's pins and differ at its split
+      variable. Every merge result is the region of a tree node.
+    - When a tree node x that falsifies nothing is split, every other
+      Body or Boundary cube is the region of a tree node, so it misses x
+      or contains it: no node below x exists yet. One that contains x is
+      not an unsplit node, since x's ancestors were all split, so it is
+      a merge result, and then x falsifies its resolvent. So each half
+      of x meets no other cube, and a query would answer UNCOVERED.
+
+    An ne-style start is all-free only when the formula holds the empty
+    clause, which every cube falsifies, so nothing splits, or no clause
+    at all, so the all-free cube is its one start. The shared-literal
+    scope asks every query, as it may miss a cover, and so does every
+    other start, through an index over Body + Boundary.
     """
     config = config or SscConfig()
     n = formula.num_vars
@@ -279,8 +339,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     union_size = 0   # |Union(Body)|, kept only when xi_log is on
     shared = config.coverage == "shared"
 
-    covers = CoverIndex(n)   # Body + Boundary, with multiplicity
-    boundary = _Boundary(work, covers)
     if config.init_strategy == "ne-style":
         # One start per clause; with no clause to falsify, the whole space.
         starts = [(unsat_cube(c, n), c) for c in work.clauses] or \
@@ -290,6 +348,15 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         if init.n != n:
             raise ValueError(f"init cube arity {init.n}, expected {n}")
         starts = [(init, None)]
+    # Body + Boundary is the whole space at every step, and no split half
+    # meets another cube (see above): no coverage query is needed.
+    whole = not shared and any(not cube.mask for cube, _ in starts)
+    if whole:
+        covers = None
+        boundary = _Boundary(work)
+    else:
+        covers = CoverIndex(n)   # Body + Boundary, with multiplicity
+        boundary = _IndexedBoundary(work, covers)
     for cube, clause in starts:
         if cube not in boundary:
             hits = work.falsified(cube.mask, cube.val)
@@ -299,8 +366,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
                 "" if clause is None else f" clause {clause.cid}"))
 
-    # Body + Boundary is the whole space at every step (see above).
-    whole = not shared and any(not cube.mask for cube, _ in starts)
     transport: dict[Cube, int] = {}   # the Body, in insertion order
     learn_steps: list[LearnStep] = []
     iterations = 0
@@ -323,14 +388,17 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  learn_steps=learn_steps, formula=work,
                                  xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
-            if indexed:
-                covers.discard(p)   # it contains both halves
             var = pick_split_var(p, meeting, config.split_heuristic)
             halves = p.split(var)
-            boundary.flush()
-            base = covers.narrow(p.mask, p.val, shared)
-            verdicts = [is_covered(half, covers, shared, base)
-                        for half in halves]
+            if whole:
+                verdicts = (UNCOVERED, UNCOVERED)
+            else:
+                if indexed:
+                    covers.discard(p)   # it contains both halves
+                boundary.flush()
+                base = covers.narrow(p.mask, p.val, shared)
+                verdicts = [is_covered(half, covers, shared, base)
+                            for half in halves]
             bit = 1 << (var - 1)
             kept = [half for half, verdict in zip(halves, verdicts)
                     if verdict != COVERED]
@@ -374,10 +442,10 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 # another: all are judged before any is pushed, on one
                 # narrowing by p's literals outside the clause. p is in
                 # the index as its Body copy; it meets none of them.
-                boundary.flush()
-                if not indexed:
-                    covers.add(p)
                 if not whole:
+                    boundary.flush()
+                    if not indexed:
+                        covers.add(p)
                     base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
                 fresh = []
                 for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
@@ -396,7 +464,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                     else:
                         boundary.push_front([(neighbor, hits, None)])
                 if p in transport:
-                    covers.discard(p)   # the Body holds a copy already
+                    if not whole:
+                        covers.discard(p)   # the Body holds a copy already
                 elif config.xi_log:
                     overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
                                for q in transport if q.intersects(p)]

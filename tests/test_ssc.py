@@ -22,7 +22,7 @@ from stablesat.ssc import (SscConfig, _Boundary, _find_merge,
                            expand_body_to_points, gen_ssc, pick_split_var,
                            verify_ssc)
 from stablesat.trace import format_trace
-from conftest import point_tuples, random_3cnf, reference_stable
+from conftest import point_tuples, random_3cnf, random_clause, reference_stable
 
 
 def cube(lits, n=4):
@@ -31,7 +31,7 @@ def cube(lits, n=4):
 
 def boundary_of(cubes, formula):
     """A Boundary holding the cubes in order, each with its scanned list."""
-    boundary = _Boundary(formula, CoverIndex(formula.num_vars))
+    boundary = _Boundary(formula)
     for q in cubes:
         boundary.push_back(q, formula.falsified(q.mask, q.val))
     return boundary
@@ -663,20 +663,24 @@ def checked_queries(checks, whole=False):
     return mock.patch.multiple(ssc, is_covered=is_covered, cube_nbhd=cube_nbhd)
 
 
-@st.composite
-def index_instances(draw):
-    """A random 3-CNF over at most 10 variables, or PH(4,3) with its
-    variables renamed and its clauses shuffled."""
-    if draw(st.booleans()):
-        n = draw(st.integers(3, 10))
-        ratio = draw(st.sampled_from((3.0, 4.26, 5.5)))
-        return random_3cnf(n, round(n * ratio),
-                           random.Random(draw(st.integers(0, 10 ** 6))))
+def renamed_ph43(draw):
+    """PH(4,3) with its variables renamed and its clauses shuffled."""
     formula, _ = ph_formula(4, 3)
     sigma = (0, *draw(st.permutations(range(1, formula.num_vars + 1))))
     clauses = [[sigma[l] if l > 0 else -sigma[-l] for l in clause.lits]
                for clause in draw(st.permutations(formula.clauses))]
     return CnfFormula(formula.num_vars, clauses)
+
+
+@st.composite
+def index_instances(draw):
+    """A random 3-CNF over at most 10 variables, or a renamed PH(4,3)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 10))
+        ratio = draw(st.sampled_from((3.0, 4.26, 5.5)))
+        return random_3cnf(n, round(n * ratio),
+                           random.Random(draw(st.integers(0, 10 ** 6))))
+    return renamed_ph43(draw)
 
 
 @settings(max_examples=100, deadline=None)
@@ -685,13 +689,14 @@ def index_instances(draw):
 def test_cover_index_holds_body_and_boundary_at_every_query(formula, pop,
                                                             scope):
     checks = []
-    with checked_queries(checks, whole=True):
+    with checked_queries(checks, whole=scope == "shared"):
         result = gen_ssc(formula, SscConfig(pop_policy=pop, coverage=scope))
-    assert result.satisfiable or checks
-    # Only a shared-literal scope, which may miss a cover, still asks
-    # about neighbours.
     if scope == "full":
-        assert all(kind == "split" for kind, _ in checks)
+        # The all-free start knows every answer and asks no query.
+        assert checks == []
+    else:
+        # A shared-literal query may miss a cover, so that scope asks.
+        assert result.satisfiable or checks
 
 
 def test_partial_start_queries_neighbours():
@@ -711,11 +716,18 @@ def test_partial_start_queries_neighbours():
 
 
 def test_default_start_makes_no_neighbourhood_query():
-    checks = []
-    with checked_queries(checks, whole=True):
-        result = gen_ssc(ph_formula(5, 4)[0])
-    assert not result.satisfiable and result.body
-    assert checks and all(kind == "split" for kind, _ in checks)
+    # Nor a split query: the all-free start builds no cover index.
+    for formula in (ph_formula(5, 4)[0], random_3cnf(20, 85, random.Random(4))):
+        with mock.patch.object(ssc, "is_covered",
+                               wraps=ssc.is_covered) as queries, \
+                mock.patch.object(ssc, "CoverIndex",
+                                  wraps=CoverIndex) as built, \
+                mock.patch.object(CoverIndex, "add", autospec=True,
+                                  side_effect=CoverIndex.add) as added:
+            result = gen_ssc(formula)
+        assert result.iterations > 100
+        assert (queries.call_count, built.call_count, added.call_count) == \
+            (0, 0, 0)
 
 
 def test_golden_run_index_upkeep(vb_formula, golden_config):
@@ -741,3 +753,89 @@ def test_golden_run_index_upkeep(vb_formula, golden_config):
     assert len(checks) == 10
     # An index that took every push at once made 10 adds and 6 discards.
     assert calls == {"add": 5, "discard": 1}
+
+
+@st.composite
+def all_free_instances(draw):
+    """A random CNF over at most 12 variables with clauses of width 1 to
+    4, unit clauses included, or a renamed PH(4,3)."""
+    if draw(st.booleans()):
+        return renamed_ph43(draw)
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return CnfFormula(n, [random_clause(n, rng, rng.randint(1, min(4, n)))
+                          for _ in range(rng.randint(1, 5 * n))])
+
+
+ALL_FREE_CONFIGS = st.builds(
+    SscConfig, split_heuristic=st.sampled_from(("first-intersecting",
+                                                "most-constrained")),
+    merge_enabled=st.booleans(), pop_policy=st.sampled_from(("fifo", "lifo")))
+
+
+def split_tree_checks(counts):
+    """ssc.pick_split_var and ssc._find_merge patched to check the split
+    tree proof of gen_ssc: at every split the popped cube meets no Body
+    cube and no Boundary cube, and every merge result is its partner's
+    parent, holding both cubes with one pin fewer than the partner.
+    Counts the splits and merges checked in `counts`."""
+    pick, find = ssc.pick_split_var, ssc._find_merge
+
+    def pick_split_var(p, *args):
+        engine = engine_locals()
+        assert not any(q.intersects(p) for q in engine["transport"])
+        assert not any(q.intersects(p) for q in engine["boundary"])
+        counts["split"] += 1
+        return pick(p, *args)
+
+    def find_merge(boundary, p, h_p):
+        outcome = find(boundary, p, h_p)
+        if outcome is not None:
+            merged, partner = outcome.cube, outcome.partner
+            assert merged.contains(p) and merged.contains(partner)
+            assert merged.mask.bit_count() == partner.mask.bit_count() - 1
+            counts["merge"] += 1
+        return outcome
+
+    return mock.patch.multiple(ssc, pick_split_var=pick_split_var,
+                               _find_merge=find_merge)
+
+
+@settings(max_examples=150, deadline=None)
+@given(all_free_instances(), ALL_FREE_CONFIGS)
+def test_all_free_splits_meet_no_other_cube(formula, config):
+    with split_tree_checks(Counter()):
+        result = gen_ssc(formula, config)
+    assert result.satisfiable == brute_force_sat(formula).satisfiable
+
+
+def test_split_tree_checks_run():
+    # The corpus above splits and merges, so its checks are not vacuous.
+    counts = Counter()
+    rng = random.Random(3)
+    formulas = [ph_formula(4, 3)[0]] + [
+        CnfFormula(12, [random_clause(12, rng, rng.randint(1, 4))
+                        for _ in range(40)]) for _ in range(5)]
+    with split_tree_checks(counts):
+        for formula in formulas:
+            for merge in (True, False):
+                gen_ssc(formula, SscConfig(merge_enabled=merge))
+    assert counts["split"] > 100 and counts["merge"] > 10
+
+
+@settings(max_examples=100, deadline=None)
+@given(all_free_instances(), ALL_FREE_CONFIGS)
+def test_all_free_certificates_pass_the_cover_path(formula, config):
+    result = gen_ssc(formula, config)
+    assume(not result.satisfiable)
+    formula, body, transport = result.formula, result.body, result.transport
+    n = formula.num_vars
+    report = VerifyReport()
+    members = checked_members(formula, body, transport, report)
+    assert report and None not in members.values()
+    assert sum(cube.count_points() for cube in members) >= 1 << n
+    patch, targets = checker_queries()
+    with patch, mock.patch.object(ssc, "unreached_neighbors") as neighbours:
+        assert verify_ssc(formula, body, transport)
+    assert targets == [Cube.full(n)] and not neighbours.called
+    assert is_covered(Cube.full(n), body) == COVERED
