@@ -85,32 +85,44 @@ class CnfFormula:
         self.clauses: list[Clause] = []
         self._by_lits: dict[tuple, Clause] = {}
         # Slot 2(v-1)+b lists, in id order, the clauses holding the literal
-        # that x_v = b falsifies: x_v for b = 0, -x_v for b = 1.
+        # that x_v = b falsifies: x_v for b = 0, -x_v for b = 1. occ_bits
+        # holds the same clauses as a bitset over ids, bit cid - 1.
         self.occurs: list[list[Clause]] = [[] for _ in range(2 * num_vars)]
+        self.occ_bits: list[int] = [0] * (2 * num_vars)
         for lits in clause_lits:
-            self._register(Clause(lits, cid=len(self.clauses) + 1))
+            self._register(Clause(lits))
         self.original_count = len(self.clauses)
 
     def _register(self, clause: Clause) -> Clause:
+        """Append a clause no formula holds yet, giving it the next id."""
         if clause.max_var() > self.num_vars:
             raise ValueError(
                 f"clause {clause!r} uses a variable above num_vars={self.num_vars}")
         self.clauses.append(clause)
+        clause.cid = len(self.clauses)
         self._by_lits.setdefault(clause.lits, clause)
+        bit = 1 << (clause.cid - 1)
         for lit in clause.lits:
-            self.occurs[2 * abs(lit) - 2 + (lit < 0)].append(clause)
+            slot = 2 * abs(lit) - 2 + (lit < 0)
+            self.occurs[slot].append(clause)
+            self.occ_bits[slot] |= bit
         return clause
 
     def learn(self, lits):
         """Append a learned clause unless its literal set already exists.
 
+        `lits` is a literal iterable or a Clause. A Clause no formula holds
+        (id 0, as `resolve` builds it) is registered itself; one that a
+        formula holds keeps its id there, and a new Clause is registered.
         Returns (clause, created); created is False when an equal clause
         was already present, in which case that clause is returned.
         """
-        clause = Clause(lits, cid=len(self.clauses) + 1)
+        clause = lits if isinstance(lits, Clause) else Clause(lits)
         existing = self._by_lits.get(clause.lits)
         if existing is not None:
             return existing, False
+        if clause.cid:
+            clause = Clause(clause.lits)
         return self._register(clause), True
 
     def find(self, lits):
@@ -126,6 +138,14 @@ class CnfFormula:
             return self.clauses[cid - 1]
         return None
 
+    def clauses_of(self, bits: int):
+        """The clauses a bitset over ids (bit cid - 1) holds, in id order."""
+        clauses = self.clauses
+        while bits:
+            low = bits & -bits
+            yield clauses[low.bit_length() - 1]
+            bits ^= low
+
     def falsified(self, mask: int, val: int, start: int = 0):
         """Clauses every point of the cube (mask, val) falsifies, in order,
         among the clauses after the first `start`."""
@@ -135,8 +155,19 @@ class CnfFormula:
     def meeting(self, mask: int, val: int, start: int = 0):
         """Clauses some point of the cube (mask, val) falsifies, in order,
         among the clauses after the first `start`."""
-        return meeting_among(self.clauses[start:] if start else self.clauses,
-                             mask, val)
+        return list(self.clauses_of(self.meeting_bits(mask, val, start)))
+
+    def meeting_bits(self, mask: int, val: int, start: int = 0) -> int:
+        """`meeting` as a bitset over ids (bit cid - 1): the cube meets
+        Unsat(C) when no pinned variable satisfies the clause, so it is
+        every id after `start` but those in the occurrence bitset of each
+        literal a pin satisfies."""
+        bits, occ = (1 << len(self.clauses)) - (1 << start), self.occ_bits
+        while mask:
+            low = mask & -mask
+            bits &= ~occ[2 * low.bit_length() - (2 if val & low else 1)]
+            mask ^= low
+        return bits
 
     @property
     def learned(self):
@@ -147,6 +178,7 @@ class CnfFormula:
         dup.clauses = list(self.clauses)
         dup._by_lits = dict(self._by_lits)
         dup.occurs = [list(occ) for occ in self.occurs]
+        dup.occ_bits = list(self.occ_bits)
         dup.original_count = self.original_count
         return dup
 
@@ -166,13 +198,6 @@ def falsified_among(clauses, mask: int, val: int):
     # The value test goes first: it rejects most clauses of a point.
     return [c for c in clauses
             if val & c.fmask == c.fval and not c.fmask & free]
-
-
-def meeting_among(clauses, mask: int, val: int):
-    """Those of `clauses` some point of the cube (mask, val) falsifies, in
-    their order: the cube meets Unsat(C), no pinned variable satisfies the
-    clause. With one bit as `mask`, the test reads that variable alone."""
-    return [c for c in clauses if not (c.fval ^ val) & c.fmask & mask]
 
 
 def point_bits(point) -> int:

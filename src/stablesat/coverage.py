@@ -24,28 +24,45 @@ class CoverIndex:
     those pinning one of the target's literals the other way: O(target
     literals) big-int operations, however many covers there are. Freed
     slots are reused, so the bitsets stay as wide as the peak size.
+    `pins` is None until the first narrowing that reads a literal, so a
+    query on the whole space alone never builds it.
     """
 
     __slots__ = ("n", "pins", "present", "_cubes", "_free", "_slots")
 
     def __init__(self, n: int, cubes=()):
         self.n = n
-        self.pins = [0] * (2 * n)
-        self.present = 0
-        self._cubes: list = []        # slot -> Cube (stale when free)
+        self.pins = None
+        self._cubes: list = list(cubes)   # slot -> Cube (stale when free)
+        if any(cube.n != n for cube in self._cubes):
+            raise ValueError("cube arity mismatch in coverage query")
+        self.present = (1 << len(self._cubes)) - 1
         self._free: list[int] = []    # freed slots, last freed reused first
         self._slots: dict = {}        # Cube -> its occupied slots
-        for cube in cubes:
-            self.add(cube)
+        for slot, cube in enumerate(self._cubes):
+            self._slots.setdefault(cube, []).append(slot)
 
     def _toggle(self, cube: Cube, slot: int):
         bit = 1 << slot
         self.present ^= bit
+        if self.pins is not None:
+            self._pin(cube, bit)
+
+    def _pin(self, cube: Cube, bit: int):
         pins, mask, val = self.pins, cube.mask, cube.val
         while mask:
             low = mask & -mask
             pins[2 * low.bit_length() - (1 if val & low else 2)] ^= bit
             mask ^= low
+
+    def _build_pins(self) -> list:
+        self.pins = [0] * (2 * self.n)
+        live, cubes = self.present, self._cubes
+        while live:
+            low = live & -live
+            self._pin(cubes[low.bit_length() - 1], low)
+            live ^= low
+        return self.pins
 
     def add(self, cube: Cube):
         """Add one copy of the cube."""
@@ -90,6 +107,8 @@ class CoverIndex:
         if (shared is None) == shared_literal:
             raise ValueError("a base is narrowed for one coverage scope")
         pins, rest = self.pins, mask & ~bmask
+        if rest and pins is None:
+            pins = self._build_pins()
         while rest:
             low = rest & -rest
             same = 2 * low.bit_length() - (1 if val & low else 2)

@@ -141,8 +141,12 @@ def unsat_cube(clause: Clause, num_vars: int) -> Cube:
 
 
 def cube_falsifies(cube: Cube, clause: Clause) -> bool:
-    """True when every point of the cube falsifies the clause."""
-    return unsat_cube(clause, cube.n).contains(cube)
+    """True when every point of the cube falsifies the clause: the cube
+    pins every clause variable to its falsifying value."""
+    if clause.fmask >> cube.n:
+        raise ValueError(f"clause {clause!r} exceeds arity {cube.n}")
+    return not clause.fmask & ~cube.mask and \
+        cube.val & clause.fmask == clause.fval
 
 
 def cube_satisfies(cube: Cube, clause: Clause) -> bool:

@@ -182,7 +182,7 @@ def replay_proof(formula: CnfFormula, proof: Proof,
         if step.cid != len(work.clauses) + 1:
             report.fail(f"learn {step.cid}: expected id {len(work.clauses) + 1}")
             return report
-        work.learn(resolvent.lits)
+        work.learn(resolvent)
 
     if proof.result == "SAT":
         if proof.witness is None:

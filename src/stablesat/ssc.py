@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .core import (Clause, CnfFormula, VerifyReport, falsified_among,
-                   meeting_among, resolvable_on)
+                   resolvable_on)
 from .coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
                        union_count)
 from .cubes import (Cube, checked_members, cube_nbhd, member_name, merge,
@@ -74,7 +74,7 @@ class LearnStep:
 class MergeOutcome:
     partner: Cube       # the Boundary cube merged with the popped one
     cube: Cube          # their component-wise union
-    resolvent: Clause   # unregistered resolvent falsified by the union
+    resolvent: Clause   # resolvent falsified by the union; learn registers it
     left: Clause
     right: Clause
     pivot: int
@@ -99,10 +99,11 @@ class _Boundary:
     holding each cube's clause lists.
 
     A cube's record lists the clauses it falsifies, in formula order, and
-    for a split half the clauses its parent met. Each push carries the
-    lists, a child's derived from its parent's; clauses are only
-    appended, so a lookup scans only the clauses learned since the record
-    was made. A record goes when its cube leaves.
+    for a split half the clauses its parent met, as a bitset over clause
+    ids (bit cid - 1). Each push carries the record, a child's derived
+    from its parent's; clauses are only appended, so a lookup reads only
+    the clauses learned since the record was made. A record goes when its
+    cube leaves.
 
     It keeps no cover index: the all-free full-scope start needs none
     (see `gen_ssc`). Every other start uses `_IndexedBoundary`.
@@ -112,13 +113,13 @@ class _Boundary:
         self.formula = formula
         self.items: list[Cube] = []
         # Cube -> (clauses tested, falsified, met); a split half's met is
-        # (clauses tested, clauses its parent met, split bit), else None.
+        # (clauses tested, ids its parent met, split bit), else None.
         self.records: dict = {}
 
-    def pop(self) -> tuple[Cube, bool, list, list | None]:
+    def pop(self) -> tuple[Cube, bool, list, int | None]:
         """The front cube, whether it is in a cover index (never, here),
-        the clauses it falsifies and, when it falsifies none, the clauses
-        it meets."""
+        the clauses it falsifies and, when it falsifies none, the ids of
+        the clauses it meets, as a bitset."""
         cube = self.items.pop(0)
         hits = self.falsified(cube)
         meeting = None if hits else self.meeting(cube)
@@ -155,16 +156,18 @@ class _Boundary:
             self.records[cube] = (len(self.formula.clauses), hits, met)
         return hits
 
-    def meeting(self, cube: Cube) -> list:
-        """The clauses a member meets, in formula order. A split half keeps
-        those of its parent's that the split pin does not satisfy."""
-        met = self.records[cube][2]
+    def meeting(self, cube: Cube) -> int:
+        """The ids of the clauses a member meets, as a bitset. A split half
+        keeps those of its parent's that hold no literal its split pin
+        satisfies."""
+        formula, met = self.formula, self.records[cube][2]
         if met is None:
-            return self.formula.meeting(cube.mask, cube.val)
+            return formula.meeting_bits(cube.mask, cube.val)
         count, met, bit = met
-        met = meeting_among(met, bit, cube.val)
-        if count != len(self.formula.clauses):
-            met += self.formula.meeting(cube.mask, cube.val, count)
+        met &= ~formula.occ_bits[2 * bit.bit_length() -
+                                 (2 if cube.val & bit else 1)]
+        if count != len(formula.clauses):
+            met |= formula.meeting_bits(cube.mask, cube.val, count)
         return met
 
     def __contains__(self, cube):
@@ -192,7 +195,7 @@ class _IndexedBoundary(_Boundary):
         self.pending: dict[Cube, None] = {}   # members not yet in covers
         self.covers = covers
 
-    def pop(self) -> tuple[Cube, bool, list, list | None]:
+    def pop(self) -> tuple[Cube, bool, list, int | None]:
         cube, _, hits, meeting = super().pop()
         indexed = cube not in self.pending
         self.pending.pop(cube, None)
@@ -225,12 +228,15 @@ class _IndexedBoundary(_Boundary):
 def pick_split_var(cube: Cube, meeting,
                    heuristic: str = "first-intersecting") -> int:
     """Choose a free variable of the cube pinned by one of the clauses in
-    `meeting`, the clauses the cube meets (`CnfFormula.meeting`), in order.
+    `meeting`, an iterable of the clauses the cube meets in id order
+    (`CnfFormula.meeting`, or `clauses_of` a bitset).
 
     Splitting there makes one half falsify strictly more literals of that
     clause. first-intersecting takes the lowest such variable of the first
     intersecting clause; most-constrained takes the variable pinned by the
-    most intersecting clauses (ties to the lowest index).
+    most intersecting clauses (ties to the lowest index). A cube that
+    falsifies no clause leaves a variable of each clause it meets free, so
+    first-intersecting reads only the first clause.
     """
     if heuristic == "first-intersecting":
         for clause in meeting:
@@ -379,7 +385,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         p, indexed, h, meeting = boundary.pop()
         # A cube falsifying nothing may still meet clauses: split it.
         if not h:
-            if not meeting:
+            if meeting == 0:
                 log.add("satisfied", lambda: f"cube {p.to_text()} 0")
                 log.add("finish", lambda: "result SAT")
                 record_xi()
@@ -388,7 +394,8 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  learn_steps=learn_steps, formula=work,
                                  xi_log=xi_log, iterations=iterations,
                                  trace=log.records)
-            var = pick_split_var(p, meeting, config.split_heuristic)
+            var = pick_split_var(p, work.clauses_of(meeting),
+                                 config.split_heuristic)
             halves = p.split(var)
             if whole:
                 verdicts = (UNCOVERED, UNCOVERED)
@@ -418,7 +425,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                     covers.discard(p)
                 partner = outcome.partner
                 boundary.remove(partner)
-                clause, created = work.learn(outcome.resolvent.lits)
+                clause, created = work.learn(outcome.resolvent)
                 if created:
                     learn_steps.append(LearnStep(clause.cid, clause.lits,
                                                  outcome.left.cid,

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablesat.core import (Clause, CnfFormula, cycle_text, evaluate_clause,
                             parse_cycles, point_bits, point_nbhd, resolvable_on,
@@ -80,6 +82,85 @@ def test_occurrence_lists_of_random_formulas():
             copy.learn(random_clause(n, rng))
         assert f.occurs == occurrence_filter(f)
         assert copy.occurs == occurrence_filter(copy)
+
+
+def occurrence_ids(formula):
+    """Per literal slot, the ids of its occurrence list as a bitset."""
+    return [sum(1 << (c.cid - 1) for c in occ) for occ in formula.occurs]
+
+
+def meeting_scan(formula, mask, val, start):
+    """The clauses after the first `start` that no pin of the cube (mask,
+    val) satisfies, as a bitset over list positions."""
+    return sum(1 << i for i, c in enumerate(formula.clauses)
+               if i >= start and not any(
+                   mask >> (abs(l) - 1) & 1 and
+                   (val >> (abs(l) - 1) & 1) == (l > 0) for l in c.lits))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+def test_occurrence_bitsets_follow_the_lists(n, seed):
+    # occ_bits[s] holds exactly the ids of occurs[s], each id the clause's
+    # list position, after random learns, in a copy, and in its original.
+    rng = random.Random(seed)
+    f = CnfFormula(n, [random_clause(n, rng)
+                       for _ in range(rng.randint(0, 10))])
+    copies = [f]
+    for _ in range(rng.randint(1, 12)):
+        formula = rng.choice(copies)
+        if rng.random() < 0.3:
+            copies.append(formula.copy())
+        else:
+            formula.learn(random_clause(n, rng))
+    for formula in copies:
+        assert [c.cid for c in formula.clauses] == \
+            list(range(1, len(formula.clauses) + 1))
+        assert formula.occurs == occurrence_filter(formula)
+        assert formula.occ_bits == occurrence_ids(formula)
+        for _ in range(5):
+            mask = rng.getrandbits(n)
+            val = rng.getrandbits(n) & mask
+            start = rng.randint(0, len(formula.clauses))
+            bits = formula.meeting_bits(mask, val, start)
+            assert bits == meeting_scan(formula, mask, val, start)
+            assert formula.meeting(mask, val, start) == \
+                list(formula.clauses_of(bits))
+
+
+def test_learning_through_a_copy_leaves_the_original_alone():
+    f = CnfFormula(3, [[1, 2], [-1, 3]])
+    f.learn([-2, -3])
+    clauses = list(f.clauses)
+    ids = [c.cid for c in f.clauses]
+    occurs = [list(occ) for occ in f.occurs]
+    occ_bits = list(f.occ_bits)
+    dup = f.copy()
+    resolvent = resolve(dup.clauses[0], dup.clauses[1], 1)
+    learned, created = dup.learn(resolvent)
+    assert created and learned is resolvent and learned.cid == 4
+    # A clause the original holds is registered in the copy as a new
+    # Clause, so its id in the original stays.
+    other = CnfFormula(3, [[-2], [1, 2]])
+    again, created = other.learn(f.clauses[2])
+    assert created and again is not f.clauses[2] and again.cid == 3
+    dup.learn([-3])
+    assert f.clauses == clauses and all(
+        a is b for a, b in zip(f.clauses, clauses))
+    assert [c.cid for c in f.clauses] == ids == [1, 2, 3]
+    assert f.occurs == occurs and f.occ_bits == occ_bits
+    assert f.find([-2, -3]).cid == 3
+    assert f.find([2, 3]) is None and f.find([-3]) is None
+    assert dup.occ_bits == occurrence_ids(dup)
+
+
+def test_a_refused_clause_keeps_no_id():
+    f = CnfFormula(2, [[1, 2]])
+    clause = Clause([1, 3])
+    with pytest.raises(ValueError):
+        f.learn(clause)
+    assert clause.cid == 0 and len(f.clauses) == 1
+    assert f.occ_bits == occurrence_ids(f)
 
 
 def test_formula_rejects_out_of_range_variable():

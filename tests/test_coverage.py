@@ -2,7 +2,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
@@ -202,9 +202,11 @@ def index_runs(draw, max_n=12):
     return n, ops, targets
 
 
-def replay(n, ops):
-    """The index after the operations, and the multiset they leave."""
-    index, model = CoverIndex(n), Counter()
+def replay(n, ops, index=None, model=None):
+    """The index after the operations, and the multiset they leave, from
+    an empty index or from the given index and its multiset."""
+    if index is None:
+        index, model = CoverIndex(n), Counter()
     for add, c in ops:
         if add:
             index.add(c)
@@ -228,6 +230,26 @@ def test_cover_index_matches_list_filter(run):
         shared = Counter(c for c in meeting.elements()
                          if shares_literal(c, target))
         assert Counter(index.meeting(target, shared_literal=True)) == shared
+
+
+@settings(max_examples=200, deadline=None)
+@given(index_runs(), st.data())
+def test_pins_built_mid_run_stay_current(run, data):
+    # A query on the whole space reads no literal and builds no pins; the
+    # first narrowing that reads one builds them, and every later add and
+    # discard keeps them current.
+    n, ops, targets = run
+    assume(n > 0)
+    cut = data.draw(st.integers(0, len(ops)))
+    index, model = replay(n, ops[:cut])
+    assert Counter(index.meeting(Cube.full(n))) == model
+    assert index.pins is None
+    index.narrow(1, data.draw(st.integers(0, 1)))
+    assert index.pins is not None
+    index, model = replay(n, ops[cut:], index, model)
+    for target in targets:
+        meeting = Counter(c for c in model.elements() if c.intersects(target))
+        assert Counter(index.meeting(target)) == meeting
 
 
 @settings(max_examples=200, deadline=None)

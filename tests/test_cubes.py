@@ -85,6 +85,12 @@ def test_cube_falsifies_matches_unsat_containment():
             assert [cl for cl in f.clauses if cube_falsifies(c, cl)] == expected
 
 
+def test_cube_falsifies_refuses_a_clause_above_the_arity():
+    with pytest.raises(ValueError, match="exceeds arity 2"):
+        cube_falsifies(cube([1, 2], 2), Clause([1, 3]))
+    assert cube_falsifies(cube([-1, -2], 2), Clause([1, 2]))
+
+
 def test_cube_satisfies_examples():
     assert cube_satisfies(cube([1], 2), Clause([1, 2]))
     assert not cube_satisfies(Cube.full(3), Clause([1, 2]))

@@ -1,15 +1,17 @@
 import ast
 import io
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from stablesat import proofs
-from stablesat.core import CnfFormula
+from stablesat.core import Clause, CnfFormula
 from stablesat.proofs import (emit_proof, format_proof, parse_proof,
                               proof_from_result, replay_proof)
 from stablesat.ssc import SscConfig, gen_ssc
 from stablesat.ssp import gen_ssp
+from stablesat.symmetry import ph_formula
 
 GOLDEN_PROOF = """\
 learn 6 -2 3 0 from 2 3 pivot 1
@@ -39,6 +41,25 @@ def test_parse_format_roundtrip():
 def test_replay_accepts_golden(vb_formula):
     proof = parse_proof(GOLDEN_PROOF)
     assert replay_proof(vb_formula, proof)
+
+
+def test_replay_builds_one_clause_per_learn_step():
+    # Each step's resolvent is the clause the replay registers.
+    formula = ph_formula(4, 3)[0]
+    sink = io.StringIO()
+    emit_proof(gen_ssc(formula), sink)
+    proof = parse_proof(sink.getvalue())
+    assert proof.learns
+    built = []
+    init = Clause.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    with mock.patch.object(Clause, "__init__", counting):
+        assert replay_proof(formula, proof)
+    assert len(built) == len(proof.learns)
 
 
 def test_replay_rejects_wrong_resolvent(vb_formula):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
-                            point_nbhd)
+                            point_nbhd, resolve)
 from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
                                 union_count)
 from stablesat.cubes import (Cube, checked_members, cube_falsifies,
@@ -399,6 +399,40 @@ def test_pick_split_var_most_constrained():
     assert var == 1  # x1..x3 all appear twice; lowest index breaks the tie
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["first-intersecting", "most-constrained"]))
+def test_pick_split_var_reads_the_bitset_as_the_list(n, seed, heuristic):
+    # The engine passes the clauses of a meeting bitset, lazily, in id
+    # order; the answer is the one the meeting list gives. With nothing
+    # falsified, first-intersecting reads only the first clause.
+    rng = random.Random(seed)
+    formula = CnfFormula(n, [random_clause(n, rng)
+                             for _ in range(rng.randint(1, 12))])
+    for _ in range(rng.randint(0, 4)):
+        formula.learn(random_clause(n, rng))
+    mask = rng.getrandbits(n)
+    c = Cube(n, mask, rng.getrandbits(n) & mask)
+    read = []
+
+    def clauses(bits):
+        for clause in formula.clauses_of(bits):
+            read.append(clause)
+            yield clause
+
+    answers = []
+    for meeting in (formula.meeting(c.mask, c.val),
+                    clauses(formula.meeting_bits(c.mask, c.val))):
+        try:
+            answers.append(pick_split_var(c, meeting, heuristic))
+        except ValueError as exc:
+            answers.append(str(exc))
+    assert answers[0] == answers[1]
+    if heuristic == "first-intersecting" and \
+            not formula.falsified(c.mask, c.val) and read:
+        assert len(read) == 1 and isinstance(answers[1], int)
+
+
 def test_xi_never_decreases(vb_formula, golden_config):
     result = gen_ssc(vb_formula, dataclasses.replace(golden_config, xi_log=True))
     values = [union + clauses for _, union, clauses in result.xi_log]
@@ -453,6 +487,22 @@ def test_learned_clauses_replay_through_resolution(vb_formula, golden_config):
         assert created and clause.cid == step.cid
 
 
+def test_learned_clauses_are_the_merge_resolvents():
+    # The engine registers the resolvent merge built, not a second
+    # Clause of the same literals.
+    built = []
+
+    def recording(*args):
+        built.append(resolve(*args))
+        return built[-1]
+
+    with mock.patch("stablesat.cubes.resolve", recording):
+        result = gen_ssc(ph_formula(4, 3)[0])
+    assert result.learned
+    ids = {id(clause) for clause in built}
+    assert all(id(clause) in ids for clause in result.learned)
+
+
 def test_formula_not_mutated_by_solver(vb_formula):
     before = [c.lits for c in vb_formula.clauses]
     gen_ssc(vb_formula, SscConfig(init_cube=cube([-2, -3])))
@@ -493,10 +543,11 @@ def test_formula_without_clauses_is_sat():
 
 
 def checked_lists(looked):
-    """_Boundary with every list lookup compared, in order, with a fresh
-    scan of the same clauses. `looked` counts the falsified lookups that
-    refresh a record with clauses learned since it was made, and the
-    meeting lookups of a split half's inherited list."""
+    """_Boundary with every list lookup compared with a fresh scan of the
+    same clauses: a falsified list in order, a meeting bitset bit for bit
+    with the ids the scan finds. `looked` counts the falsified lookups
+    that refresh a record with clauses learned since it was made, and the
+    meeting lookups of a split half's inherited bitset."""
     falsified, meeting = _Boundary.falsified, _Boundary.meeting
 
     def checked_falsified(self, cube):
@@ -509,7 +560,8 @@ def checked_lists(looked):
     def checked_meeting(self, cube):
         derived = self.records[cube][2] is not None
         met = meeting(self, cube)
-        assert met == self.formula.meeting(cube.mask, cube.val)
+        assert met == sum(1 << (c.cid - 1) for c in self.formula.clauses
+                          if not cube_satisfies(cube, c))
         looked["meeting"] += derived
         return met
 
