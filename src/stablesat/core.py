@@ -11,8 +11,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import compress
 
 Point = tuple
+
+# Binary digits "0"/"1" as the bytes 0/1, selectors for itertools.compress.
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Clause:
@@ -139,12 +143,17 @@ class CnfFormula:
         return None
 
     def clauses_of(self, bits: int):
-        """The clauses a bitset over ids (bit cid - 1) holds, in id order."""
+        """The clauses a bitset over ids (bit cid - 1) holds, in id order.
+
+        The first costs one lowest-bit step; the rest come from one pass
+        over the binary digits, so reading them all is linear in the
+        bitset's width, not in its width times its clause count."""
+        if not bits:
+            return
         clauses = self.clauses
-        while bits:
-            low = bits & -bits
-            yield clauses[low.bit_length() - 1]
-            bits ^= low
+        yield clauses[(bits & -bits).bit_length() - 1]
+        rest = bin(bits & (bits - 1))[:1:-1]     # digit i is bit i
+        yield from compress(clauses, rest.encode().translate(_DIGIT_FLAGS))
 
     def falsified(self, mask: int, val: int, start: int = 0):
         """Clauses every point of the cube (mask, val) falsifies, in order,
@@ -162,12 +171,18 @@ class CnfFormula:
         Unsat(C) when no pinned variable satisfies the clause, so it is
         every id after `start` but those in the occurrence bitset of each
         literal a pin satisfies."""
-        bits, occ = (1 << len(self.clauses)) - (1 << start), self.occ_bits
+        bits = (1 << len(self.clauses)) - (1 << start)
         while mask:
             low = mask & -mask
-            bits &= ~occ[2 * low.bit_length() - (2 if val & low else 1)]
+            bits &= ~self.satisfied_by(low, val)
             mask ^= low
         return bits
+
+    def satisfied_by(self, bit: int, val: int) -> int:
+        """The ids, as a bitset, of the clauses holding the literal that
+        pinning the variable at `bit` (one set bit) to its value in `val`
+        satisfies."""
+        return self.occ_bits[2 * bit.bit_length() - (2 if val & bit else 1)]
 
     @property
     def learned(self):

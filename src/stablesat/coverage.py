@@ -33,14 +33,12 @@ class CoverIndex:
     def __init__(self, n: int, cubes=()):
         self.n = n
         self.pins = None
-        self._cubes: list = list(cubes)   # slot -> Cube (stale when free)
-        if any(cube.n != n for cube in self._cubes):
-            raise ValueError("cube arity mismatch in coverage query")
-        self.present = (1 << len(self._cubes)) - 1
+        self.present = 0
+        self._cubes: list = []        # slot -> Cube (stale when free)
         self._free: list[int] = []    # freed slots, last freed reused first
         self._slots: dict = {}        # Cube -> its occupied slots
-        for slot, cube in enumerate(self._cubes):
-            self._slots.setdefault(cube, []).append(slot)
+        for cube in cubes:
+            self.add(cube)
 
     def _toggle(self, cube: Cube, slot: int):
         bit = 1 << slot

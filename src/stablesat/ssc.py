@@ -164,8 +164,7 @@ class _Boundary:
         if met is None:
             return formula.meeting_bits(cube.mask, cube.val)
         count, met, bit = met
-        met &= ~formula.occ_bits[2 * bit.bit_length() -
-                                 (2 if cube.val & bit else 1)]
+        met &= ~formula.satisfied_by(bit, cube.val)
         if count != len(formula.clauses):
             met |= formula.meeting_bits(cube.mask, cube.val, count)
         return met

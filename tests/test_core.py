@@ -125,7 +125,7 @@ def test_occurrence_bitsets_follow_the_lists(n, seed):
             bits = formula.meeting_bits(mask, val, start)
             assert bits == meeting_scan(formula, mask, val, start)
             assert formula.meeting(mask, val, start) == \
-                list(formula.clauses_of(bits))
+                [c for c in formula.clauses if bits >> (c.cid - 1) & 1]
 
 
 def test_learning_through_a_copy_leaves_the_original_alone():
