@@ -305,6 +305,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     adds cubes. From an all-free start with the full scope (`whole`)
     that union is the whole space at every step, so every neighbour of a
     Body move is covered and the engine judges it so without a query.
+    With the trace off it builds no neighbour cube either: a Body move
+    records the cube's transport clause and nothing else. With the trace
+    on it builds each neighbour and records it as `covered`.
 
     There no split half meets another cube either, so the engine keeps
     both halves without a query and builds no cover index at all:
@@ -340,6 +343,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     n = formula.num_vars
     work = formula.copy()
     log = TraceLog(config.record_trace)
+    tracing = log.enabled   # trace payloads are built only under this test
     xi_log: list = []
     union_size = 0   # |Union(Body)|, kept only when xi_log is on
     shared = config.coverage == "shared"
@@ -368,16 +372,13 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             boundary.push_back(cube, hits)
             if clause is None and hits:
                 clause = hits[0]   # the single start names its first clause
-            log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
-                "" if clause is None else f" clause {clause.cid}"))
+            if tracing:
+                log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
+                    "" if clause is None else f" clause {clause.cid}"))
 
     transport: dict[Cube, int] = {}   # the Body, in insertion order
     learn_steps: list[LearnStep] = []
     iterations = 0
-
-    def record_xi():
-        if config.xi_log:
-            xi_log.append((iterations, union_size, len(work.clauses)))
 
     while len(boundary):
         iterations += 1
@@ -385,9 +386,11 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         # A cube falsifying nothing may still meet clauses: split it.
         if not h:
             if meeting == 0:
-                log.add("satisfied", lambda: f"cube {p.to_text()} 0")
-                log.add("finish", lambda: "result SAT")
-                record_xi()
+                if tracing:
+                    log.add("satisfied", lambda: f"cube {p.to_text()} 0")
+                    log.add("finish", lambda: "result SAT")
+                if config.xi_log:
+                    xi_log.append((iterations, union_size, len(work.clauses)))
                 return SscResult(True, witness=p,
                                  learned=work.clauses[len(formula.clauses):],
                                  learn_steps=learn_steps, formula=work,
@@ -411,10 +414,11 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             boundary.push_front([(half, _falsified_after_pin(work, h, half, bit),
                                   (len(work.clauses), meeting, bit))
                                  for half in kept])
-            log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
-                    " | ".join(f"cube {half.to_text()} 0 "
-                               f"{'covered' if verdict == COVERED else 'kept'}"
-                               for half, verdict in zip(halves, verdicts)))
+            if tracing:
+                log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
+                        " | ".join(f"cube {half.to_text()} 0 "
+                                   f"{'covered' if verdict == COVERED else 'kept'}"
+                                   for half, verdict in zip(halves, verdicts)))
         else:
             outcome = None
             if config.merge_enabled:
@@ -436,39 +440,46 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 boundary.push_front([(merged, falsified_among(
                     h, merged.mask, merged.val) + ([clause] if created else []),
                     None)])
-                log.add("merge", lambda: (
-                    f"cube {p.to_text()} 0 clause {outcome.left.cid} "
-                    f"with cube {partner.to_text()} 0 clause {outcome.right.cid} "
-                    f"pivot {outcome.pivot} -> cube {outcome.cube.to_text()} 0 "
-                    + (f"learn {clause.cid} {' '.join(map(str, clause.lits + (0,)))}"
-                       if created else f"reuse {clause.cid}")))
+                if tracing:
+                    log.add("merge", lambda: (
+                        f"cube {p.to_text()} 0 clause {outcome.left.cid} "
+                        f"with cube {partner.to_text()} 0 "
+                        f"clause {outcome.right.cid} pivot {outcome.pivot} "
+                        f"-> cube {outcome.cube.to_text()} 0 " + (
+                            f"learn {clause.cid} "
+                            f"{' '.join(map(str, clause.lits + (0,)))}"
+                            if created else f"reuse {clause.cid}")))
             else:
                 clause = h[0]
                 # The neighbours are pairwise disjoint, so none can cover
                 # another: all are judged before any is pushed, on one
                 # narrowing by p's literals outside the clause. p is in
-                # the index as its Body copy; it meets none of them.
+                # the index as its Body copy; it meets none of them. From
+                # the all-free start every neighbour is covered, so only
+                # the trace reads them.
                 if not whole:
                     boundary.flush()
                     if not indexed:
                         covers.add(p)
                     base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
-                fresh = []
-                for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
-                    new = not whole and \
-                        is_covered(neighbor, covers, shared, base) != COVERED
-                    log.add("nbhd", lambda: (
-                        f"cube {p.to_text()} 0 clause {clause.cid} dir {abs(lit)} "
-                        f"-> cube {neighbor.to_text()} 0 "
-                        f"{'new' if new else 'covered'}"))
-                    if new:
-                        fresh.append((neighbor, _falsified_after_pin(
-                            work, h, neighbor, 1 << (abs(lit) - 1))))
-                for neighbor, hits in fresh:
-                    if config.pop_policy == "fifo":
-                        boundary.push_back(neighbor, hits)
-                    else:
-                        boundary.push_front([(neighbor, hits, None)])
+                if tracing or not whole:
+                    fresh = []
+                    for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
+                        new = not whole and \
+                            is_covered(neighbor, covers, shared, base) != COVERED
+                        if tracing:
+                            log.add("nbhd", lambda: (
+                                f"cube {p.to_text()} 0 clause {clause.cid} "
+                                f"dir {abs(lit)} -> cube {neighbor.to_text()} 0 "
+                                f"{'new' if new else 'covered'}"))
+                        if new:
+                            fresh.append((neighbor, _falsified_after_pin(
+                                work, h, neighbor, 1 << (abs(lit) - 1))))
+                    for neighbor, hits in fresh:
+                        if config.pop_policy == "fifo":
+                            boundary.push_back(neighbor, hits)
+                        else:
+                            boundary.push_front([(neighbor, hits, None)])
                 if p in transport:
                     if not whole:
                         covers.discard(p)   # the Body holds a copy already
@@ -477,11 +488,14 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                for q in transport if q.intersects(p)]
                     union_size += p.count_points() - union_count(overlap, n)
                 transport[p] = clause.cid
-                log.add("move-to-body",
-                        lambda: f"cube {p.to_text()} 0 clause {clause.cid}")
-        record_xi()
+                if tracing:
+                    log.add("move-to-body",
+                            lambda: f"cube {p.to_text()} 0 clause {clause.cid}")
+        if config.xi_log:
+            xi_log.append((iterations, union_size, len(work.clauses)))
 
-    log.add("finish", lambda: "result UNSAT")
+    if tracing:
+        log.add("finish", lambda: "result UNSAT")
     return SscResult(False, body=list(transport), transport=transport,
                      learned=work.clauses[len(formula.clauses):],
                      learn_steps=learn_steps, formula=work, xi_log=xi_log,

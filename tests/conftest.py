@@ -1,3 +1,4 @@
+import faulthandler
 import random
 
 import pytest
@@ -5,6 +6,18 @@ import pytest
 from stablesat.core import CnfFormula, evaluate_clause, point_nbhd
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig
+
+
+# Seconds one test may run before every thread's stack is dumped and the
+# run exits: a hang fails the suite instead of stalling it.
+HANG_LIMIT_S = 600
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

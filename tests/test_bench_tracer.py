@@ -29,6 +29,9 @@ def test_every_traced_layer_fires(tmp_path):
     commands = [
         (["solve", "--mode", "ssc", "--proof", proofs["ssc"], str(cnf)], 20),
         (["verify", "--proof", proofs["ssc"], str(cnf)], 0),
+        # A partial start builds and queries each neighbour; the all-free
+        # start above builds none with the trace off.
+        (["solve", "--mode", "ssc", "--init", "-1", str(cnf)], 20),
         (["solve", "--mode", "ssp", "--proof", proofs["ssp"], str(cnf)], 20),
         (["solve", "--mode", "sym", "--sym", str(sym), "--proof", proofs["sym"],
           str(cnf)], 20),

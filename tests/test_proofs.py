@@ -69,6 +69,30 @@ def test_replay_rejects_wrong_resolvent(vb_formula):
     assert "learn 6" in report.failures[0]
 
 
+def test_replay_rejects_a_tautological_learn_statement(vb_formula):
+    # C2 = x1 | -x2 and C3 = -x1 | -x2 | x3 resolve on x1 to -x2 | x3.
+    broken = GOLDEN_PROOF.replace("learn 6 -2 3 0", "learn 6 -2 2 3 0")
+    report = replay_proof(vb_formula, parse_proof(broken))
+    assert report.failures == ["learn 6: stated literals differ from the "
+                               "resolvent (-2, 3)"]
+
+
+def test_replay_collapses_duplicate_learn_literals(vb_formula):
+    proof = parse_proof(GOLDEN_PROOF.replace("learn 6 -2 3 0",
+                                             "learn 6 3 -2 3 -2 0"))
+    assert proof.learns[0].lits == (3, -2, 3, -2)
+    learn = CnfFormula.learn
+    registered = []
+
+    def recording(self, clause):
+        registered.append(clause)
+        return learn(self, clause)
+
+    with mock.patch.object(CnfFormula, "learn", recording):
+        assert replay_proof(vb_formula, proof)
+    assert [(c.cid, c.lits) for c in registered] == [(6, (-2, 3)), (7, (-3,))]
+
+
 def test_replay_rejects_wrong_pivot(vb_formula):
     broken = GOLDEN_PROOF.replace("from 2 3 pivot 1", "from 2 3 pivot 2")
     assert not replay_proof(vb_formula, parse_proof(broken))

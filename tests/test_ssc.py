@@ -726,10 +726,11 @@ def renamed_ph43(draw):
 
 
 @st.composite
-def index_instances(draw):
-    """A random 3-CNF over at most 10 variables, or a renamed PH(4,3)."""
+def index_instances(draw, max_vars=10):
+    """A random 3-CNF over at most `max_vars` variables, or a renamed
+    PH(4,3)."""
     if draw(st.booleans()):
-        n = draw(st.integers(3, 10))
+        n = draw(st.integers(3, max_vars))
         ratio = draw(st.sampled_from((3.0, 4.26, 5.5)))
         return random_3cnf(n, round(n * ratio),
                            random.Random(draw(st.integers(0, 10 ** 6))))
@@ -892,3 +893,47 @@ def test_all_free_certificates_pass_the_cover_path(formula, config):
         assert verify_ssc(formula, body, transport)
     assert targets == [Cube.full(n)] and not neighbours.called
     assert is_covered(Cube.full(n), body) == COVERED
+
+
+def counted_nbhd(calls):
+    """ssc.cube_nbhd patched to append each cube it is called on to `calls`."""
+    nbhd = ssc.cube_nbhd
+
+    def cube_nbhd(p, clause):
+        calls.append(p)
+        return nbhd(p, clause)
+    return mock.patch.object(ssc, "cube_nbhd", cube_nbhd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_instances(max_vars=12),
+       st.sampled_from(("first-intersecting", "most-constrained")),
+       st.booleans(), st.booleans())
+def test_the_trace_changes_no_result(formula, heuristic, merge, pinned):
+    init = Cube.from_literals([1], formula.num_vars) if pinned else None
+    runs = {}
+    for record in (False, True):
+        calls = []
+        with counted_nbhd(calls):
+            runs[record] = calls, gen_ssc(formula, SscConfig(
+                init_cube=init, split_heuristic=heuristic,
+                merge_enabled=merge, record_trace=record))
+    (off_calls, off), (on_calls, on) = runs[False], runs[True]
+    for name in ("satisfiable", "witness", "body", "transport",
+                 "learn_steps", "iterations"):
+        assert getattr(off, name) == getattr(on, name), name
+    # The traced run builds the neighbours of each Body move, in order.
+    moves = [record.payload.rsplit(" clause ", 1)[0] for record in on.trace
+             if record.kind == "move-to-body"]
+    assert moves == [f"cube {p.to_text()} 0" for p in on_calls]
+    # Untraced, only a partial start, which queries them, builds them.
+    assert off_calls == (on_calls if pinned else [])
+
+
+def test_partial_start_builds_neighbours_untraced():
+    calls = []
+    formula = ph_formula(4, 3)[0]
+    with counted_nbhd(calls):
+        result = gen_ssc(formula, SscConfig(
+            init_cube=Cube.from_literals([1], formula.num_vars)))
+    assert not result.satisfiable and len(calls) > 0
