@@ -52,6 +52,26 @@ class Clause:
         self.fmask = fmask
         self.fval = fval
 
+    @classmethod
+    def from_unsat(cls, fmask: int, fval: int) -> "Clause":
+        """The clause (id 0) whose falsifying cube pins the variables of
+        `fmask` to their bits in `fval`: no literal to sort or merge."""
+        if fval & ~fmask:
+            raise ValueError("falsifying values outside the clause variables")
+        lits = []
+        rest = fmask
+        while rest:
+            low = rest & -rest
+            var = low.bit_length()
+            lits.append(-var if fval & low else var)
+            rest ^= low
+        clause = cls.__new__(cls)
+        clause.lits = tuple(lits)
+        clause.cid = 0
+        clause.fmask = fmask
+        clause.fval = fval
+        return clause
+
     def variables(self):
         return tuple(abs(l) for l in self.lits)
 

@@ -9,7 +9,7 @@ order, e.g. "-2 -3" for the cube fixing x2=0, x3=0.
 
 from __future__ import annotations
 
-from .core import Clause, bits_to_point, point_bits, point_str, resolve
+from .core import Clause, bits_to_point, point_bits, point_str
 
 
 class Cube:
@@ -98,19 +98,19 @@ class Cube:
 
     def split(self, var: int):
         """The two halves fixing variable var to 0 and to 1, in that order."""
-        bit = 1 << (var - 1)
         if var < 1 or var > self.n:
             raise ValueError(f"variable x{var} outside cube arity {self.n}")
+        bit = 1 << (var - 1)
         if self.mask & bit:
             raise ValueError(f"cannot split on literal component x{var}")
-        return (Cube(self.n, self.mask | bit, self.val),
-                Cube(self.n, self.mask | bit, self.val | bit))
+        mask = self.mask | bit
+        return _cube(self.n, mask, self.val), _cube(self.n, mask, self.val | bit)
 
     def nbhd_dir(self, var: int) -> "Cube":
         """1-neighborhood cube in direction var: the literal component flipped."""
-        bit = 1 << (var - 1)
         if var < 1 or var > self.n:
             raise ValueError(f"variable x{var} outside cube arity {self.n}")
+        bit = 1 << (var - 1)
         if not self.mask & bit:
             raise ValueError(f"x{var} is a free component, not a literal")
         return Cube(self.n, self.mask, self.val ^ bit)
@@ -127,6 +127,19 @@ class Cube:
 
     def __repr__(self):
         return f"Cube({self.to_text() or 'T'}, n={self.n})"
+
+
+def _cube(n: int, mask: int, val: int) -> Cube:
+    """A Cube built without the range checks of `Cube.__init__`, for a
+    cube derived from a valid one (a split half, a merge hull): the
+    caller guarantees mask >> n == 0 and val & ~mask == 0. Every cube
+    read from outside goes through `Cube` itself."""
+    cube = object.__new__(Cube)
+    cube.n = n
+    cube.mask = mask
+    cube.val = val
+    cube._hash = hash((n, mask, val))
+    return cube
 
 
 def unsat_cube(clause: Clause, num_vars: int) -> Cube:
@@ -220,7 +233,9 @@ def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):
     when both cubes falsify every literal of the resolvent; that check is
     part of the precondition, so failure is a normal fall-through for the
     caller, not an error. The precondition is decided on bits, and the
-    resolvent is built only for a merge that happens.
+    resolvent is built from the clauses' bits only for a merge that
+    happens: its falsifying cube pins both clauses' variables but the
+    pivot.
     """
     if p1.n != p2.n:
         raise ValueError("cube arity mismatch")
@@ -238,5 +253,5 @@ def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):
             p2.val & need != rval | c2.fval & bit:
         return None
     mask = p1.mask & p2.mask & ~(p1.val ^ p2.val)
-    merged = Cube(p1.n, mask, p1.val & mask)
-    return merged, resolve(c1, c2, pivot)
+    return (_cube(p1.n, mask, p1.val & mask),
+            Clause.from_unsat(need & ~bit, rval))

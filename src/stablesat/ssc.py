@@ -78,6 +78,7 @@ class MergeOutcome:
     left: Clause
     right: Clause
     pivot: int
+    record: list        # the partner's Boundary record
 
 
 @dataclass
@@ -95,93 +96,76 @@ class SscResult:
 
 
 class _Boundary:
-    """Insertion-ordered cube set with front pops and front/back pushes,
-    holding each cube's clause lists.
+    """The Boundary: a stack of per-cube records, its front at the end.
 
-    A cube's record lists the clauses it falsifies, in formula order, and
-    for a split half the clauses its parent met, as a bitset over clause
-    ids (bit cid - 1). Each push carries the record, a child's derived
-    from its parent's; clauses are only appended, so a lookup reads only
-    the clauses learned since the record was made. A record goes when its
-    cube leaves.
+    A record is a list [cube, tested, falsified, met]. `falsified` lists
+    in id order the clauses among the formula's first `tested` that the
+    cube falsifies. `met` holds, as a bitset over clause ids (bit
+    cid - 1), those among the same clauses that the cube meets; it is
+    None unless the cube is a split half, whose bitset derives from its
+    parent's. Clauses are only appended, so `refresh` brings a record up
+    to date in place from the clauses learned since it was made. Each
+    record owns its lists.
 
-    It keeps no cover index: the all-free full-scope start needs none
-    (see `gen_ssc`). Every other start uses `_IndexedBoundary`.
+    `pop` takes the front and `push` puts records there; `push_back`
+    puts one at the back, index 0. The engine reads `stack` directly.
+
+    It keeps no cover index and tests no membership: from the all-free
+    full-scope start no cube enters it twice (see `gen_ssc`). Every
+    other start uses `_IndexedBoundary`.
     """
 
     def __init__(self, formula: CnfFormula):
         self.formula = formula
-        self.items: list[Cube] = []
-        # Cube -> (clauses tested, falsified, met); a split half's met is
-        # (clauses tested, ids its parent met, split bit), else None.
-        self.records: dict = {}
+        self.stack: list[list] = []
 
     def pop(self) -> tuple[Cube, bool, list, int | None]:
         """The front cube, whether it is in a cover index (never, here),
         the clauses it falsifies and, when it falsifies none, the ids of
         the clauses it meets, as a bitset."""
-        cube = self.items.pop(0)
-        hits = self.falsified(cube)
-        meeting = None if hits else self.meeting(cube)
-        del self.records[cube]
-        return cube, False, hits, meeting
+        record = self.stack.pop()
+        if record[1] != len(self.formula.clauses):
+            self.refresh(record)
+        cube, _, hits, met = record
+        if not hits and met is None:
+            met = self.formula.meeting_bits(cube.mask, cube.val)
+        return cube, False, hits, met
 
-    def push_front(self, entries) -> list:
-        """Put (cube, falsified, met) entries at the front, in order, and
-        return the cubes that were not here. A cube already here keeps its
-        place and record."""
-        tested = len(self.formula.clauses)
-        fresh = []
-        for cube, hits, met in entries:
-            if cube not in self.records:
-                self.records[cube] = (tested, hits, met)
-                fresh.append(cube)
-        self.items[0:0] = fresh
-        return fresh
+    def push(self, records):
+        """Put records at the front, the first of them frontmost."""
+        self.stack += reversed(records)
 
-    def push_back(self, cube: Cube, hits: list):
-        if cube not in self.records:
-            self.records[cube] = (len(self.formula.clauses), hits, None)
-            self.items.append(cube)
+    def push_back(self, record):
+        self.stack.insert(0, record)
 
-    def remove(self, cube: Cube):
-        self.items.remove(cube)
-        del self.records[cube]
+    def remove(self, record):
+        """Remove a record, found by identity from the front."""
+        stack = self.stack
+        i = len(stack) - 1
+        while stack[i] is not record:
+            i -= 1
+        del stack[i]
 
-    def falsified(self, cube: Cube) -> list:
-        """The clauses a member falsifies, in formula order."""
-        count, hits, met = self.records[cube]
-        if count != len(self.formula.clauses):
-            hits = hits + self.formula.falsified(cube.mask, cube.val, count)
-            self.records[cube] = (len(self.formula.clauses), hits, met)
+    def refresh(self, record) -> list:
+        """Bring a record up to the formula's clauses; its falsified list."""
+        cube, tested, hits, met = record
+        clauses = self.formula.clauses
+        record[1] = len(clauses)
+        new, mask, val = clauses[tested:], cube.mask, cube.val
+        hits += falsified_among(new, mask, val)
+        if met is not None:
+            # Few clauses are new: test each, not every pinned variable.
+            for clause in new:
+                if not (val ^ clause.fval) & mask & clause.fmask:
+                    met |= 1 << (clause.cid - 1)
+            record[3] = met
         return hits
-
-    def meeting(self, cube: Cube) -> int:
-        """The ids of the clauses a member meets, as a bitset. A split half
-        keeps those of its parent's that hold no literal its split pin
-        satisfies."""
-        formula, met = self.formula, self.records[cube][2]
-        if met is None:
-            return formula.meeting_bits(cube.mask, cube.val)
-        count, met, bit = met
-        met &= ~formula.satisfied_by(bit, cube.val)
-        if count != len(formula.clauses):
-            met |= formula.meeting_bits(cube.mask, cube.val, count)
-        return met
-
-    def __contains__(self, cube):
-        return cube in self.records
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
 
 
 class _IndexedBoundary(_Boundary):
     """A Boundary whose cubes also sit in `covers`, the cover index the
-    Body shares.
+    Body shares, and that holds each cube once: a push skips a cube
+    already here, which keeps its place and record.
 
     Pushed cubes are pending: `flush` adds them to `covers` just before
     the engine's next coverage query, so a cube popped before then never
@@ -191,27 +175,34 @@ class _IndexedBoundary(_Boundary):
 
     def __init__(self, formula: CnfFormula, covers: CoverIndex):
         super().__init__(formula)
+        self.members: set[Cube] = set()
         self.pending: dict[Cube, None] = {}   # members not yet in covers
         self.covers = covers
 
     def pop(self) -> tuple[Cube, bool, list, int | None]:
         cube, _, hits, meeting = super().pop()
+        self.members.remove(cube)
         indexed = cube not in self.pending
         self.pending.pop(cube, None)
         return cube, indexed, hits, meeting
 
-    def push_front(self, entries) -> list:
-        fresh = super().push_front(entries)
-        self.pending.update(dict.fromkeys(fresh))
-        return fresh
+    def push(self, records):
+        fresh = [record for record in records if record[0] not in self.members]
+        super().push(fresh)
+        for record in fresh:
+            self.members.add(record[0])
+            self.pending[record[0]] = None
 
-    def push_back(self, cube: Cube, hits: list):
-        if cube not in self:
-            super().push_back(cube, hits)
-            self.pending[cube] = None
+    def push_back(self, record):
+        if record[0] not in self.members:
+            super().push_back(record)
+            self.members.add(record[0])
+            self.pending[record[0]] = None
 
-    def remove(self, cube: Cube):
-        super().remove(cube)
+    def remove(self, record):
+        super().remove(record)
+        cube = record[0]
+        self.members.remove(cube)
         if cube in self.pending:
             del self.pending[cube]
         else:
@@ -275,18 +266,21 @@ def _falsified_after_pin(formula: CnfFormula, h: list, cube: Cube,
 
 
 def _find_merge(boundary: _Boundary, p: Cube, h_p: list):
-    """Scan the Boundary in insertion order for a merge partner of p, which
+    """Scan the Boundary from the front for a merge partner of p, which
     falsifies the clauses h_p."""
-    for q in boundary:
-        for c2 in boundary.falsified(q):
+    tested = len(boundary.formula.clauses)
+    for record in reversed(boundary.stack):
+        hits = record[2] if record[1] == tested else boundary.refresh(record)
+        for c2 in hits:
             for c1 in h_p:
                 pivot = resolvable_on(c1, c2)
                 if pivot is None:
                     continue
-                outcome = merge(p, q, pivot, c1, c2)
+                outcome = merge(p, record[0], pivot, c1, c2)
                 if outcome is not None:
                     cube, resolvent = outcome
-                    return MergeOutcome(q, cube, resolvent, c1, c2, pivot)
+                    return MergeOutcome(record[0], cube, resolvent, c1, c2,
+                                        pivot, record)
     return None
 
 
@@ -333,11 +327,18 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
       a merge result, and then x falsifies its resolvent. So each half
       of x meets no other cube, and a query would answer UNCOVERED.
 
-    An ne-style start is all-free only when the formula holds the empty
-    clause, which every cube falsifies, so nothing splits, or no clause
-    at all, so the all-free cube is its one start. The shared-literal
-    scope asks every query, as it may miss a cover, and so does every
-    other start, through an index over Body + Boundary.
+    Nor does a cube enter the Boundary twice: a split half meets no
+    other cube, and a merge result is the region of a split node, while
+    after a pop the Boundary holds unsplit nodes only. So this path keeps
+    the Boundary as a bare stack with no membership test.
+
+    An ne-style start is the all-free cube alone only when the formula
+    holds no clause but the empty one. With the empty clause among
+    others the all-free cube is one start of several and a merge may
+    rebuild another start, so that run keeps the index and the
+    membership test; every neighbour query answers covered. The
+    shared-literal scope asks every query, as it may miss a cover, and
+    so does every other start, through an index over Body + Boundary.
     """
     config = config or SscConfig()
     n = formula.num_vars
@@ -349,9 +350,12 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     shared = config.coverage == "shared"
 
     if config.init_strategy == "ne-style":
-        # One start per clause; with no clause to falsify, the whole space.
-        starts = [(unsat_cube(c, n), c) for c in work.clauses] or \
-            [(Cube.full(n), None)]
+        # One start per distinct clause cube, named by its first clause;
+        # with no clause to falsify, the whole space.
+        firsts: dict[Cube, Clause] = {}
+        for c in work.clauses:
+            firsts.setdefault(unsat_cube(c, n), c)
+        starts = list(firsts.items()) or [(Cube.full(n), None)]
     else:
         init = config.init_cube if config.init_cube is not None else Cube.full(n)
         if init.n != n:
@@ -359,7 +363,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         starts = [(init, None)]
     # Body + Boundary is the whole space at every step, and no split half
     # meets another cube (see above): no coverage query is needed.
-    whole = not shared and any(not cube.mask for cube, _ in starts)
+    whole = not shared and len(starts) == 1 and not starts[0][0].mask
     if whole:
         covers = None
         boundary = _Boundary(work)
@@ -367,20 +371,20 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
         covers = CoverIndex(n)   # Body + Boundary, with multiplicity
         boundary = _IndexedBoundary(work, covers)
     for cube, clause in starts:
-        if cube not in boundary:
-            hits = work.falsified(cube.mask, cube.val)
-            boundary.push_back(cube, hits)
-            if clause is None and hits:
-                clause = hits[0]   # the single start names its first clause
-            if tracing:
-                log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
-                    "" if clause is None else f" clause {clause.cid}"))
+        hits = work.falsified(cube.mask, cube.val)
+        boundary.push_back([cube, len(work.clauses), hits, None])
+        if clause is None and hits:
+            clause = hits[0]   # the single start names its first clause
+        if tracing:
+            log.add("initialize", lambda: f"cube {cube.to_text()} 0" + (
+                "" if clause is None else f" clause {clause.cid}"))
 
     transport: dict[Cube, int] = {}   # the Body, in insertion order
     learn_steps: list[LearnStep] = []
     iterations = 0
+    stack, occurs, occ_bits = boundary.stack, work.occurs, work.occ_bits
 
-    while len(boundary):
+    while stack:
         iterations += 1
         p, indexed, h, meeting = boundary.pop()
         # A cube falsifying nothing may still meet clauses: split it.
@@ -398,7 +402,18 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                  trace=log.records)
             var = pick_split_var(p, work.clauses_of(meeting),
                                  config.split_heuristic)
-            halves = p.split(var)
+            halves = low, high = p.split(var)
+            # p falsifies nothing, so a half falsifies only clauses holding
+            # the literal its pin falsifies, x_var for the low half and
+            # -x_var for the high one, and meets those p meets that hold
+            # no literal its pin satisfies.
+            slot, tested = 2 * var - 2, len(work.clauses)
+            records = [
+                [low, tested, falsified_among(occurs[slot], low.mask, low.val),
+                 meeting & ~occ_bits[slot + 1]],
+                [high, tested, falsified_among(occurs[slot + 1], high.mask,
+                                               high.val),
+                 meeting & ~occ_bits[slot]]]
             if whole:
                 verdicts = (UNCOVERED, UNCOVERED)
             else:
@@ -408,12 +423,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 base = covers.narrow(p.mask, p.val, shared)
                 verdicts = [is_covered(half, covers, shared, base)
                             for half in halves]
-            bit = 1 << (var - 1)
-            kept = [half for half, verdict in zip(halves, verdicts)
-                    if verdict != COVERED]
-            boundary.push_front([(half, _falsified_after_pin(work, h, half, bit),
-                                  (len(work.clauses), meeting, bit))
-                                 for half in kept])
+                records = [record for record, verdict in zip(records, verdicts)
+                           if verdict != COVERED]
+            boundary.push(records)
             if tracing:
                 log.add("split", lambda: f"cube {p.to_text()} 0 var {var} -> " +
                         " | ".join(f"cube {half.to_text()} 0 "
@@ -427,7 +439,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 if indexed:
                     covers.discard(p)
                 partner = outcome.partner
-                boundary.remove(partner)
+                boundary.remove(outcome.record)
                 clause, created = work.learn(outcome.resolvent)
                 if created:
                     learn_steps.append(LearnStep(clause.cid, clause.lits,
@@ -437,9 +449,9 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 # It contains p, so it falsifies only clauses p does, and
                 # the resolvent; a reused resolvent is among h.
                 merged = outcome.cube
-                boundary.push_front([(merged, falsified_among(
+                boundary.push([[merged, len(work.clauses), falsified_among(
                     h, merged.mask, merged.val) + ([clause] if created else []),
-                    None)])
+                    None]])
                 if tracing:
                     log.add("merge", lambda: (
                         f"cube {p.to_text()} 0 clause {outcome.left.cid} "
@@ -473,13 +485,15 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                                 f"dir {abs(lit)} -> cube {neighbor.to_text()} 0 "
                                 f"{'new' if new else 'covered'}"))
                         if new:
-                            fresh.append((neighbor, _falsified_after_pin(
-                                work, h, neighbor, 1 << (abs(lit) - 1))))
-                    for neighbor, hits in fresh:
+                            fresh.append([neighbor, len(work.clauses),
+                                          _falsified_after_pin(
+                                              work, h, neighbor,
+                                              1 << (abs(lit) - 1)), None])
+                    for record in fresh:
                         if config.pop_policy == "fifo":
-                            boundary.push_back(neighbor, hits)
+                            boundary.push_back(record)
                         else:
-                            boundary.push_front([(neighbor, hits, None)])
+                            boundary.push([record])
                 if p in transport:
                     if not whole:
                         covers.discard(p)   # the Body holds a copy already

@@ -243,6 +243,20 @@ def test_resolvable_on_matches_literal_sets():
     assert 50 < pivots < 450   # both answers are drawn often
 
 
+def test_clause_from_unsat_matches_the_literal_form():
+    rng = random.Random(12)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        clause = Clause(random_clause(n, rng, rng.randint(1, n))
+                        if rng.random() < 0.9 else [])
+        built = Clause.from_unsat(clause.fmask, clause.fval)
+        assert built == clause and hash(built) == hash(clause)
+        assert (built.lits, built.fmask, built.fval, built.cid) == \
+            (clause.lits, clause.fmask, clause.fval, 0)
+    with pytest.raises(ValueError, match="outside the clause variables"):
+        Clause.from_unsat(0b01, 0b10)
+
+
 def test_resolve_worked_examples():
     assert resolve(Clause([1, -2]), Clause([-1, -2, 3]), 1).lits == (-2, 3)
     assert resolve(Clause([-3, 4]), Clause([-3, -4]), 4).lits == (-3,)

@@ -150,6 +150,15 @@ def test_nbhd_dir_examples():
     assert p1.nbhd_dir(2).nbhd_dir(2) == p1
 
 
+@pytest.mark.parametrize("var", [0, -2, 4])
+@pytest.mark.parametrize("method", ["split", "nbhd_dir"])
+def test_variable_outside_arity_is_named(method, var):
+    # The range is checked before the variable's bit is built, so a
+    # variable below 1 is named too, not reported as a negative shift.
+    with pytest.raises(ValueError, match=f"variable x{var} outside cube arity 3"):
+        getattr(cube([-1, 2], 3), method)(var)
+
+
 def test_nbhd_dir_requires_literal_component():
     with pytest.raises(ValueError):
         cube([-2], 4).nbhd_dir(1)
@@ -314,6 +323,11 @@ def test_merge_matches_build_then_check_merge():
         assert (got is None) == (want is None), case
         if got is not None:
             assert got[0] == want[0] and got[1].lits == want[1].lits, case
+            # Both are built from bits unchecked: each must be what the
+            # checked constructors make, down to the hash and the bits.
+            assert hash(got[0]) == hash(want[0]), case
+            assert (got[1].fmask, got[1].fval, got[1].cid) == \
+                (want[1].fmask, want[1].fval, 0), case
         if resolvable_on(c1, c2) == pivot:
             r = resolve(c1, c2, pivot)
             failing[tuple(not cube_falsifies(p, c) for p, c in

@@ -186,6 +186,19 @@ def test_empty_clause_learn_line():
     assert any(step.lits == () for step in proof.learns)
 
 
+def test_empty_literal_lines_format_and_parse():
+    # The empty clause and the all-free cluster and witness hold no
+    # literal: the 0 follows the record name directly.
+    text = ("learn 3 0 from 1 2 pivot 1\n"
+            "cluster 0 clause 3\n"
+            "result UNSAT\n")
+    proof = parse_proof(text)
+    assert proof.learns[0].lits == () and proof.clusters == [((), 3)]
+    assert format_proof(proof) == text
+    assert format_proof(parse_proof("witness 0\nresult SAT\n")) == \
+        "witness 0\nresult SAT\n"
+
+
 SYM_PROOF = """\
 sym (1 3)(2 4)
 sym (1 2)(3 4)

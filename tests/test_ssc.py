@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import random
 import sys
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
-                            point_nbhd, resolve)
+                            point_nbhd)
 from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
                                 union_count)
 from stablesat.cubes import (Cube, checked_members, cube_falsifies,
@@ -30,11 +31,18 @@ def cube(lits, n=4):
 
 
 def boundary_of(cubes, formula):
-    """A Boundary holding the cubes in order, each with its scanned list."""
+    """A Boundary holding the cubes in order, front first, each with its
+    scanned list."""
     boundary = _Boundary(formula)
     for q in cubes:
-        boundary.push_back(q, formula.falsified(q.mask, q.val))
+        boundary.push_back([q, len(formula.clauses),
+                            formula.falsified(q.mask, q.val), None])
     return boundary
+
+
+def boundary_cubes(boundary):
+    """The cubes of a Boundary, front first."""
+    return [record[0] for record in reversed(boundary.stack)]
 
 
 def find_merge(cubes, p, formula):
@@ -132,14 +140,16 @@ def test_find_merge_sees_clauses_learned_after_caching():
     boundary = boundary_of([q], work)
     h_p = work.falsified(p.mask, p.val)
     assert _find_merge(boundary, p, h_p) is None   # q falsifies nothing
-    assert boundary.records == {q: (1, [], None)}
+    assert boundary.stack == [[q, 1, [], None]]
     work.learn((-1, -2))
     outcome = _find_merge(boundary, p, h_p)
     assert outcome is not None and outcome.cube == cube([2], 2)
     assert outcome.resolvent.lits == (-2,) and outcome.pivot == 1
-    assert boundary.records == {q: (2, work.falsified(q.mask, q.val), None)}
-    boundary.remove(q)
-    assert boundary.records == {} and list(boundary) == []
+    # The record was brought up to the learned clause in place.
+    assert outcome.record is boundary.stack[0]
+    assert boundary.stack == [[q, 2, work.falsified(q.mask, q.val), None]]
+    boundary.remove(outcome.record)
+    assert boundary.stack == []
 
 
 def test_verify_ssc_golden_body(vb_formula, golden_config):
@@ -491,12 +501,15 @@ def test_learned_clauses_are_the_merge_resolvents():
     # The engine registers the resolvent merge built, not a second
     # Clause of the same literals.
     built = []
+    merge = ssc.merge
 
     def recording(*args):
-        built.append(resolve(*args))
-        return built[-1]
+        outcome = merge(*args)
+        if outcome is not None:
+            built.append(outcome[1])
+        return outcome
 
-    with mock.patch("stablesat.cubes.resolve", recording):
+    with mock.patch.object(ssc, "merge", recording):
         result = gen_ssc(ph_formula(4, 3)[0])
     assert result.learned
     ids = {id(clause) for clause in built}
@@ -508,6 +521,18 @@ def test_formula_not_mutated_by_solver(vb_formula):
     gen_ssc(vb_formula, SscConfig(init_cube=cube([-2, -3])))
     assert [c.lits for c in vb_formula.clauses] == before
     assert vb_formula.original_count == 5
+
+
+def test_a_merge_that_rebuilds_a_start_keeps_one_copy():
+    # With the empty clause among others, the all-free cube is one
+    # ne-style start of four. Merging the starts of clauses 2 and 3
+    # rebuilds the start of clause 4, which stays in the Boundary once:
+    # a second copy would be popped again.
+    f = CnfFormula(2, [[], [1, 2], [-1, 2], [2]])
+    result = gen_ssc(f, SscConfig(init_strategy="ne-style"))
+    assert not result.satisfiable and result.iterations == 3
+    assert result.body == [Cube.full(2), cube([-2], 2)]
+    assert verify_ssc(result.formula, result.body, result.transport)
 
 
 def test_ne_style_refuses_an_init_cube():
@@ -542,31 +567,51 @@ def test_formula_without_clauses_is_sat():
             assert result.witness == Cube.full(n)
 
 
+def fresh_lists(formula, cube, tested):
+    """The clauses among the first `tested` that the cube falsifies, and
+    the ids of those it meets as a bitset, from the cube tests alone."""
+    clauses = formula.clauses[:tested]
+    return ([c for c in clauses if cube_falsifies(cube, c)],
+            sum(1 << (c.cid - 1) for c in clauses if not cube_satisfies(cube, c)))
+
+
+@contextlib.contextmanager
 def checked_lists(looked):
-    """_Boundary with every list lookup compared with a fresh scan of the
-    same clauses: a falsified list in order, a meeting bitset bit for bit
-    with the ids the scan finds. `looked` counts the falsified lookups
-    that refresh a record with clauses learned since it was made, and the
-    meeting lookups of a split half's inherited bitset."""
-    falsified, meeting = _Boundary.falsified, _Boundary.meeting
+    """_Boundary.pop and ssc._find_merge patched to compare the Boundary
+    records they read with fresh scans of the clauses each has tested:
+    the falsified list in order, a split half's meeting bitset bit for
+    bit. Pop checks the popped record against the whole formula; a
+    merge search checks every record first, stale ones included.
+    `looked` counts the refreshes that bring a record up to clauses
+    learned since it was made, and the pops of a split half falsifying
+    nothing, which read its inherited bitset."""
+    pop, refresh, find = _Boundary.pop, _Boundary.refresh, ssc._find_merge
 
-    def checked_falsified(self, cube):
-        stale = self.records[cube][0] != len(self.formula.clauses)
-        hits = falsified(self, cube)
-        assert hits == self.formula.falsified(cube.mask, cube.val)
-        looked["falsified"] += stale
-        return hits
+    def checked_pop(self):
+        derived = self.stack[-1][3] is not None
+        popped = pop(self)
+        cube, _, hits, meeting = popped
+        falsified, met = fresh_lists(self.formula, cube, len(self.formula.clauses))
+        assert hits == falsified
+        if not hits:
+            assert meeting == met
+            looked["meeting"] += derived
+        return popped
 
-    def checked_meeting(self, cube):
-        derived = self.records[cube][2] is not None
-        met = meeting(self, cube)
-        assert met == sum(1 << (c.cid - 1) for c in self.formula.clauses
-                          if not cube_satisfies(cube, c))
-        looked["meeting"] += derived
-        return met
+    def counted_refresh(self, record):
+        looked["refresh"] += 1
+        return refresh(self, record)
 
-    return mock.patch.multiple(_Boundary, falsified=checked_falsified,
-                               meeting=checked_meeting)
+    def checked_find(boundary, p, h_p):
+        for cube, tested, hits, met in boundary.stack:
+            falsified, meeting = fresh_lists(boundary.formula, cube, tested)
+            assert hits == falsified
+            assert met is None or met == meeting
+        return find(boundary, p, h_p)
+
+    with mock.patch.multiple(_Boundary, pop=checked_pop, refresh=counted_refresh), \
+            mock.patch.object(ssc, "_find_merge", checked_find):
+        yield
 
 
 LIST_CONFIGS = [SscConfig(), SscConfig(init_strategy="ne-style"),
@@ -601,8 +646,8 @@ def test_inherited_lists_match_fresh_scans(n, seed, config, empty, pinned):
 
 
 def test_inherited_lists_are_read():
-    # Derived entries of both kinds are looked up, learned resolvents
-    # included, so the comparison above checks them.
+    # Derived records of both kinds are read, and records are refreshed
+    # with learned resolvents, so the comparison above checks them.
     looked = Counter()
     rng = random.Random(11)
     with checked_lists(looked):
@@ -611,7 +656,7 @@ def test_inherited_lists_are_read():
             assert not result.satisfiable or result.witness is not None
         result = gen_ssc(ph_formula(4, 3)[0])
     assert not result.satisfiable and result.learned
-    assert looked["falsified"] > 0 and looked["meeting"] > 0
+    assert looked["refresh"] > 0 and looked["meeting"] > 0
 
 
 def test_neighbor_list_merges_kept_and_gained_in_id_order():
@@ -678,8 +723,8 @@ def checked_queries(checks, whole=False):
     """ssc.is_covered patched to assert, at each engine query, that the
     cover index holds Body + Boundary, plus the popped cube while its
     neighbours are judged (they are disjoint from it; split halves lie
-    inside it), and that the Boundary keeps a record for exactly its
-    cubes. Appends (kind, verdict) to `checks` per query, kind "split"
+    inside it), and that the Boundary's membership set holds exactly
+    the cubes of its records. Appends (kind, verdict) to `checks` per query, kind "split"
     for a target inside the popped cube and "nbhd" for a neighbour.
 
     With `whole` (an all-free start), also asserts that Body + Boundary
@@ -692,10 +737,11 @@ def checked_queries(checks, whole=False):
         engine = engine_locals()
         p = engine["p"]
         boundary = engine["boundary"]
-        assert boundary.records.keys() == set(boundary)
-        assert len(boundary.records) == len(boundary)
+        cubes = boundary_cubes(boundary)
+        assert boundary.members == set(cubes)
+        assert len(boundary.members) == len(cubes)
         expected = Counter(list(engine["transport"]))
-        expected.update(boundary)
+        expected.update(cubes)
         split = p.contains(target)
         if not split:
             expected[p] += 1
@@ -751,6 +797,44 @@ def test_cover_index_holds_body_and_boundary_at_every_query(formula, pop,
     else:
         # A shared-literal query may miss a cover, so that scope asks.
         assert result.satisfiable or checks
+
+
+def checked_cube(c):
+    """An engine-made cube equals, and hashes like, the cube the checked
+    constructor makes of its fields; that constructor raises on a cube
+    out of range."""
+    checked = Cube(c.n, c.mask, c.val)
+    assert c == checked and hash(c) == hash(checked)
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_instances(max_vars=12),
+       st.sampled_from(("first-intersecting", "most-constrained")),
+       st.booleans())
+def test_engine_made_cubes_are_valid(formula, heuristic, merge_on):
+    # Split halves and merge hulls are built without range checks; every
+    # one, and so every Body cube and witness, must be a valid cube.
+    split, merge = Cube.split, ssc.merge
+    built = []
+
+    def recording_split(self, var):
+        halves = split(self, var)
+        built.extend(halves)
+        return halves
+
+    def recording_merge(*args):
+        outcome = merge(*args)
+        if outcome is not None:
+            built.append(outcome[0])
+        return outcome
+
+    with mock.patch.object(Cube, "split", recording_split), \
+            mock.patch.object(ssc, "merge", recording_merge):
+        result = gen_ssc(formula, SscConfig(split_heuristic=heuristic,
+                                            merge_enabled=merge_on))
+    assert built
+    for c in built + result.body + [result.witness] * result.satisfiable:
+        checked_cube(c)
 
 
 def test_partial_start_queries_neighbours():
@@ -831,14 +915,17 @@ def split_tree_checks(counts):
     """ssc.pick_split_var and ssc._find_merge patched to check the split
     tree proof of gen_ssc: at every split the popped cube meets no Body
     cube and no Boundary cube, and every merge result is its partner's
-    parent, holding both cubes with one pin fewer than the partner.
-    Counts the splits and merges checked in `counts`."""
+    parent, holding both cubes with one pin fewer than the partner, and
+    is not in the Boundary, whose cubes are distinct. Counts the splits
+    and merges checked in `counts`."""
     pick, find = ssc.pick_split_var, ssc._find_merge
 
     def pick_split_var(p, *args):
         engine = engine_locals()
+        cubes = boundary_cubes(engine["boundary"])
         assert not any(q.intersects(p) for q in engine["transport"])
-        assert not any(q.intersects(p) for q in engine["boundary"])
+        assert not any(q.intersects(p) for q in cubes)
+        assert len(set(cubes)) == len(cubes)
         counts["split"] += 1
         return pick(p, *args)
 
@@ -848,6 +935,7 @@ def split_tree_checks(counts):
             merged, partner = outcome.cube, outcome.partner
             assert merged.contains(p) and merged.contains(partner)
             assert merged.mask.bit_count() == partner.mask.bit_count() - 1
+            assert merged not in boundary_cubes(boundary)
             counts["merge"] += 1
         return outcome
 
