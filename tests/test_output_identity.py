@@ -34,6 +34,9 @@ FLAG_SETS = {
     "lifo": ["--pop", "lifo"],
     "most-constrained": ["--split", "most-constrained"],
     "shared": ["--coverage", "shared"],
+    # Many starts and the shared-literal scope: the run with the most
+    # shared-scope coverage queries.
+    "ne-shared": ["--mode", "ssc-ne", "--coverage", "shared"],
     "no-merge": ["--no-merge"],
     "ssp": ["--mode", "ssp"],
     "ssp-lifo": ["--mode", "ssp", "--pop", "lifo"],
