@@ -72,9 +72,6 @@ class Clause:
         clause.fval = fval
         return clause
 
-    def variables(self):
-        return tuple(abs(l) for l in self.lits)
-
     def max_var(self) -> int:
         return abs(self.lits[-1]) if self.lits else 0
 
@@ -100,6 +97,8 @@ class CnfFormula:
 
     Clause ids are 1-based list positions and stay stable as learned
     clauses are appended. original_count marks the input/learned boundary.
+    `clause_lits` holds literal iterables or Clauses; a Clause no formula
+    holds (id 0) is registered itself, as `learn` does.
     """
 
     def __init__(self, num_vars: int, clause_lits=()):
@@ -114,7 +113,8 @@ class CnfFormula:
         self.occurs: list[list[Clause]] = [[] for _ in range(2 * num_vars)]
         self.occ_bits: list[int] = [0] * (2 * num_vars)
         for lits in clause_lits:
-            self._register(Clause(lits))
+            fresh = isinstance(lits, Clause) and not lits.cid
+            self._register(lits if fresh else Clause(lits))
         self.original_count = len(self.clauses)
 
     def _register(self, clause: Clause) -> Clause:

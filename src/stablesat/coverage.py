@@ -1,10 +1,14 @@
-"""Coverage queries: is a cube inside the union of a set of cubes?
+"""Coverage queries: is a cube inside the union of a set of cubes, and
+how many points does that union hold?
 
-The check runs by recursive splitting, a DPLL specialization over the
-complement of the cover set: take the covers meeting the target from a
-per-literal index (CoverIndex), stop when one cover swallows the
-region, otherwise split it on a variable pinned by the largest surviving
-cover. Exact unless the candidates are narrowed to shared-literal covers.
+Both run one recursive splitting, a DPLL specialization over the
+complement of the cover set (the tautology check of Brayton et al.,
+1984): take the covers meeting the target from a per-literal index
+(CoverIndex), stop when one cover swallows the region or none meets it,
+otherwise split it on a variable pinned by the largest surviving cover.
+The point count is the space minus the points no cover holds; the cover
+check stops at the first such point. Exact unless the candidates are
+narrowed to shared-literal covers.
 """
 
 from __future__ import annotations
@@ -141,15 +145,56 @@ class CoverIndex:
         return self.present.bit_count()
 
 
+def _uncovered(target: Cube, found, stop: bool) -> int:
+    """The number of points of the target that no cube in `found` holds;
+    with `stop`, a positive count at the first uncovered region found.
+
+    The target is split on a variable pinned by its largest surviving
+    cover until a cover contains the region or none meets it. Every count
+    comes from the intersection and containment tests made here.
+    """
+    if not found:
+        return target.count_points()
+    mask, val = target.mask, target.val
+    for c in found:
+        if not (c.mask & ~mask or (c.val ^ val) & c.mask):
+            return 0
+    # Per cover: (pinned, pinned to 1, pinned to 0), fewest pins first, so
+    # the first survivor of a region is its largest cover.
+    candidates = sorted(((c.mask, c.val, c.mask & ~c.val) for c in found
+                         if not (c.val ^ val) & c.mask & mask),
+                        key=lambda c: c[0].bit_count())
+    n = target.n
+
+    def rec(mask: int, cubes) -> int:
+        # Every cover in cubes meets the region `mask` pins.
+        if not cubes:
+            return 1 << (n - mask.bit_count())
+        for c in cubes:
+            if not c[0] & ~mask:
+                return 0
+        # The largest cover neither contains nor misses the region, so it
+        # pins some variable that is still free in the region. A cover
+        # meets a half exactly when it does not pin that variable the
+        # other way.
+        pinned = cubes[0][0] & ~mask
+        bit = pinned & -pinned
+        mask |= bit
+        count = rec(mask, [c for c in cubes if not c[1] & bit])
+        if count and stop:
+            return count
+        return count + rec(mask, [c for c in cubes if not c[2] & bit])
+
+    return rec(mask, candidates)
+
+
 def is_covered(target: Cube, covers, shared_literal: bool = False,
                base=None) -> str:
     """Whether the target cube lies inside the union of the cover cubes.
 
     `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
-    The answer is UNCOVERED at once when no candidate meets the target and
-    COVERED at once when one contains it; otherwise the target is split.
-    The index only narrows the candidates: every verdict comes from this
-    function's own intersection and containment tests on them. With
+    The index only narrows the candidates: every verdict comes from the
+    intersection and containment tests of `_uncovered` on them. With
     shared_literal the candidates are narrowed further to those sharing
     at least one literal component with the target; that may report a
     covered cube as uncovered, which is sound for the solver (it only
@@ -160,57 +205,11 @@ def is_covered(target: Cube, covers, shared_literal: bool = False,
     index = covers if isinstance(covers, CoverIndex) else \
         CoverIndex(target.n, covers)
     found = index.meeting(target, shared_literal, base)
-    if not found:
-        return UNCOVERED
-    mask, val = target.mask, target.val
-    for c in found:
-        if not (c.mask & ~mask or (c.val ^ val) & c.mask):
-            return COVERED
-    # Per cover: (pinned, pinned to 1, pinned to 0), fewest pins first, so
-    # the first survivor of a region is its largest cover.
-    candidates = sorted(((c.mask, c.val, c.mask & ~c.val) for c in found
-                         if not (c.val ^ val) & c.mask & mask),
-                        key=lambda c: c[0].bit_count())
-
-    def rec(mask: int, cubes) -> bool:
-        # Every cover in cubes meets the region `mask` pins.
-        for c in cubes:
-            if not c[0] & ~mask:
-                return True
-        # The largest cover neither contains nor misses the region, so it
-        # pins some variable that is still free in the region. A cover
-        # meets a half exactly when it does not pin that variable the
-        # other way.
-        pinned = cubes[0][0] & ~mask
-        bit = pinned & -pinned
-        mask |= bit
-        zero = [c for c in cubes if not c[1] & bit]
-        if not zero or not rec(mask, zero):
-            return False
-        one = [c for c in cubes if not c[2] & bit]
-        return bool(one) and rec(mask, one)
-
-    return COVERED if candidates and rec(mask, candidates) else UNCOVERED
+    return UNCOVERED if _uncovered(target, found, True) else COVERED
 
 
 def union_count(covers, num_vars: int) -> int:
     """Exact number of points in the union of the cubes."""
-    covers = list(covers)
-    for cube in covers:
-        if cube.n != num_vars:
-            raise ValueError("cube arity mismatch in union count")
-
-    def rec(region: Cube, cubes) -> int:
-        live = [c for c in cubes if c.intersects(region)]
-        if not live:
-            return 0
-        for c in live:
-            if c.contains(region):
-                return region.count_points()
-        big = max(live, key=lambda c: c.free_count())
-        pinned = big.mask & ~region.mask
-        var = (pinned & -pinned).bit_length()
-        zero, one = region.split(var)
-        return rec(zero, live) + rec(one, live)
-
-    return rec(Cube.full(num_vars), covers)
+    space = Cube.full(num_vars)
+    found = CoverIndex(num_vars, covers).meeting(space)
+    return (1 << num_vars) - _uncovered(space, found, False)

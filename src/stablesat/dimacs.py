@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .core import CnfFormula
+from .core import Clause, CnfFormula
 
 
 class DimacsError(ValueError):
@@ -24,7 +24,7 @@ def parse_dimacs(text) -> CnfFormula:
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     num_vars = declared = None
-    clauses: list[list[int]] = []
+    clauses: list[Clause] = []
     pending: list[int] = []
     pending_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -54,14 +54,10 @@ def parse_dimacs(text) -> CnfFormula:
             except ValueError:
                 raise DimacsError(f"bad literal {token!r}", lineno) from None
             if lit == 0:
-                seen: dict[int, int] = {}
-                for l in pending:
-                    if seen.get(abs(l), l) != l:
-                        raise DimacsError(
-                            f"tautological clause: both polarities of x{abs(l)}",
-                            lineno)
-                    seen[abs(l)] = l
-                clauses.append(pending)
+                try:
+                    clauses.append(Clause(pending))
+                except ValueError as exc:
+                    raise DimacsError(str(exc), lineno) from None
                 pending = []
                 continue
             if abs(lit) > num_vars:

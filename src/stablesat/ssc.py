@@ -119,17 +119,16 @@ class _Boundary:
         self.formula = formula
         self.stack: list[list] = []
 
-    def pop(self) -> tuple[Cube, bool, list, int | None]:
-        """The front cube, whether it is in a cover index (never, here),
-        the clauses it falsifies and, when it falsifies none, the ids of
-        the clauses it meets, as a bitset."""
+    def pop(self) -> tuple[Cube, list, int | None]:
+        """The front cube, the clauses it falsifies and, when it falsifies
+        none, the ids of the clauses it meets, as a bitset."""
         record = self.stack.pop()
         if record[1] != len(self.formula.clauses):
             self.refresh(record)
         cube, _, hits, met = record
         if not hits and met is None:
             met = self.formula.meeting_bits(cube.mask, cube.val)
-        return cube, False, hits, met
+        return cube, hits, met
 
     def push(self, records):
         """Put records at the front, the first of them frontmost."""
@@ -167,52 +166,38 @@ class _IndexedBoundary(_Boundary):
     Body shares, and that holds each cube once: a push skips a cube
     already here, which keeps its place and record.
 
-    Pushed cubes are pending: `flush` adds them to `covers` just before
-    the engine's next coverage query, so a cube popped before then never
-    enters it. A popped cube that did enter stays there: the engine
-    discards it or keeps that copy as its Body copy.
+    A cube enters `covers` when it is pushed and leaves when it is
+    removed. A popped cube stays there: the engine discards it or keeps
+    that copy as its Body copy.
     """
 
     def __init__(self, formula: CnfFormula, covers: CoverIndex):
         super().__init__(formula)
         self.members: set[Cube] = set()
-        self.pending: dict[Cube, None] = {}   # members not yet in covers
         self.covers = covers
 
-    def pop(self) -> tuple[Cube, bool, list, int | None]:
-        cube, _, hits, meeting = super().pop()
-        self.members.remove(cube)
-        indexed = cube not in self.pending
-        self.pending.pop(cube, None)
-        return cube, indexed, hits, meeting
+    def pop(self) -> tuple[Cube, list, int | None]:
+        popped = super().pop()
+        self.members.remove(popped[0])
+        return popped
 
     def push(self, records):
         fresh = [record for record in records if record[0] not in self.members]
         super().push(fresh)
         for record in fresh:
             self.members.add(record[0])
-            self.pending[record[0]] = None
+            self.covers.add(record[0])
 
     def push_back(self, record):
         if record[0] not in self.members:
             super().push_back(record)
             self.members.add(record[0])
-            self.pending[record[0]] = None
+            self.covers.add(record[0])
 
     def remove(self, record):
         super().remove(record)
-        cube = record[0]
-        self.members.remove(cube)
-        if cube in self.pending:
-            del self.pending[cube]
-        else:
-            self.covers.discard(cube)
-
-    def flush(self):
-        """Add the pending cubes to `covers`, in push order."""
-        for cube in self.pending:
-            self.covers.add(cube)
-        self.pending.clear()
+        self.members.remove(record[0])
+        self.covers.discard(record[0])
 
 
 def pick_split_var(cube: Cube, meeting,
@@ -386,7 +371,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
 
     while stack:
         iterations += 1
-        p, indexed, h, meeting = boundary.pop()
+        p, h, meeting = boundary.pop()
         # A cube falsifying nothing may still meet clauses: split it.
         if not h:
             if meeting == 0:
@@ -417,9 +402,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             if whole:
                 verdicts = (UNCOVERED, UNCOVERED)
             else:
-                if indexed:
-                    covers.discard(p)   # it contains both halves
-                boundary.flush()
+                covers.discard(p)   # it contains both halves
                 base = covers.narrow(p.mask, p.val, shared)
                 verdicts = [is_covered(half, covers, shared, base)
                             for half in halves]
@@ -436,7 +419,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             if config.merge_enabled:
                 outcome = _find_merge(boundary, p, h)
             if outcome is not None:
-                if indexed:
+                if not whole:
                     covers.discard(p)
                 partner = outcome.partner
                 boundary.remove(outcome.record)
@@ -470,9 +453,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 # the all-free start every neighbour is covered, so only
                 # the trace reads them.
                 if not whole:
-                    boundary.flush()
-                    if not indexed:
-                        covers.add(p)
                     base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
                 if tracing or not whole:
                     fresh = []

@@ -590,7 +590,7 @@ def checked_lists(looked):
     def checked_pop(self):
         derived = self.stack[-1][3] is not None
         popped = pop(self)
-        cube, _, hits, meeting = popped
+        cube, hits, meeting = popped
         falsified, met = fresh_lists(self.formula, cube, len(self.formula.clauses))
         assert hits == falsified
         if not hits:
@@ -869,9 +869,8 @@ def test_default_start_makes_no_neighbourhood_query():
 
 
 def test_golden_run_index_upkeep(vb_formula, golden_config):
-    # Pushed cubes enter the index only at the next coverage query, so a
-    # cube popped before one (the start cube, the split halves) is never
-    # added and never discarded.
+    # Every pushed cube enters the index at once, the start cube and the
+    # split halves included.
     calls = Counter()
 
     def counting(name):
@@ -889,8 +888,7 @@ def test_golden_run_index_upkeep(vb_formula, golden_config):
         result = gen_ssc(vb_formula, golden_config)
     assert not result.satisfiable
     assert len(checks) == 10
-    # An index that took every push at once made 10 adds and 6 discards.
-    assert calls == {"add": 5, "discard": 1}
+    assert calls == {"add": 10, "discard": 6}
 
 
 @st.composite
