@@ -19,7 +19,7 @@ from .oracle import DEFAULT_CAP, brute_force_sat
 from .proofs import emit_proof, parse_proof, proof_from_result, replay_proof
 from .ssc import SscConfig, gen_ssc
 from .ssp import SspConfig, gen_ssp
-from .symmetry import (ORBIT_LIMIT, OrbitLimitExceeded, expand_mod_sym_to_ssp,
+from .symmetry import (OrbitLimitExceeded, expand_mod_sym_to_ssp,
                        format_symmetry_file, gen_ssp_mod_symmetry,
                        group_from_cycles, parse_symmetry_file, ph_formula,
                        ph_symmetry_generators, verify_stable_mod_symmetry)
@@ -106,6 +106,12 @@ _MODE_FLAGS = [("init", "--init", ("ssp", "ssc", "sym")),
 # the result, the certificate that --proof writes, and the model (None
 # when unsatisfiable).
 
+def _given(args, **fields):
+    """`field=attr` pairs as {field: args.attr} for the flags given."""
+    return {name: getattr(args, attr) for name, attr in fields.items()
+            if getattr(args, attr) is not None}
+
+
 def _solve_ssc(args, formula):
     init_cube = None
     if args.init is not None:
@@ -113,11 +119,10 @@ def _solve_ssc(args, formula):
         init_cube = Cube.from_literals(lits, formula.num_vars)
     config = SscConfig(
         init_strategy="ne-style" if args.mode == "ssc-ne" else "single-cube",
-        init_cube=init_cube, pop_policy=args.pop or "fifo",
-        split_heuristic=args.split or "first-intersecting",
-        merge_enabled=not args.no_merge,
-        coverage=args.coverage or "full",
-        record_trace=args.trace is not None)
+        init_cube=init_cube, merge_enabled=not args.no_merge,
+        record_trace=args.trace is not None,
+        **_given(args, pop_policy="pop", split_heuristic="split",
+                 coverage="coverage"))
     result = gen_ssc(formula, config)
     if result.satisfiable:
         print(f"c witness cube: {result.witness.to_text() or 'T'}")
@@ -132,7 +137,7 @@ def _solve_ssc(args, formula):
 def _solve_ssp(args, formula):
     init = parse_point(args.init) if args.init is not None else None
     result = gen_ssp(formula, init, SspConfig(
-        pop=args.pop or "fifo", record_trace=args.trace is not None))
+        record_trace=args.trace is not None, **_given(args, pop="pop")))
     if not result.satisfiable:
         print(f"c stable set size: {len(result.points)}  iterations: "
               f"{result.iterations}")
@@ -145,8 +150,8 @@ def _solve_sym(args, formula):
     with open(args.sym, "r", encoding="utf-8") as handle:
         group = parse_symmetry_file(handle.read(), formula.num_vars)
     init = parse_point(args.init) if args.init is not None else None
-    limit = args.orbit_limit if args.orbit_limit is not None else ORBIT_LIMIT
-    result = gen_ssp_mod_symmetry(formula, group, init, orbit_limit=limit)
+    result = gen_ssp_mod_symmetry(formula, group, init,
+                                  **_given(args, orbit_limit="orbit_limit"))
     if result.satisfiable:
         return result, result, result.witness
     report = verify_stable_mod_symmetry(formula, result.points,
@@ -216,8 +221,7 @@ def _cmd_verify(args) -> int:
         group = group_from_cycles(proof.generators, formula.num_vars)
 
         def expand(points, transport):
-            return expand_mod_sym_to_ssp(formula, points, transport, group,
-                                         limit=ORBIT_LIMIT)
+            return expand_mod_sym_to_ssp(formula, points, transport, group)
     report = replay_proof(formula, proof, expand)
     if report:
         print(f"verified: result {proof.result}")

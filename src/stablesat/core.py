@@ -19,6 +19,34 @@ Point = tuple
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
+def lits_to_masks(lits):
+    """The variables occurring positively and negatively in `lits`, as two
+    bitsets (bit v - 1 for variable v); 0 is refused. Each literal is a
+    shift count, so bound one from outside the program first."""
+    pos = neg = 0
+    for lit in lits:
+        if lit > 0:
+            pos |= 1 << (lit - 1)
+        elif lit:
+            neg |= 1 << ~lit        # ~lit is -lit - 1
+        else:
+            raise ValueError("0 is not a literal")
+    return pos, neg
+
+
+def masks_to_lits(pos: int, neg: int) -> tuple:
+    """The literals of two disjoint bitsets, ascending by variable: v for
+    each variable of `pos`, -v for each of `neg`."""
+    lits = []
+    rest = pos | neg
+    while rest:
+        low = rest & -rest
+        var = low.bit_length()
+        lits.append(-var if neg & low else var)
+        rest ^= low
+    return tuple(lits)
+
+
 class Clause:
     """A disjunction of literals, kept sorted by variable index.
 
@@ -31,42 +59,25 @@ class Clause:
     __slots__ = ("lits", "cid", "fmask", "fval")
 
     def __init__(self, lits, cid: int = 0):
-        seen = {}
-        for lit in lits:
-            if lit == 0:
-                raise ValueError("0 is not a literal")
-            v = abs(lit)
-            if seen.get(v, lit) != lit:
-                raise ValueError(f"tautological clause: both polarities of x{v}")
-            seen[v] = lit
-        self.lits = tuple(sorted(seen.values(), key=abs))
+        pos, neg = lits_to_masks(lits)
+        if pos & neg:
+            raise ValueError("tautological clause: both polarities of "
+                             f"x{(pos & neg).bit_length()}")
+        self.lits = masks_to_lits(pos, neg)
         self.cid = cid
         # Bit view of Unsat(C): fmask marks the clause variables, fval holds
         # the falsifying value of each (1 exactly for negative literals).
-        fmask = fval = 0
-        for lit in self.lits:
-            bit = 1 << (abs(lit) - 1)
-            fmask |= bit
-            if lit < 0:
-                fval |= bit
-        self.fmask = fmask
-        self.fval = fval
+        self.fmask = pos | neg
+        self.fval = neg
 
     @classmethod
     def from_unsat(cls, fmask: int, fval: int) -> "Clause":
         """The clause (id 0) whose falsifying cube pins the variables of
-        `fmask` to their bits in `fval`: no literal to sort or merge."""
+        `fmask` to their bits in `fval`."""
         if fval & ~fmask:
             raise ValueError("falsifying values outside the clause variables")
-        lits = []
-        rest = fmask
-        while rest:
-            low = rest & -rest
-            var = low.bit_length()
-            lits.append(-var if fval & low else var)
-            rest ^= low
         clause = cls.__new__(cls)
-        clause.lits = tuple(lits)
+        clause.lits = masks_to_lits(fmask ^ fval, fval)
         clause.cid = 0
         clause.fmask = fmask
         clause.fval = fval
@@ -175,23 +186,16 @@ class CnfFormula:
         rest = bin(bits & (bits - 1))[:1:-1]     # digit i is bit i
         yield from compress(clauses, rest.encode().translate(_DIGIT_FLAGS))
 
-    def falsified(self, mask: int, val: int, start: int = 0):
-        """Clauses every point of the cube (mask, val) falsifies, in order,
-        among the clauses after the first `start`."""
-        return falsified_among(self.clauses[start:] if start else self.clauses,
-                               mask, val)
+    def falsified(self, mask: int, val: int):
+        """Clauses every point of the cube (mask, val) falsifies, in order."""
+        return falsified_among(self.clauses, mask, val)
 
-    def meeting(self, mask: int, val: int, start: int = 0):
-        """Clauses some point of the cube (mask, val) falsifies, in order,
-        among the clauses after the first `start`."""
-        return list(self.clauses_of(self.meeting_bits(mask, val, start)))
-
-    def meeting_bits(self, mask: int, val: int, start: int = 0) -> int:
-        """`meeting` as a bitset over ids (bit cid - 1): the cube meets
-        Unsat(C) when no pinned variable satisfies the clause, so it is
-        every id after `start` but those in the occurrence bitset of each
-        literal a pin satisfies."""
-        bits = (1 << len(self.clauses)) - (1 << start)
+    def meeting_bits(self, mask: int, val: int) -> int:
+        """The clauses some point of the cube (mask, val) falsifies, as a
+        bitset over ids (bit cid - 1): the cube meets Unsat(C) when no
+        pinned variable satisfies the clause, so it is every id but those
+        in the occurrence bitset of each literal a pin satisfies."""
+        bits = (1 << len(self.clauses)) - 1
         while mask:
             low = mask & -mask
             bits &= ~self.satisfied_by(low, val)
@@ -313,9 +317,11 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:
     """Resolvent of c1 and c2 on pivot: all their literals minus the pivot's."""
     if resolvable_on(c1, c2) != pivot:
         raise ValueError(f"clauses do not clash exactly on x{pivot}")
-    lits = {l for l in c1.lits if abs(l) != pivot}
-    lits.update(l for l in c2.lits if abs(l) != pivot)
-    return Clause(lits)
+    # The clauses clash on the pivot alone, so the resolvent's bits are
+    # theirs OR-ed, less the pivot bit.
+    keep = ~(1 << (pivot - 1))
+    return Clause.from_unsat((c1.fmask | c2.fmask) & keep,
+                             (c1.fval | c2.fval) & keep)
 
 
 def point_nbhd(point, clause: Clause):

@@ -9,7 +9,8 @@ order, e.g. "-2 -3" for the cube fixing x2=0, x3=0.
 
 from __future__ import annotations
 
-from .core import Clause, bits_to_point, point_bits, point_str
+from .core import (Clause, bits_to_point, lits_to_masks, masks_to_lits,
+                   point_bits, point_str)
 
 
 class Cube:
@@ -36,20 +37,17 @@ class Cube:
 
     @classmethod
     def from_literals(cls, lits, n: int) -> "Cube":
-        mask = val = 0
-        for lit in lits:
-            if lit == 0:
-                raise ValueError("0 is not a literal")
-            v = abs(lit)
-            if v > n:
-                raise ValueError(f"variable x{v} above cube arity {n}")
-            bit = 1 << (v - 1)
-            if mask & bit and bool(val & bit) != (lit > 0):
-                raise ValueError(f"conflicting literals for x{v}")
-            mask |= bit
-            if lit > 0:
-                val |= bit
-        return cls(n, mask, val)
+        """The cube of some literals, each range-checked before it becomes
+        a shift count."""
+        lits = tuple(lits)      # read twice
+        if lits and (max(lits) > n or min(lits) < -n):
+            raise ValueError(f"variable x{max(map(abs, lits))} above cube "
+                             f"arity {n}")
+        pos, neg = lits_to_masks(lits)
+        if pos & neg:
+            raise ValueError(
+                f"conflicting literals for x{(pos & neg).bit_length()}")
+        return cls(n, pos | neg, pos)
 
     @classmethod
     def from_point(cls, point) -> "Cube":
@@ -57,12 +55,7 @@ class Cube:
 
     def literals(self):
         """Signed literals of the literal components, ascending by variable."""
-        out = []
-        for i in range(self.n):
-            bit = 1 << i
-            if self.mask & bit:
-                out.append(i + 1 if self.val & bit else -(i + 1))
-        return tuple(out)
+        return masks_to_lits(self.val, self.mask ^ self.val)
 
     def free_count(self) -> int:
         return self.n - self.mask.bit_count()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (Clause, CnfFormula, VerifyReport, cycle_text, parse_cycles,
+from .core import (CnfFormula, VerifyReport, cycle_text, parse_cycles,
                    resolvable_on, resolve)
 from .cubes import Cube, cube_satisfies
 from .ssc import LearnStep, SscResult, verify_ssc
@@ -179,23 +179,17 @@ def replay_proof(formula: CnfFormula, proof: Proof,
             report.fail(f"learn {step.cid}: clauses {step.left},{step.right} "
                         f"do not clash exactly on x{step.pivot}")
             return report
-        # The antecedents clash on the pivot alone, so their resolvent holds
-        # every literal of either but the pivot's: their bits OR-ed, less
-        # the pivot bit.
-        keep = ~(1 << (step.pivot - 1))
-        try:
-            stated = Clause(step.lits)
-        except ValueError:   # a tautology is no resolvent
-            stated = None
-        if stated is None or stated.fmask != (left.fmask | right.fmask) & keep \
-                or stated.fval != (left.fval | right.fval) & keep:
+        resolvent = resolve(left, right, step.pivot)
+        # As sets, duplicates collapse and 0, a tautology or a variable
+        # above num_vars differ; no stated literal becomes a shift count.
+        if set(step.lits) != set(resolvent.lits):
             report.fail(f"learn {step.cid}: stated literals differ from the "
-                        f"resolvent {resolve(left, right, step.pivot).lits}")
+                        f"resolvent {resolvent.lits}")
             return report
         if step.cid != len(work.clauses) + 1:
             report.fail(f"learn {step.cid}: expected id {len(work.clauses) + 1}")
             return report
-        work.learn(stated)
+        work.learn(resolvent)
 
     if proof.result == "SAT":
         if proof.witness is None:

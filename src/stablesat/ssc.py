@@ -204,7 +204,7 @@ def pick_split_var(cube: Cube, meeting,
                    heuristic: str = "first-intersecting") -> int:
     """Choose a free variable of the cube pinned by one of the clauses in
     `meeting`, an iterable of the clauses the cube meets in id order
-    (`CnfFormula.meeting`, or `clauses_of` a bitset).
+    (`CnfFormula.clauses_of` its `meeting_bits`).
 
     Splitting there makes one half falsify strictly more literals of that
     clause. first-intersecting takes the lowest such variable of the first

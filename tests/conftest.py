@@ -1,5 +1,6 @@
 import faulthandler
 import random
+import tracemalloc
 
 import pytest
 
@@ -108,3 +109,19 @@ def random_clause(n, rng: random.Random, width=None):
     width = width or rng.randint(1, min(3, n))
     variables = rng.sample(range(1, n + 1), width)
     return [v if rng.random() < 0.5 else -v for v in variables]
+
+
+def traced_peak(call):
+    """Run `call` under tracemalloc: its return value or ValueError, and
+    the peak bytes Python allocated meanwhile."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        outcome = call()
+    except ValueError as exc:
+        outcome = exc
+    peak = tracemalloc.get_traced_memory()[1]
+    if not tracing:
+        tracemalloc.stop()
+    return outcome, peak

@@ -1,8 +1,13 @@
+import functools
+
 import pytest
 
 from stablesat import cli
 from stablesat.cli import cli_main
-from stablesat.symmetry import is_symmetric, parse_permutation, ph_formula
+from stablesat.ssc import SscConfig
+from stablesat.ssp import SspConfig
+from stablesat.symmetry import (expand_mod_sym_to_ssp, is_symmetric,
+                               parse_permutation, ph_formula)
 
 VB_DIMACS = """\
 c worked example
@@ -24,6 +29,32 @@ def vb_file(tmp_path):
 
 def test_solve_ssc_unsat_exit_code(vb_file):
     assert cli_main(["solve", "--mode", "ssc", vb_file]) == 20
+
+
+def test_solve_without_flags_keeps_the_engine_defaults(vb_file, tmp_path,
+                                                      monkeypatch):
+    # The CLI passes only the flags given, so each default has one home.
+    calls = {}
+
+    def recording(name):
+        engine = getattr(cli, name)
+
+        def run(formula, *args, **kwargs):
+            calls[name] = (args, kwargs)
+            return engine(formula, *args, **kwargs)
+        return run
+
+    for name in ("gen_ssc", "gen_ssp", "gen_ssp_mod_symmetry"):
+        monkeypatch.setattr(cli, name, recording(name))
+    assert cli_main(["solve", vb_file]) == 20
+    assert cli_main(["solve", "--mode", "ssp", vb_file]) == 20
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
+                     str(cnf)]) == 20
+    assert calls["gen_ssc"] == ((SscConfig(),), {})
+    assert calls["gen_ssp"] == ((None, SspConfig()), {})
+    assert calls["gen_ssp_mod_symmetry"][1] == {}   # no orbit_limit
 
 
 def test_solve_ssp_sat_exit_code(tmp_path, capsys):
@@ -178,8 +209,10 @@ def test_mutated_generator_expands_but_is_no_symmetry():
 
 def test_verify_refuses_an_expansion_over_the_orbit_limit(tmp_path, capsys,
                                                           monkeypatch):
+    # verify passes no limit of its own, so the expansion's default rules.
     cnf, proof = _ph32_sym_proof(tmp_path)
-    monkeypatch.setattr(cli, "ORBIT_LIMIT", 10)
+    monkeypatch.setattr(cli, "expand_mod_sym_to_ssp",
+                        functools.partial(expand_mod_sym_to_ssp, limit=10))
     capsys.readouterr()
     assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 1
     err = capsys.readouterr().err

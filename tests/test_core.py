@@ -89,11 +89,11 @@ def occurrence_ids(formula):
     return [sum(1 << (c.cid - 1) for c in occ) for occ in formula.occurs]
 
 
-def meeting_scan(formula, mask, val, start):
-    """The clauses after the first `start` that no pin of the cube (mask,
-    val) satisfies, as a bitset over list positions."""
+def meeting_scan(formula, mask, val):
+    """The clauses that no pin of the cube (mask, val) satisfies, as a
+    bitset over list positions."""
     return sum(1 << i for i, c in enumerate(formula.clauses)
-               if i >= start and not any(
+               if not any(
                    mask >> (abs(l) - 1) & 1 and
                    (val >> (abs(l) - 1) & 1) == (l > 0) for l in c.lits))
 
@@ -121,10 +121,9 @@ def test_occurrence_bitsets_follow_the_lists(n, seed):
         for _ in range(5):
             mask = rng.getrandbits(n)
             val = rng.getrandbits(n) & mask
-            start = rng.randint(0, len(formula.clauses))
-            bits = formula.meeting_bits(mask, val, start)
-            assert bits == meeting_scan(formula, mask, val, start)
-            assert formula.meeting(mask, val, start) == \
+            bits = formula.meeting_bits(mask, val)
+            assert bits == meeting_scan(formula, mask, val)
+            assert list(formula.clauses_of(bits)) == \
                 [c for c in formula.clauses if bits >> (c.cid - 1) & 1]
 
 
@@ -205,11 +204,9 @@ def test_falsified_clauses_satisfying_point():
 def test_falsified_clauses_vb_origin(vb_formula):
     falsified = _falsified_at(vb_formula, (0, 0, 0, 0))
     assert [c.cid for c in falsified] == [1]
-    # The cube x2 = x3 = 0 lies inside only Unsat(x2 | x3), and past the
-    # first clause the origin falsifies nothing.
+    # The cube x2 = x3 = 0 lies inside only Unsat(x2 | x3).
     assert _falsified_at(vb_formula, (0, 0, 0, 0)) == \
         vb_formula.falsified(0b0110, 0)
-    assert vb_formula.falsified(0b1111, 0, start=1) == []
 
 
 def test_resolvable_on_single_clash():

@@ -2,17 +2,92 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablesat.core import (Clause, CnfFormula, point_nbhd, resolvable_on,
                             resolve)
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
                              merge, unsat_cube)
 from stablesat.trace import prettify_payload
-from conftest import random_clause
+from conftest import random_clause, traced_peak
 
 
 def cube(lits, n):
     return Cube.from_literals(lits, n)
+
+
+def set_reference(lits, n):
+    """What Clause(lits) and Cube.from_literals(lits, n) hold, from Python
+    sets: the clause's (lits, fmask, fval) and the cube's (mask, val), each
+    with the message of every fault it has instead, if any."""
+    distinct = set(lits)
+    both = sorted(v for v in distinct if v > 0 and -v in distinct)
+    zero = ["0 is not a literal"] if 0 in distinct else []
+    clause_faults = zero + [f"tautological clause: both polarities of x{v}"
+                            for v in both]
+    cube_faults = zero + [f"conflicting literals for x{v}" for v in both] + \
+        [f"variable x{v} above cube arity {n}"
+         for v in sorted({abs(l) for l in distinct}) if v > max(n, 0)] + \
+        ["cube arity must be >= 0"] * (n < 0)
+    pos = sum(1 << (l - 1) for l in distinct if l > 0)
+    neg = sum(1 << (-l - 1) for l in distinct if l < 0)
+    clause = (tuple(sorted(distinct, key=abs)), pos | neg, neg)
+    return (clause_faults or clause), (cube_faults or (pos | neg, pos))
+
+
+def built(make):
+    """The value of make(), or the message of the ValueError it raised."""
+    try:
+        return make()
+    except ValueError as exc:
+        return [str(exc)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.integers(-n - 2, n + 2), max_size=8))))
+def test_literal_codec_matches_a_set_reference(case):
+    # Duplicates, conflicts, 0, variables above n and n < 0: the same
+    # values, a refusal on the same inputs, the message of a single fault.
+    n, lits = case
+    want_clause, want_cube = set_reference(lits, n)
+
+    def clause():
+        c = Clause(lits)
+        return c.lits, c.fmask, c.fval
+
+    for got, want in ((built(clause), want_clause),
+                      (built(lambda: Cube.from_literals(lits, n)), want_cube),
+                      (built(lambda: Cube.from_literals(iter(lits), n)),
+                       want_cube)):
+        if isinstance(got, Cube):
+            got = (got.mask, got.val)
+        if isinstance(want, list):    # the faults
+            assert isinstance(got, list)
+            if len(want) == 1:
+                assert got == want
+        else:
+            assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70), st.integers(0, 2 ** 32 - 1))
+def test_literal_codec_round_trips(n, seed):
+    rng = random.Random(seed)
+    mask = rng.getrandbits(n)
+    c = Cube(n, mask, rng.getrandbits(n) & mask)
+    assert Cube.from_literals(c.literals(), n) == c
+    clause = Clause(random_clause(n, rng)) if n else Clause([])
+    again = Clause.from_unsat(clause.fmask, clause.fval)
+    assert (again.lits, again.fmask, again.fval) == \
+        (clause.lits, clause.fmask, clause.fval)
+
+
+def test_a_huge_literal_is_refused_in_bounded_memory():
+    refusal, peak = traced_peak(lambda: Cube.from_literals([4 * 10 ** 8], 3))
+    assert str(refusal) == "variable x400000000 above cube arity 3"
+    assert peak < 5 * 2 ** 20
 
 
 def test_unsat_cube_examples():
@@ -112,7 +187,8 @@ def test_cube_satisfies_means_every_point():
         for c in cubes:
             expected = [clause for clause in f.clauses
                         if any(falsifies_point(clause, p) for p in c.points())]
-            assert f.meeting(c.mask, c.val) == expected
+            assert list(f.clauses_of(f.meeting_bits(c.mask, c.val))) == \
+                expected
             assert [cl for cl in f.clauses if not cube_satisfies(c, cl)] == expected
 
 

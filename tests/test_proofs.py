@@ -12,6 +12,7 @@ from stablesat.proofs import (emit_proof, format_proof, parse_proof,
 from stablesat.ssc import SscConfig, gen_ssc
 from stablesat.ssp import gen_ssp
 from stablesat.symmetry import ph_formula
+from conftest import traced_peak
 
 GOLDEN_PROOF = """\
 learn 6 -2 3 0 from 2 3 pivot 1
@@ -44,22 +45,40 @@ def test_replay_accepts_golden(vb_formula):
 
 
 def test_replay_builds_one_clause_per_learn_step():
-    # Each step's resolvent is the clause the replay registers.
+    # Each step's resolvent is the clause the replay registers, built from
+    # literals or, as `resolve` does, from bits.
     formula = ph_formula(4, 3)[0]
     sink = io.StringIO()
     emit_proof(gen_ssc(formula), sink)
     proof = parse_proof(sink.getvalue())
     assert proof.learns
     built = []
-    init = Clause.__init__
+    init, from_unsat = Clause.__init__, Clause.from_unsat.__func__
 
     def counting(self, *args, **kwargs):
         init(self, *args, **kwargs)
         built.append(self)
 
-    with mock.patch.object(Clause, "__init__", counting):
+    def counting_unsat(cls, fmask, fval):
+        built.append(from_unsat(cls, fmask, fval))
+        return built[-1]
+
+    with mock.patch.object(Clause, "__init__", counting), \
+            mock.patch.object(Clause, "from_unsat", classmethod(counting_unsat)):
         assert replay_proof(formula, proof)
     assert len(built) == len(proof.learns)
+
+
+def test_replay_refuses_a_huge_stated_literal_in_bounded_memory():
+    # A 40-byte learn line: were its literal a shift count, the resolvent
+    # check would build a 50 MB integer first.
+    formula = CnfFormula(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
+    proof = parse_proof("learn 5 2 400000000 0 from 1 2 pivot 1\n"
+                        "result UNSAT\n")
+    report, peak = traced_peak(lambda: replay_proof(formula, proof))
+    assert report.failures == ["learn 5: stated literals differ from the "
+                               "resolvent (2,)"]
+    assert peak < 5 * 2 ** 20
 
 
 def test_replay_rejects_wrong_resolvent(vb_formula):

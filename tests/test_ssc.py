@@ -393,7 +393,9 @@ def test_ne_style_certificates_cover_the_space():
 
 
 def split_var(c, formula, heuristic="first-intersecting"):
-    return pick_split_var(c, formula.meeting(c.mask, c.val), heuristic)
+    return pick_split_var(
+        c, list(formula.clauses_of(formula.meeting_bits(c.mask, c.val))),
+        heuristic)
 
 
 def test_pick_split_var_examples(vb_formula):
@@ -431,7 +433,8 @@ def test_pick_split_var_reads_the_bitset_as_the_list(n, seed, heuristic):
             yield clause
 
     answers = []
-    for meeting in (formula.meeting(c.mask, c.val),
+    for meeting in (list(formula.clauses_of(
+                        formula.meeting_bits(c.mask, c.val))),
                     clauses(formula.meeting_bits(c.mask, c.val))):
         try:
             answers.append(pick_split_var(c, meeting, heuristic))
@@ -680,16 +683,14 @@ def test_empty_clause_is_inherited_by_every_child():
 
 def full_scans():
     """CnfFormula.falsified and .meeting_bits patched to record the cube
-    (mask, val) of each scan over the whole clause list (start 0).
-    CnfFormula.meeting answers through meeting_bits, so it is counted."""
+    (mask, val) of each scan over the whole clause list."""
     scans = {"falsified": [], "meeting_bits": []}
     originals = {name: getattr(CnfFormula, name) for name in scans}
 
     def recording(name):
-        def scan(self, mask, val, start=0):
-            if not start:
-                scans[name].append((mask, val))
-            return originals[name](self, mask, val, start)
+        def scan(self, mask, val):
+            scans[name].append((mask, val))
+            return originals[name](self, mask, val)
         return scan
 
     patch = mock.patch.multiple(CnfFormula, **{name: recording(name)
