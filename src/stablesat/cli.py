@@ -50,7 +50,7 @@ def _build_parser():
     solve.add_argument("--no-merge", action="store_true", default=None,
                        help="disable cube merging / clause learning")
     solve.add_argument("--coverage", choices=("full", "shared"), default=None)
-    solve.add_argument("--split", choices=("first-intersecting", "most-constrained"),
+    solve.add_argument("--split", choices=("unit-first", "first-intersecting"),
                        default=None)
     solve.add_argument("--trace", metavar="PATH", default=None)
     solve.add_argument("--trace-style", choices=("dimacs", "pretty"),

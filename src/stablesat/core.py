@@ -125,14 +125,27 @@ class CnfFormula:
         self.occ_bits: list[int] = [0] * (2 * num_vars)
         for lits in clause_lits:
             fresh = isinstance(lits, Clause) and not lits.cid
-            self._register(lits if fresh else Clause(lits))
+            self._register(lits if fresh else self._clause(lits))
         self.original_count = len(self.clauses)
+
+    def _clause(self, lits) -> Clause:
+        """The Clause of a literal iterable, refused before the codec
+        shifts by a literal when one is above num_vars."""
+        lits = tuple(lits)
+        if lits and max(map(abs, lits)) > self.num_vars:
+            raise self._too_wide(" ".join(map(str, sorted(set(lits), key=abs))))
+        return Clause(lits)
+
+    def _too_wide(self, shown: str) -> ValueError:
+        """The refusal of a clause, shown by its literals, over a variable
+        above num_vars."""
+        return ValueError(f"clause Clause({shown}, id=0) uses a variable "
+                         f"above num_vars={self.num_vars}")
 
     def _register(self, clause: Clause) -> Clause:
         """Append a clause no formula holds yet, giving it the next id."""
         if clause.max_var() > self.num_vars:
-            raise ValueError(
-                f"clause {clause!r} uses a variable above num_vars={self.num_vars}")
+            raise self._too_wide(" ".join(map(str, clause.lits)))
         self.clauses.append(clause)
         clause.cid = len(self.clauses)
         self._by_lits.setdefault(clause.lits, clause)
@@ -152,7 +165,7 @@ class CnfFormula:
         Returns (clause, created); created is False when an equal clause
         was already present, in which case that clause is returned.
         """
-        clause = lits if isinstance(lits, Clause) else Clause(lits)
+        clause = lits if isinstance(lits, Clause) else self._clause(lits)
         existing = self._by_lits.get(clause.lits)
         if existing is not None:
             return existing, False
@@ -163,7 +176,7 @@ class CnfFormula:
     def find(self, lits):
         """Look up a clause by literal set; None when absent."""
         try:
-            probe = Clause(lits)
+            probe = self._clause(lits)
         except ValueError:
             return None
         return self._by_lits.get(probe.lits)

@@ -40,7 +40,7 @@ class SscConfig:
     init_strategy: str = "single-cube"   # or "ne-style"
     init_cube: Cube | None = None        # single-cube start, all-free cube by default
     pop_policy: str = "fifo"             # or "lifo"
-    split_heuristic: str = "first-intersecting"  # or "most-constrained"
+    split_heuristic: str = "unit-first"  # or "first-intersecting"
     merge_enabled: bool = True
     coverage: str = "full"               # or "shared": shared-literal covers only
     xi_log: bool = False                 # log (iteration, |Union(Body)|, |F|) per iteration
@@ -56,7 +56,7 @@ class SscConfig:
         if self.init_strategy == "ne-style" and self.init_cube is not None:
             raise ValueError("ne-style starts from every clause's cube; "
                              "it reads no init cube")
-        if self.split_heuristic not in ("first-intersecting", "most-constrained"):
+        if self.split_heuristic not in ("unit-first", "first-intersecting"):
             raise ValueError(f"unknown split heuristic {self.split_heuristic!r}")
 
 
@@ -200,36 +200,33 @@ class _IndexedBoundary(_Boundary):
         self.covers.discard(record[0])
 
 
-def pick_split_var(cube: Cube, meeting,
-                   heuristic: str = "first-intersecting") -> int:
+def pick_split_var(cube: Cube, meeting, heuristic: str = "unit-first") -> int:
     """Choose a free variable of the cube pinned by one of the clauses in
     `meeting`, an iterable of the clauses the cube meets in id order
     (`CnfFormula.clauses_of` its `meeting_bits`).
 
     Splitting there makes one half falsify strictly more literals of that
-    clause. first-intersecting takes the lowest such variable of the first
-    intersecting clause; most-constrained takes the variable pinned by the
-    most intersecting clauses (ties to the lowest index). A cube that
-    falsifies no clause leaves a variable of each clause it meets free, so
-    first-intersecting reads only the first clause.
+    clause. unit-first takes the clause with the fewest free literals,
+    the lowest id on ties, and stops at the first with one: the unit
+    rule. first-intersecting takes the first clause with a free literal.
+    Either way the variable is that clause's lowest free one. A cube
+    that falsifies no clause leaves a variable of each clause it meets
+    free, so first-intersecting reads only the first clause.
     """
-    if heuristic == "first-intersecting":
-        for clause in meeting:
-            pinned = clause.fmask & ~cube.mask
-            if pinned:
-                return (pinned & -pinned).bit_length()
-        raise ValueError("no intersecting clause pins a free variable")
-    counts: dict[int, int] = {}
+    free = ~cube.mask
+    best, fewest = 0, float("inf")
+    enough = 1 if heuristic == "unit-first" else fewest
     for clause in meeting:
-        pinned = clause.fmask & ~cube.mask
-        while pinned:
-            bit = pinned & -pinned
-            var = bit.bit_length()
-            counts[var] = counts.get(var, 0) + 1
-            pinned ^= bit
-    if not counts:
+        pinned = clause.fmask & free
+        if pinned:
+            width = pinned.bit_count()
+            if width < fewest:
+                best, fewest = pinned, width
+                if width <= enough:
+                    break
+    if not best:
         raise ValueError("no intersecting clause pins a free variable")
-    return min(counts, key=lambda v: (-counts[v], v))
+    return (best & -best).bit_length()
 
 
 def _falsified_after_pin(formula: CnfFormula, h: list, cube: Cube,

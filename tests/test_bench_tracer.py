@@ -54,8 +54,8 @@ def test_every_traced_layer_fires(tmp_path):
     # only in the benchmark's counters line.
     metrics = tracer_module["layer_metrics"](tracer.spans)
     assert {name: metrics[name] for name in tracer_module["DETERMINISTIC"]} == {
-        "ssc.iterations": 41, "ssc.body": 12, "ssc.learned": 10,
-        "ssc.splits": 19, "cubes.merge_calls": 12, "cubes.nbhd_calls": 6,
-        "coverage.engine_queries": 30, "coverage.verify_queries": 1,
+        "ssc.iterations": 41, "ssc.body": 14, "ssc.learned": 8,
+        "ssc.splits": 19, "cubes.merge_calls": 12, "cubes.nbhd_calls": 7,
+        "coverage.engine_queries": 32, "coverage.verify_queries": 1,
         "symmetry.representatives": 6, "symmetry.expanded_points": 27,
         "ssp.points": 23}

@@ -273,7 +273,7 @@ def test_sym_mode_refuses_lifo(tmp_path, capsys, pop):
 
 @pytest.mark.parametrize("mode, flags", [
     ("ssp", ["--no-merge"]),
-    ("ssp", ["--split", "most-constrained"]),
+    ("ssp", ["--split", "unit-first"]),
     ("ssp", ["--coverage", "full"]),
     ("sym", ["--no-merge"]),
     ("sym", ["--split", "first-intersecting"]),
@@ -303,7 +303,7 @@ def test_solve_accepts_flags_the_mode_reads(tmp_path):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
     assert cli_main(["solve", "--mode", "ssc-ne", "--no-merge", "--split",
-                     "most-constrained", "--coverage", "shared", str(cnf)]) == 20
+                     "unit-first", "--coverage", "shared", str(cnf)]) == 20
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
                      "--orbit-limit", "100", str(cnf)]) == 20
     assert cli_main(["solve", "--mode", "ssp", "--pop", "lifo", str(cnf)]) == 20
@@ -335,7 +335,10 @@ def test_solve_variant_flags(vb_file):
     assert cli_main(["solve", "--no-merge", vb_file]) == 20
     assert cli_main(["solve", "--coverage", "shared", vb_file]) == 20
     assert cli_main(["solve", "--pop", "lifo", vb_file]) == 20
-    assert cli_main(["solve", "--split", "most-constrained", vb_file]) == 20
+    assert cli_main(["solve", "--split", "unit-first", vb_file]) == 20
+    assert cli_main(["solve", "--split", "first-intersecting", vb_file]) == 20
+    # These two are the only split choices.
+    assert cli_main(["solve", "--split", "most-constrained", vb_file]) == 1
 
 
 def test_pretty_trace_style(vb_file, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from stablesat.core import (Clause, CnfFormula, cycle_text, evaluate_clause,
                             parse_cycles, point_bits, point_nbhd, resolvable_on,
                             resolve)
-from conftest import random_clause
+from conftest import random_clause, traced_peak
 
 
 def test_clause_canonical_order_and_dedup():
@@ -28,6 +28,26 @@ def test_empty_clause_is_always_falsified():
     empty = Clause([])
     for point in [(0,), (1,), (0, 1, 0)]:
         assert not evaluate_clause(empty, point)
+
+
+def test_a_huge_literal_is_refused_before_it_becomes_a_clause():
+    # Each literal is a shift count of the codec, so a formula bounds a
+    # literal list before it builds the Clause; the message is the one a
+    # built Clause over the same literals gets.
+    for build, shown in (
+            (lambda: CnfFormula(2, [[4 * 10 ** 7]]), "40000000"),
+            (lambda: CnfFormula(2).learn([-4 * 10 ** 7, 1, 1]), "1 -40000000")):
+        refusal, peak = traced_peak(build)
+        assert str(refusal) == (f"clause Clause({shown}, id=0) uses a "
+                                "variable above num_vars=2")
+        assert peak < 2 ** 20
+    absent, peak = traced_peak(lambda: CnfFormula(2).find([4 * 10 ** 7]))
+    assert absent is None and peak < 2 ** 20
+    for lits in ([3, 1, 3], Clause([1, 3])):
+        with pytest.raises(ValueError) as refusal:
+            CnfFormula(2, [lits])
+        assert str(refusal.value) == \
+            "clause Clause(1 3, id=0) uses a variable above num_vars=2"
 
 
 def test_formula_ids_stable_across_learning():

@@ -32,7 +32,7 @@ FLAG_SETS = {
     "ssc": ["--mode", "ssc"],
     "ssc-ne": ["--mode", "ssc-ne"],
     "lifo": ["--pop", "lifo"],
-    "most-constrained": ["--split", "most-constrained"],
+    "first-intersecting": ["--split", "first-intersecting"],
     "shared": ["--coverage", "shared"],
     # Many starts and the shared-literal scope: the run with the most
     # shared-scope coverage queries.

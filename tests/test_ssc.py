@@ -286,9 +286,10 @@ def checked_verdict(formula, clusters, transport):
     return verdict, Cube.full(formula.num_vars) in targets
 
 
-def default_start_certificates():
+def default_start_certificates(**config):
     """PH(4,3) and five UNSAT random 3-CNF, each with its result from the
-    all-free start, whose Body covers the space."""
+    all-free start under the SscConfig fields `config`, whose Body covers
+    the space."""
     rng = random.Random(21)
     formulas = [ph_formula(4, 3)[0]]
     while len(formulas) < 6:
@@ -296,7 +297,8 @@ def default_start_certificates():
         formulas.append(random_3cnf(n, 6 * n, rng))
         if brute_force_sat(formulas[-1]).satisfiable:
             formulas.pop()
-    return [(formula, gen_ssc(formula)) for formula in formulas]
+    return [(formula, gen_ssc(formula, SscConfig(**config)))
+            for formula in formulas]
 
 
 def test_verify_accepts_a_whole_cover_with_one_query():
@@ -309,9 +311,11 @@ def test_verify_accepts_a_whole_cover_with_one_query():
 
 def test_cover_path_rejects_a_dropped_cluster():
     # Merged cubes may overlap, so a dropped cluster can leave a cover,
-    # which is then still a certificate; the point check decides.
+    # which is then still a certificate; the point check decides. The
+    # first-intersecting splits leave such overlaps on this corpus.
     tried = rejected = 0
-    for _, result in default_start_certificates():
+    for _, result in default_start_certificates(
+            split_heuristic="first-intersecting"):
         body = result.body
         for i in range(len(body)):
             verdict, cover = checked_verdict(result.formula,
@@ -351,7 +355,8 @@ def test_replay_rejects_a_changed_learned_literal():
 def test_stable_sets_that_do_not_cover_take_the_neighbour_check():
     # A start pinning x1 grows a stable set that need not be a cover; the
     # checker accepts it through its neighbours, whether or not the point
-    # counts let it try the cover first.
+    # counts let it try the cover first. The first-intersecting splits
+    # take both paths on this corpus.
     rng = random.Random(0)
     formulas = [ph_formula(4, 3)[0]]
     for _ in range(20):
@@ -361,7 +366,8 @@ def test_stable_sets_that_do_not_cover_take_the_neighbour_check():
     for formula in formulas:
         n = formula.num_vars
         result = gen_ssc(formula, SscConfig(
-            init_cube=Cube.from_literals([-1], n)))
+            init_cube=Cube.from_literals([-1], n),
+            split_heuristic="first-intersecting"))
         if result.satisfiable or is_covered(Cube.full(n), result.body) == COVERED:
             continue
         patch, targets = checker_queries()
@@ -405,15 +411,50 @@ def test_pick_split_var_examples(vb_formula):
     assert split_var(Cube.from_literals([-1], 2), f) == 2
 
 
-def test_pick_split_var_most_constrained():
-    f = CnfFormula(3, [[1, 2], [1, 3], [2, 3]])
-    var = split_var(Cube.full(3), f, heuristic="most-constrained")
-    assert var == 1  # x1..x3 all appear twice; lowest index breaks the tie
+def test_pick_split_var_unit_first():
+    read = []
+
+    def meeting(formula, c):
+        for clause in formula.clauses_of(formula.meeting_bits(c.mask, c.val)):
+            read.append(clause.cid)
+            yield clause
+
+    # The lowest-id unit clause wins over an earlier, wider one, and the
+    # scan stops there.
+    f = CnfFormula(5, [[1, 2, 3], [4, 5], [-5], [2]])
+    assert pick_split_var(Cube.full(5), meeting(f, Cube.full(5))) == 5
+    assert read == [1, 2, 3]
+    assert split_var(Cube.full(5), f) == 1
+    # With no unit, the clause with the fewest free literals wins, not
+    # the narrowest: C2 has two of its four free, as C3 has of its two.
+    # The tie goes to the lower id, and the variable is its lowest free.
+    f = CnfFormula(5, [[3, 4, 5], [1, 2, 4, 5], [3, 4]])
+    c = Cube.from_literals([-1, -2], 5)
+    assert split_var(c, f, heuristic="unit-first") == 4
+    assert split_var(c, f) == 3
+    f = CnfFormula(4, [[2, 3], [1, 4], [1, 2]])
+    assert split_var(Cube.full(4), f, heuristic="unit-first") == 2
+
+
+@pytest.mark.parametrize("heuristic", ["unit-first", "first-intersecting"])
+def test_pick_split_var_needs_a_met_clause_with_a_free_variable(heuristic):
+    f = CnfFormula(2, [[1, 2]])
+    for c in (Cube.from_literals([-1, -2], 2), Cube.from_literals([1], 2)):
+        with pytest.raises(ValueError, match="no intersecting clause pins"):
+            split_var(c, f, heuristic)
+
+
+def test_unit_first_takes_no_more_iterations():
+    # The unit rule shrinks the split tree on the all-free corpus.
+    def iterations(runs):
+        return sum(result.iterations for _, result in runs)
+    assert iterations(default_start_certificates()) <= iterations(
+        default_start_certificates(split_heuristic="first-intersecting"))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["first-intersecting", "most-constrained"]))
+       st.sampled_from(["first-intersecting", "unit-first"]))
 def test_pick_split_var_reads_the_bitset_as_the_list(n, seed, heuristic):
     # The engine passes the clauses of a meeting bitset, lazily, in id
     # order; the answer is the one the meeting list gives. With nothing
@@ -470,7 +511,7 @@ def test_lifo_and_shared_coverage_stay_sound():
         oracle = brute_force_sat(f)
         for config in (SscConfig(pop_policy="lifo"),
                        SscConfig(coverage="shared"),
-                       SscConfig(split_heuristic="most-constrained"),
+                       SscConfig(split_heuristic="first-intersecting"),
                        SscConfig(merge_enabled=False)):
             result = gen_ssc(f, config)
             assert result.satisfiable == oracle.satisfiable
@@ -619,7 +660,7 @@ def checked_lists(looked):
 
 LIST_CONFIGS = [SscConfig(), SscConfig(init_strategy="ne-style"),
                 SscConfig(pop_policy="lifo"),
-                SscConfig(split_heuristic="most-constrained"),
+                SscConfig(split_heuristic="first-intersecting"),
                 SscConfig(merge_enabled=False), SscConfig(coverage="shared")]
 
 
@@ -810,7 +851,7 @@ def checked_cube(c):
 
 @settings(max_examples=100, deadline=None)
 @given(index_instances(max_vars=12),
-       st.sampled_from(("first-intersecting", "most-constrained")),
+       st.sampled_from(("first-intersecting", "unit-first")),
        st.booleans())
 def test_engine_made_cubes_are_valid(formula, heuristic, merge_on):
     # Split halves and merge hulls are built without range checks; every
@@ -906,7 +947,7 @@ def all_free_instances(draw):
 
 ALL_FREE_CONFIGS = st.builds(
     SscConfig, split_heuristic=st.sampled_from(("first-intersecting",
-                                                "most-constrained")),
+                                                "unit-first")),
     merge_enabled=st.booleans(), pop_policy=st.sampled_from(("fifo", "lifo")))
 
 
@@ -994,7 +1035,7 @@ def counted_nbhd(calls):
 
 @settings(max_examples=100, deadline=None)
 @given(index_instances(max_vars=12),
-       st.sampled_from(("first-intersecting", "most-constrained")),
+       st.sampled_from(("first-intersecting", "unit-first")),
        st.booleans(), st.booleans())
 def test_the_trace_changes_no_result(formula, heuristic, merge, pinned):
     init = Cube.from_literals([1], formula.num_vars) if pinned else None
