@@ -1,8 +1,6 @@
-"""Exhaustive truth-table oracle for desk-scale validation.
-
-Scans all 2^n points in lexicographic order (x1 is the most significant
-position) and reports the first satisfying point, if any. Kept entirely
-independent of the solver engines so it can act as their referee.
+"""Exhaustive truth-table oracle for desk-scale validation: scans all 2^n
+points in lexicographic order (x1 is the most significant position) for the
+first satisfying one. It reads only `clause.lits`, to referee the engines.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from dataclasses import dataclass
 from .core import CnfFormula
 
 DEFAULT_CAP = 24
-_CHUNK = 1 << 16
+_LOW = 16   # the last min(n, _LOW) variables vary inside one scan block
 
 
 @dataclass
@@ -22,37 +20,38 @@ class OracleResult:
 
 
 def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_CAP) -> OracleResult:
-    """Exhaustive SAT check; refuses formulas above the variable cap."""
+    """Exhaustive SAT check; refuses formulas above the variable cap.
+
+    Blocks of 2^16 points are ints, one bit per point, numbered by the high
+    variables. A clause is a row: its pins on the high variables, their
+    falsifying values, and the block points its low literals falsify.
+    Rows with equal pins are OR-ed into one; from n = 16 a row is 8 KB.
+    """
     n = formula.num_vars
     if n > cap:
         raise ValueError(f"oracle refuses {n} variables (cap {cap})")
-    if n == 0:
-        sat = all(len(c) > 0 for c in formula.clauses)
-        return OracleResult(sat, () if sat else None)
-    # Imported here, not at the top: every other command would pay for it.
-    import numpy as np
-
-    # Lexicographic point order means x_i sits at bit n-i of the scan index.
-    # uint64 keeps raised caps safe; the default cap stays at 24 variables.
-    masks = np.empty(len(formula.clauses), dtype=np.uint64)
-    vals = np.empty(len(formula.clauses), dtype=np.uint64)
-    for row, clause in enumerate(formula.clauses):
-        m = v = 0
+    low = min(n, _LOW)
+    high, full = n - low, (1 << (1 << low)) - 1
+    # x_v is bit e = n-v of a point: in a block, x_v = 1 on runs of p = 2^e
+    # points, one per 2p; full // (2^(2p) - 1) marks where each 2p begins.
+    ones = {n - e: full // ((1 << 2 * p) - 1) * (((1 << p) - 1) << p)
+            for e, p in ((e, 1 << e) for e in range(low))}
+    rows = {}
+    for clause in formula.clauses:
+        pins, vals, falsified = 0, 0, full
         for lit in clause.lits:
-            bit = 1 << (n - abs(lit))
-            m |= bit
-            if lit < 0:
-                v |= bit
-        masks[row], vals[row] = m, v
-    total = 1 << n
-    for lo in range(0, total, _CHUNK):
-        idx = np.arange(lo, min(lo + _CHUNK, total), dtype=np.uint64)
-        falsified = np.zeros(len(idx), dtype=bool)
-        for m, v in zip(masks, vals):
-            falsified |= (idx & m) == v
-        open_points = np.nonzero(~falsified)[0]
-        if len(open_points):
-            k = int(idx[open_points[0]])
-            return OracleResult(True, tuple((k >> (n - i)) & 1
-                                            for i in range(1, n + 1)))
+            if abs(lit) > high:
+                falsified &= ones[-lit] if lit < 0 else full ^ ones[lit]
+            else:
+                pins |= 1 << (high - abs(lit))
+                vals |= (lit < 0) << (high - abs(lit))
+        rows[pins, vals] = rows.get((pins, vals), 0) | falsified
+    for block in range(1 << high):
+        falsified = 0
+        for (pins, vals), points in rows.items():
+            if block & pins == vals:
+                falsified |= points
+        if falsified != full:
+            k = block << low | ((falsified + 1) & ~falsified).bit_length() - 1
+            return OracleResult(True, tuple(k >> e & 1 for e in range(n)[::-1]))
     return OracleResult(False)

@@ -196,6 +196,26 @@ def test_parse_proof_rejects_trailing_tokens(line, extra):
         parse_proof(text)
 
 
+@pytest.mark.parametrize("line", [
+    "learn 3 0 from 1 2 pivot",
+    "cluster 1 0",
+    "learn",
+    "result",
+])
+def test_parse_proof_names_a_truncated_record(line):
+    with pytest.raises(ValueError, match=f"^proof line 1: truncated "
+                                         f"{line.split()[0]} record$"):
+        parse_proof(line + "\nresult UNSAT\n")
+
+
+@pytest.mark.parametrize("zero", ["0", "00", "-0"])
+def test_any_spelling_of_zero_closes_a_literal_list(zero):
+    proof = parse_proof(f"learn 3 1 {zero} from 1 2 pivot 4\n"
+                        f"cluster -2 {zero} clause 3\nresult UNSAT\n")
+    assert proof.learns[0].lits == (1,) and proof.learns[0].pivot == 4
+    assert proof.clusters == [((-2,), 3)]
+
+
 def test_empty_clause_learn_line():
     f = CnfFormula(1, [[1], [-1]])
     result = gen_ssc(f, SscConfig(init_strategy="ne-style"))
