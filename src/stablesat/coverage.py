@@ -51,11 +51,15 @@ class CoverIndex:
             self._pin(cube, bit)
 
     def _pin(self, cube: Cube, bit: int):
-        pins, mask, val = self.pins, cube.mask, cube.val
-        while mask:
-            low = mask & -mask
-            pins[2 * low.bit_length() - (1 if val & low else 2)] ^= bit
-            mask ^= low
+        pins, ones, zeros = self.pins, cube.val, cube.mask ^ cube.val
+        while ones:
+            low = ones & -ones
+            pins[2 * low.bit_length() - 1] ^= bit
+            ones ^= low
+        while zeros:
+            low = zeros & -zeros
+            pins[2 * low.bit_length() - 2] ^= bit
+            zeros ^= low
 
     def _build_pins(self) -> list:
         self.pins = [0] * (2 * self.n)

@@ -112,8 +112,8 @@ class Cube:
         return " ".join(str(l) for l in self.literals())
 
     def __eq__(self, other):
-        return isinstance(other, Cube) and \
-            (self.n, self.mask, self.val) == (other.n, other.mask, other.val)
+        return isinstance(other, Cube) and self.val == other.val and \
+            self.mask == other.mask and self.n == other.n
 
     def __hash__(self):
         return self._hash
@@ -180,11 +180,19 @@ def checked_members(formula, clusters, transport, report) -> dict:
     Reports on `report` each cluster whose transport id is missing, not
     in the formula, or names a clause the cluster does not falsify.
     Returns the distinct clusters in order, each mapped to its transport
-    clause, or to None when it failed.
+    clause, or to None when it failed. Clusters of mixed arity fail the
+    certificate as a whole: the first cluster whose arity differs from
+    the first cluster's is reported, and every cluster maps to None.
     """
     members = dict.fromkeys(clusters)
     if not members:
         raise ValueError("a stable set must be non-empty")
+    n = next(iter(members)).n
+    for cube in members:
+        if cube.n != n:
+            report.fail(f"{member_name(cube)}: arity {cube.n}, the first "
+                        f"member's is {n}")
+            return dict.fromkeys(members)
     for cube in members:
         cid = transport.get(cube)
         if cid is None:
@@ -206,16 +214,29 @@ def unreached_neighbors(members: dict):
 
     Yields (cluster, clause id, neighbor) for each neighborhood cube of a
     cluster that passed, through its transport clause, that is not itself
-    a member; the caller judges whether the set reaches it.
+    a member, in member order and then by ascending clause variable; the
+    caller judges whether the set reaches it.
+
+    Membership is one set lookup per neighbour on packed ints: a member's
+    key is mask << n | val, equal for two cubes of one arity exactly when
+    the cubes are equal (`checked_members` refuses mixed arities), and
+    the neighbour in direction v is its member's key with bit v-1 of the
+    value flipped. A neighbour Cube is built only for a non-member.
     """
+    n = next(iter(members)).n
+    keys = {cube.mask << n | cube.val for cube in members}
     for cube, clause in members.items():
         if clause is None:
             continue
-        # cube_nbhd would repeat the falsify test checked_members made.
-        for lit in clause.lits:
-            neighbor = cube.nbhd_dir(abs(lit))
-            if neighbor not in members:
-                yield cube, clause.cid, neighbor
+        # The flip of a pinned bit of a checked member is a valid cube, and
+        # checked_members already made cube_nbhd's falsify test.
+        mask, val = cube.mask, cube.val
+        key, rest = mask << n | val, clause.fmask
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if key ^ bit not in keys:
+                yield cube, clause.cid, _cube(n, mask, val ^ bit)
 
 
 def merge(p1: Cube, p2: Cube, pivot: int, c1: Clause, c2: Clause):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stablesat.core import (Clause, CnfFormula, point_nbhd, resolvable_on,
                             resolve)
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
-                             merge, unsat_cube)
+                             merge, unreached_neighbors, unsat_cube)
 from stablesat.trace import prettify_payload
 from conftest import random_clause, traced_peak
 
@@ -270,6 +270,66 @@ def test_cube_nbhd_equals_pointwise_union():
         for p in c.points():
             pointwise.update(point_nbhd(p, clause))
         assert lifted == pointwise
+
+
+def reference_unreached(members):
+    """unreached_neighbors by its definition: each neighbour cube of a
+    member that passed, built with `nbhd_dir`, looked up among the
+    members by Cube equality."""
+    for cube, clause in members.items():
+        if clause is None:
+            continue
+        for lit in clause.lits:
+            neighbor = cube.nbhd_dir(abs(lit))
+            if neighbor not in members:
+                yield cube, clause.cid, neighbor
+
+
+def random_members(rng):
+    """A member dict as `checked_members` returns it, over n <= 10: points
+    or clusters on a few shared masks, each member's clause falsified by
+    it, about one in five failed (None). Many members are the flip of
+    another on a pinned bit, so that lookups both hit and miss, and some
+    are such a flip with one more pinned variable: the same value bits
+    under another mask, which a key that drops the mask would confuse."""
+    n = rng.randint(1, 10)
+    full = (1 << n) - 1
+    masks = [full] if rng.random() < 0.4 else \
+        [rng.getrandbits(n) | 1 for _ in range(rng.randint(1, 3))]
+    members = {}
+    for _ in range(rng.randint(1, 40)):
+        mask = rng.choice(masks) & full
+        val = rng.getrandbits(n) & mask
+        if members and rng.random() < 0.6:   # a flip of an earlier member
+            base = rng.choice(list(members))
+            mask, val = base.mask, base.val ^ (1 << rng.choice(
+                [v for v in range(n) if base.mask >> v & 1]))
+            free = full & ~mask
+            if free and rng.random() < 0.3:
+                mask |= free & -free
+        fmask = mask & rng.getrandbits(n)
+        lits = [-(v + 1) if val >> v & 1 else v + 1
+                for v in range(n) if fmask >> v & 1]
+        failed = rng.random() < 0.2
+        members.setdefault(Cube(n, mask, val),
+                           None if failed else Clause(lits, len(members) + 1))
+    return members
+
+
+def test_unreached_neighbors_matches_the_cube_reference():
+    hits = misses = 0
+    for seed in range(400):
+        members = random_members(random.Random(seed))
+        got = list(unreached_neighbors(members))
+        want = list(reference_unreached(members))
+        assert got == want, seed
+        for (cube, _, neighbor), (ref_cube, _, ref_neighbor) in zip(got, want):
+            assert cube is ref_cube
+            assert hash(neighbor) == hash(ref_neighbor)
+        misses += len(got)
+        hits += sum(len(clause) for clause in members.values()
+                    if clause is not None) - len(got)
+    assert hits > 1000 and misses > 1000
 
 
 def test_merge_trace_example():

@@ -17,7 +17,8 @@ from stablesat.cubes import (Cube, checked_members, cube_falsifies,
                              cube_satisfies, unreached_neighbors)
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import proof_from_result, replay_proof
-from stablesat import ssc
+from stablesat.ssp import gen_ssp
+from stablesat import cubes, ssc
 from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Boundary, _find_merge,
                            expand_body_to_points, gen_ssc, pick_split_var,
@@ -173,6 +174,42 @@ def test_verify_ssc_trivial_empty_clause_cluster():
 def test_verify_ssc_missing_transport(vb_formula):
     report = verify_ssc(vb_formula, [cube([-2, -3])], {})
     assert not report and "no transport" in report.failures[0]
+
+
+def test_verify_ssc_fails_mixed_arity_naming_the_first_odd_cluster():
+    f = CnfFormula(2, [[1], [-1]])
+    clusters = [cube([-1], 2), cube([1], 3), cube([1, 3], 3), cube([1], 2)]
+    transport = dict.fromkeys(clusters, 1)
+    report = verify_ssc(f, clusters, transport)
+    assert report.failures == ["cluster 1: arity 3, the first member's is 2"]
+
+
+def test_verify_ssc_builds_no_neighbour_cube_on_a_stable_point_set():
+    # Every neighbour of a stable point set is a member, found by its
+    # packed key: the check builds no Cube at all.
+    formula, _ = ph_formula(4, 3)
+    result = gen_ssp(formula)
+    assert not result.satisfiable
+    built = Counter()
+    init, fast = Cube.__init__, cubes._cube
+
+    def counted_init(self, *args):
+        built["Cube"] += 1
+        init(self, *args)
+
+    def counted_cube(*args):
+        built["_cube"] += 1
+        return fast(*args)
+    with mock.patch.object(Cube, "__init__", counted_init), \
+            mock.patch.object(cubes, "_cube", counted_cube):
+        assert verify_ssc(formula, result.points, result.transport)
+    assert built == Counter()
+    # The count is live: without the second point, a neighbour of the
+    # start, the check builds that neighbour.
+    partial = result.points[:1] + result.points[2:]
+    with mock.patch.object(cubes, "_cube", counted_cube):
+        assert not verify_ssc(formula, partial, result.transport)
+    assert built["_cube"] > 0
 
 
 def point_level_stable(formula, clusters, transport):

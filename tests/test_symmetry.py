@@ -269,6 +269,15 @@ def test_verify_mod_sym_rejects_a_cluster():
     assert report.failures == ["cluster -1: not a point"]
 
 
+def test_verify_mod_sym_fails_mixed_arity_naming_the_first_odd_point():
+    f = CnfFormula(2, [[1], [-1]])
+    points = [Cube.from_point(p) for p in ((0, 0), (1, 0, 0), (0, 1, 1),
+                                           (1, 0))]
+    report = verify_stable_mod_symmetry(f, points, dict.fromkeys(points, 1),
+                                        SymmetryGroup([], 2), {})
+    assert report.failures == ["point 100: arity 3, the first member's is 2"]
+
+
 def test_gen_mod_sym_trivial_group_matches_plain():
     f, _ = ph_formula(2, 1)
     group = SymmetryGroup([], f.num_vars)
