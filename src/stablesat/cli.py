@@ -19,9 +19,9 @@ from .oracle import DEFAULT_CAP, brute_force_sat
 from .proofs import emit_proof, parse_proof, proof_from_result, replay_proof
 from .ssc import SscConfig, gen_ssc
 from .ssp import SspConfig, gen_ssp
-from .symmetry import (OrbitLimitExceeded, expand_mod_sym_to_ssp,
-                       format_symmetry_file, gen_ssp_mod_symmetry,
-                       group_from_cycles, parse_symmetry_file, ph_formula,
+from .symmetry import (expand_mod_sym_to_ssp, format_symmetry_file,
+                       gen_ssp_mod_symmetry, group_from_cycles,
+                       parse_symmetry_file, ph_formula,
                        ph_symmetry_generators, verify_stable_mod_symmetry)
 from .trace import emit_trace
 
@@ -246,7 +246,7 @@ def cli_main(argv=None) -> int:
                 "verify": _cmd_verify, "oracle": _cmd_oracle}
     try:
         return handlers[args.command](args)
-    except (OrbitLimitExceeded, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass, field
 from itertools import compress
 
-Point = tuple
-
 # Binary digits "0"/"1" as the bytes 0/1, selectors for itertools.compress.
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 

@@ -28,7 +28,7 @@ class CoverIndex:
     those pinning one of the target's literals the other way: O(target
     literals) big-int operations, however many covers there are. Freed
     slots are reused, so the bitsets stay as wide as the peak size.
-    `pins` is None until the first narrowing that reads a literal, so a
+    `pins` is None until the first query that reads a literal, so a
     query on the whole space alone never builds it.
     """
 
@@ -94,25 +94,16 @@ class CoverIndex:
         self._toggle(cube, slot)
         self._free.append(slot)
 
-    def narrow(self, mask: int, val: int, shared_literal: bool = False,
-               base=None):
-        """The slots meeting the literals (mask, val), as a base for
-        `meeting` on any target that holds these literals.
+    def meeting(self, target: Cube, shared_literal: bool = False) -> list:
+        """The covers that meet the target, in slot order, one per copy.
 
-        A base is (mask, val, live, shared): the literals it was narrowed
-        on, the slots that pin none of them the other way, and, for the
-        shared-literal scope, the slots that pin one of them the same way
-        (None for the full scope). Narrowing from `base` reads only the
-        literals it lacks. The base is stale once the index changes.
+        With shared_literal, only those that also pin one of the target's
+        literals the same way.
         """
-        if base is None:
-            base = (0, 0, self.present, 0 if shared_literal else None)
-        bmask, bval, live, shared = base
-        if bmask & ~mask or (bval ^ val) & bmask:
-            raise ValueError("a base must hold only literals of the target")
-        if (shared is None) == shared_literal:
-            raise ValueError("a base is narrowed for one coverage scope")
-        pins, rest = self.pins, mask & ~bmask
+        if target.n != self.n:
+            raise ValueError("cube arity mismatch in coverage query")
+        pins, live, shared = self.pins, self.present, 0
+        rest, val = target.mask, target.val
         if rest and pins is None:
             pins = self._build_pins()
         while rest:
@@ -122,20 +113,6 @@ class CoverIndex:
             if shared_literal:
                 shared |= pins[same]
             rest ^= low
-        return mask, val & mask, live, shared
-
-    def meeting(self, target: Cube, shared_literal: bool = False,
-                base=None) -> list:
-        """The covers that meet the target, in slot order, one per copy,
-        narrowed from `base` (see `narrow`) when one is given.
-
-        With shared_literal, only those that also pin one of the target's
-        literals the same way.
-        """
-        if target.n != self.n:
-            raise ValueError("cube arity mismatch in coverage query")
-        _, _, live, shared = self.narrow(target.mask, target.val,
-                                         shared_literal, base)
         if shared_literal:
             live &= shared
         cubes, out = self._cubes, []
@@ -192,8 +169,7 @@ def _uncovered(target: Cube, found, stop: bool) -> int:
     return rec(mask, candidates)
 
 
-def is_covered(target: Cube, covers, shared_literal: bool = False,
-               base=None) -> str:
+def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
     """Whether the target cube lies inside the union of the cover cubes.
 
     `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
@@ -202,13 +178,11 @@ def is_covered(target: Cube, covers, shared_literal: bool = False,
     shared_literal the candidates are narrowed further to those sharing
     at least one literal component with the target; that may report a
     covered cube as uncovered, which is sound for the solver (it only
-    re-adds work) but not exact. `base` is a narrowing of the index
-    (`CoverIndex.narrow`) on some of the target's literals, in the same
-    scope; it only saves the index work on them.
+    re-adds work) but not exact.
     """
     index = covers if isinstance(covers, CoverIndex) else \
         CoverIndex(target.n, covers)
-    found = index.meeting(target, shared_literal, base)
+    found = index.meeting(target, shared_literal)
     return UNCOVERED if _uncovered(target, found, True) else COVERED
 
 

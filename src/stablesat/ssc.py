@@ -400,8 +400,7 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 verdicts = (UNCOVERED, UNCOVERED)
             else:
                 covers.discard(p)   # it contains both halves
-                base = covers.narrow(p.mask, p.val, shared)
-                verdicts = [is_covered(half, covers, shared, base)
+                verdicts = [is_covered(half, covers, shared)
                             for half in halves]
                 records = [record for record, verdict in zip(records, verdicts)
                            if verdict != COVERED]
@@ -444,29 +443,25 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
             else:
                 clause = h[0]
                 # The neighbours are pairwise disjoint, so none can cover
-                # another: all are judged before any is pushed, on one
-                # narrowing by p's literals outside the clause. p is in
+                # another: each is pushed as soon as it is judged. p is in
                 # the index as its Body copy; it meets none of them. From
                 # the all-free start every neighbour is covered, so only
                 # the trace reads them.
-                if not whole:
-                    base = covers.narrow(p.mask & ~clause.fmask, p.val, shared)
                 if tracing or not whole:
-                    fresh = []
                     for lit, neighbor in zip(clause.lits, cube_nbhd(p, clause)):
                         new = not whole and \
-                            is_covered(neighbor, covers, shared, base) != COVERED
+                            is_covered(neighbor, covers, shared) != COVERED
                         if tracing:
                             log.add("nbhd", lambda: (
                                 f"cube {p.to_text()} 0 clause {clause.cid} "
                                 f"dir {abs(lit)} -> cube {neighbor.to_text()} 0 "
                                 f"{'new' if new else 'covered'}"))
-                        if new:
-                            fresh.append([neighbor, len(work.clauses),
-                                          _falsified_after_pin(
-                                              work, h, neighbor,
-                                              1 << (abs(lit) - 1)), None])
-                    for record in fresh:
+                        if not new:
+                            continue
+                        record = [neighbor, len(work.clauses),
+                                  _falsified_after_pin(work, h, neighbor,
+                                                       1 << (abs(lit) - 1)),
+                                  None]
                         if config.pop_policy == "fifo":
                             boundary.push_back(record)
                         else:
@@ -508,15 +503,13 @@ def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
 
     The cluster index is built at the cover query or the first neighbour
     that is not itself a member, so point certificates never pay for it.
-    For the neighbours it is narrowed once per member on the member's
-    literals outside its transport clause, which all its neighbours hold.
     It only narrows the candidates of each query: a cover it dropped
     could only turn an accept into a reject, never the other way.
     """
     report = VerifyReport()
     members = checked_members(formula, clusters, transport, report)
     n = next(iter(members)).n
-    index = member = base = None
+    index = None
     if report and sum(cube.count_points() for cube in members) >= 1 << n:
         index = CoverIndex(n, members)
         if is_covered(Cube.full(n), index) == COVERED:
@@ -524,11 +517,7 @@ def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
     for cube, cid, neighbor in unreached_neighbors(members):
         if index is None:
             index = CoverIndex(n, members)
-        if cube is not member:
-            member = cube
-            outside = cube.mask & ~members[cube].fmask
-            base = index.narrow(outside, cube.val)
-        if is_covered(neighbor, index, False, base) != COVERED:
+        if is_covered(neighbor, index) != COVERED:
             report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
                         f"via clause {cid} is not covered")
     return report

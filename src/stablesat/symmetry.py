@@ -24,7 +24,7 @@ ORBIT_LIMIT = 10 ** 6
 TABLE_LIMIT = 64 * 2 ** 20
 
 
-class OrbitLimitExceeded(RuntimeError):
+class OrbitLimitExceeded(ValueError):
     """Raised when an orbit expansion outgrows the caller's point limit."""
 
 
@@ -390,6 +390,8 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
             raise ValueError(f"{member_name(point)}: not a point")
         if formula.clause_by_id(transport[point]) is None:
             raise ValueError(f"transport id {transport[point]} not in formula")
+        if len(expanded) >= limit:   # the representative counts too
+            raise OrbitLimitExceeded(f"expansion exceeds {limit} points")
         # Each image inherits its parent's clause moved by the generator.
         ids = {point.val: transport[point]}
         for image, parent, gi in walker.walk(point.val, ids):

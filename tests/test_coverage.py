@@ -236,7 +236,7 @@ def test_cover_index_matches_list_filter(run):
 @given(index_runs(), st.data())
 def test_pins_built_mid_run_stay_current(run, data):
     # A query on the whole space reads no literal and builds no pins; the
-    # first narrowing that reads one builds them, and every later add and
+    # first query that reads one builds them, and every later add and
     # discard keeps them current.
     n, ops, targets = run
     assume(n > 0)
@@ -244,7 +244,7 @@ def test_pins_built_mid_run_stay_current(run, data):
     index, model = replay(n, ops[:cut])
     assert Counter(index.meeting(Cube.full(n))) == model
     assert index.pins is None
-    index.narrow(1, data.draw(st.integers(0, 1)))
+    index.meeting(Cube(n, 1, data.draw(st.integers(0, 1))))
     assert index.pins is not None
     index, model = replay(n, ops[cut:], index, model)
     for target in targets:
@@ -276,36 +276,6 @@ def test_is_covered_on_list_matches_reference(query, shared_literal):
     target, covers = query
     assert is_covered(target, covers, shared_literal) == \
         reference_is_covered(target, covers, shared_literal)
-
-
-@settings(max_examples=200, deadline=None)
-@given(index_runs(), st.booleans(), st.data())
-def test_narrowed_meeting_matches_unnarrowed(run, shared_literal, data):
-    n, ops, targets = run
-    index, _ = replay(n, ops)
-    full = (1 << n) - 1
-    for target in targets:
-        outer = target.mask & data.draw(st.integers(0, full))
-        inner = outer & data.draw(st.integers(0, full))
-        base = index.narrow(outer, target.val, shared_literal)
-        # Narrowing from a narrower base reads only the missing literals.
-        assert index.narrow(outer, target.val, shared_literal, index.narrow(
-            inner, target.val, shared_literal)) == base
-        assert index.meeting(target, shared_literal, base) == \
-            index.meeting(target, shared_literal)
-        assert is_covered(target, index, shared_literal, base) == \
-            is_covered(target, index, shared_literal)
-
-
-def test_narrow_refuses_a_base_it_cannot_extend():
-    index = CoverIndex(3, [cube([1], 3), cube([-2, 3], 3)])
-    base = index.narrow(cube([1, -2], 3).mask, cube([1, -2], 3).val)
-    assert index.meeting(cube([1, -2, -3], 3), False, base) == [cube([1], 3)]
-    for target in (cube([-1, -2], 3), cube([1], 3)):   # a literal flipped, missing
-        with pytest.raises(ValueError):
-            index.meeting(target, False, base)
-    with pytest.raises(ValueError):    # narrowed for the other scope
-        index.meeting(cube([1, -2], 3), True, base)
 
 
 def test_cover_index_checks_arity_once_added():

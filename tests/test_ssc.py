@@ -235,8 +235,8 @@ def dropping(keep):
     """CoverIndex.meeting patched to return only keep(candidates)."""
     original = CoverIndex.meeting
 
-    def meeting(self, target, shared_literal=False, base=None):
-        return keep(original(self, target, shared_literal, base))
+    def meeting(self, target, shared_literal=False):
+        return keep(original(self, target, shared_literal))
 
     return mock.patch.object(CoverIndex, "meeting", meeting)
 

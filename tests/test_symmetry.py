@@ -622,6 +622,22 @@ def test_expand_overflow_raises():
                               limit=100)
 
 
+def test_expand_counts_every_representative_against_the_limit():
+    # Under the identity each orbit is its representative alone, so the
+    # walk yields no image and only the representatives can overflow.
+    f = CnfFormula(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
+    identity = SymmetryGroup([Permutation.identity(2)], 2)
+    points, transport = point_cubes(
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 4})
+    with pytest.raises(OrbitLimitExceeded, match="expansion exceeds 3 points"):
+        expand_mod_sym_to_ssp(f, points, transport, identity, limit=3)
+    assert expand_mod_sym_to_ssp(f, points, transport, identity,
+                                 limit=4) == (points, transport)
+    # A refusal the CLI reports like every other bad input.
+    assert issubclass(OrbitLimitExceeded, ValueError)
+
+
 def test_expand_ph32_verifies():
     f, inst = ph_formula(3, 2)
     group = ph_symmetry_generators(inst)
