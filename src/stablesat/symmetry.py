@@ -11,10 +11,10 @@ which is all the stability arguments need.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from operator import getitem
 
-from .core import (Clause, CnfFormula, VerifyReport, bits_to_point,
-                   cycle_text, parse_cycles, point_bits)
+from .core import Clause, CnfFormula, VerifyReport, cycle_text, parse_cycles
 from .cubes import Cube, checked_members, member_name, unreached_neighbors
 from .ssp import SspConfig, SspResult, gen_ssp
 
@@ -217,19 +217,25 @@ def _byte_tables(generators, n: int):
 
 
 class _OrbitWalker:
-    """Bounded BFS over generator applications, on packed points. One
-    table sum per point gives its images under every generator; generator
-    i's is the n-bit slice at i*n."""
+    """Breadth-first walks over generator applications, on packed points.
+    One table sum per point gives its images under every generator;
+    generator i's is the n-bit slice at i*n."""
 
-    def __init__(self, group: SymmetryGroup, limit: int):
-        if limit < 1:
-            raise ValueError("orbit limit must be positive")
+    def __init__(self, group: SymmetryGroup):
         n = group.num_vars
         self.tables = _byte_tables(group.generators, n)
         self.nbytes = len(self.tables)
         self.offsets = [gi * n for gi in range(len(group.generators))]
         self.full = (1 << n) - 1
-        self.limit = limit
+        # bits * spread copies bits into every generator's slice.
+        self.spread = sum(1 << offset for offset in self.offsets)
+
+    def fixes(self, bits: int) -> bool:
+        """Whether every generator maps bits onto itself: its orbit is
+        bits alone."""
+        images = sum(map(getitem, self.tables,
+                         bits.to_bytes(self.nbytes, "little")))
+        return images == bits * self.spread
 
     def walk(self, bits: int, seen):
         """Breadth-first walk of the orbit of bits. Yields (image, parent,
@@ -249,16 +255,30 @@ class _OrbitWalker:
                         nxt.append(image)
             frontier = nxt
 
-    def orbit(self, bits: int):
-        """Return (parents, complete flag): each orbit point maps to the
-        point the walk reached it from, the start to itself. Incomplete
-        when the limit hits."""
-        parents = {bits: bits}
-        for image, parent, _ in self.walk(bits, parents):
-            if len(parents) >= self.limit:
-                return parents, False
-            parents[image] = parent
-        return parents, True
+
+def _orbit_key(clauses, bits: int) -> tuple:
+    """An orbit invariant of the packed point: its true-literal count in
+    each clause, sorted. A symmetry maps the clause multiset onto itself
+    and the point's true literals onto its image's, so every point of an
+    orbit has one key; points with different keys lie in different
+    orbits."""
+    return tuple(sorted(((bits ^ c.fval) & c.fmask).bit_count()
+                        for c in clauses))
+
+
+def _advance(walks, links, bits: int):
+    """Resume the suspended walks one step each, in turn, adding every
+    step to `links`, until `bits` is linked or every walk is done; a
+    finished walk is dropped."""
+    i = 0
+    while walks and bits not in links:
+        i %= len(walks)
+        step = next(walks[i], None)
+        if step is None:
+            del walks[i]
+        else:
+            links[step[0]] = step[1]
+            i += 1
 
 
 def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
@@ -268,25 +288,47 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
     A neighborhood point is dropped when some reached point lies in its
     orbit, so the result is stable modulo the group: its existence still
     proves unsatisfiability. Every generator must leave the formula's
-    clause multiset unchanged. Each orbit is walked once, from the first
-    of its points the engine meets; `result.links` maps each walked point
-    to the point it was reached from, a walk's start to itself. A point's
-    representative is that start, the root of its links, and the engine
-    pushes it, so on UNSAT every root is a member. An orbit larger than
-    orbit_limit is not searched: only its start is linked.
+    clause multiset unchanged.
+
+    Orbits are walked only as far as the engine's queries need. The first
+    point the engine meets of an orbit starts a breadth-first walk that is
+    suspended at once and filed under the point's orbit key
+    (`_orbit_key`), which is the same on a whole orbit; a point every
+    generator fixes is an orbit alone and starts none. A later point not
+    yet linked resumes only the walks filed under its own key, one step
+    each in turn, until one of them reaches it or all are done; in the
+    second case it starts a walk of its own. `result.links` maps each
+    point a walk reached to the point it was reached from, a walk's start
+    to itself. A point's representative is that start, the root of its
+    links, and the engine pushes it, so on UNSAT every root is a member.
+    The walks share `links` as their seen set, so a link is the one a
+    walk of the whole orbit from its start would make. A walk stops after
+    orbit_limit points, its start included, and keeps the links it has
+    made: each is a generator step back towards that start, a member, so
+    the result is still stable modulo the group, and the orbit's later
+    points start walks of their own.
     """
     for gen in group.generators:
         if not is_symmetric(formula, gen):
             raise ValueError(f"formula is not symmetric under {gen!r}")
-    walker = _OrbitWalker(group, orbit_limit)
+    if orbit_limit < 1:
+        raise ValueError("orbit limit must be positive")
+    walker = _OrbitWalker(group)
     links: dict[int, int] = {}
+    running: dict[tuple, list] = {}   # orbit key -> suspended walks
 
     def canonical(bits: int) -> int:
-        parent = links.get(bits)
-        if parent is None:
-            orbit, complete = walker.orbit(bits)
-            links.update(orbit if complete else {bits: bits})
-            return bits
+        if bits not in links:
+            if walker.fixes(bits):   # an orbit of one point needs no walk
+                links[bits] = bits
+                return bits
+            walks = running.setdefault(_orbit_key(formula.clauses, bits), [])
+            _advance(walks, links, bits)
+            if bits not in links:
+                links[bits] = bits
+                walks.append(islice(walker.walk(bits, links), orbit_limit - 1))
+                return bits
+        parent = links[bits]
         while parent != bits:
             bits, parent = parent, links[parent]
         return bits
@@ -296,21 +338,34 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
     return result
 
 
-def _replayed_start(links, bits: int, group: SymmetryGroup, replayed):
+def _pushed(bit_images, bits: int) -> int:
+    """Push a packed point through one generator, given as the image bit
+    of each variable's bit; bits above the arity are dropped, as
+    `bits_to_point` drops them."""
+    bits &= (1 << len(bit_images)) - 1
+    image = 0
+    while bits:
+        low = bits & -bits
+        image |= bit_images[low.bit_length() - 1]
+        bits ^= low
+    return image
+
+
+def _replayed_start(links, bits: int, bit_images, replayed):
     """Follow parent links from `bits` to the start of its walk, the
     first point linked to itself or not linked at all, and return that
     start; None when some link is no generator step or the links cycle.
-    Each link is checked with the plain `apply_perm_point`, not the
-    walker's tables; `replayed` remembers the links already checked
-    (child -> parent)."""
+    Each link is checked by pushing the parent through every generator's
+    `bit_images` (one list per generator, built from its images), not
+    through the walker's tables; `replayed` remembers the links already
+    checked (child -> parent)."""
     for _ in range(len(links) + 1):
         parent = links.get(bits, bits)
         if parent == bits:
             return bits
         if replayed.get(bits) != parent:
-            point = bits_to_point(parent, group.num_vars)
-            if not any(point_bits(apply_perm_point(g, point)) == bits
-                       for g in group.generators):
+            if not any(_pushed(images, parent) == bits
+                       for images in bit_images):
                 return None
             replayed[bits] = parent
         bits = parent
@@ -326,10 +381,11 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
     as `gen_ssp_mod_symmetry` returns them. Every generator must map the
     formula onto itself; otherwise the check fails before any link is
     read. A neighbor that is not a member must follow its links to a
-    member, and each link it follows must be some generator's image
-    under `apply_perm_point`, so the check is sound for any links: a
-    forged link or a cycle of links fails it. It accepts the engine's
-    own links, whose roots are all members."""
+    member, and each link it follows must be some generator's image,
+    pushed bit by bit from the generator's images (not the walker's
+    tables), so the check is sound for any links: a forged link or a
+    cycle of links fails it. It accepts the engine's own links, whose
+    roots are all members."""
     report = VerifyReport()
     for gen in group.generators:
         if not is_symmetric(formula, gen):
@@ -341,9 +397,10 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
         return report
     member_bits = {cube.val for cube in points}
     replayed: dict[int, int] = {}  # links checked by _replayed_start
+    bit_images = [[1 << (v - 1) for v in g.images] for g in group.generators]
     members = checked_members(formula, points, transport, report)
     for cube, cid, neighbor in unreached_neighbors(members):
-        start = _replayed_start(links, neighbor.val, group, replayed)
+        start = _replayed_start(links, neighbor.val, bit_images, replayed)
         if start is None:
             failure = "reaches no member by generator steps"
         elif start not in member_bits:
@@ -367,7 +424,7 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     clauses back to clause ids; representatives keep theirs. Nothing
     else is checked: `verify_ssc` judges the result.
     """
-    walker = _OrbitWalker(group, limit)
+    walker = _OrbitWalker(group)
     expanded: dict[Cube, int] = {}
     full = (1 << group.num_vars) - 1
     images: dict[tuple[int, int], int] = {}   # (generator, id) -> image id

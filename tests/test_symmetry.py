@@ -416,7 +416,9 @@ def test_verify_mod_sym_matches_reference_on_ph():
 def _corrupt_generator_0(monkeypatch, edit):
     """Let `edit(table, n)` rewrite the walker's first byte table (n <= 8:
     the only one), whose entries hold generator 0's images at bits
-    0..n-1."""
+    0..n-1. The orbit key becomes a constant, so the engine resumes every
+    running walk for each point, as a walk of the whole orbit would
+    search it: the corrupted walks need not keep the true key."""
     real = symmetry._byte_tables
 
     def corrupted(generators, n):
@@ -425,6 +427,16 @@ def _corrupt_generator_0(monkeypatch, edit):
         return tables
 
     monkeypatch.setattr(symmetry, "_byte_tables", corrupted)
+    monkeypatch.setattr(symmetry, "_orbit_key", lambda clauses, bits: ())
+
+
+def _walk_links(walker, bits):
+    """The links of a whole walk from `bits`: each point it reaches maps
+    to its parent, `bits` to itself."""
+    links = {bits: bits}
+    for image, parent, _ in walker.walk(bits, links):
+        links[image] = parent
+    return links
 
 
 def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
@@ -440,7 +452,7 @@ def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
         with monkeypatch.context() as patch:
             _corrupt_generator_0(patch, onto_member)
             result = gen_ssp_mod_symmetry(f, group)
-            walker = _OrbitWalker(group, ORBIT_LIMIT)
+            walker = _OrbitWalker(group)
         assert not result.satisfiable
         report = verify_stable_mod_symmetry(f, result.points, result.transport,
                                             group, result.links)
@@ -455,7 +467,8 @@ def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
         assert start.val == 0
         neighbors = point_nbhd(start.to_point(),
                                f.clause_by_id(result.transport[start]))
-        assert all(member in walker.orbit(point_bits(q))[0] for q in neighbors)
+        assert all(member in _walk_links(walker, point_bits(q))
+                   for q in neighbors)
         assert len(report.failures) == len(neighbors)
         assert all("generator steps" in failure for failure in report.failures)
 
@@ -507,7 +520,8 @@ def test_cli_reports_a_failing_self_check(tmp_path, capsys, monkeypatch):
 
 
 def test_engine_at_small_orbit_limits_checks_itself():
-    # A cut walk links only its start, so its points stand for themselves.
+    # A cut walk keeps the links it made, each a generator step towards
+    # its start; the orbit's later points start walks of their own.
     for m in (2, 3):
         f, inst = ph_formula(m + 1, m)
         group = ph_symmetry_generators(inst)
@@ -517,6 +531,17 @@ def test_engine_at_small_orbit_limits_checks_itself():
             assert verify_stable_mod_symmetry(
                 f, result.points, result.transport, group, result.links), \
                 (m, limit)
+            # A walk links at most `limit` points, its start included; the
+            # orbits PH(3,2)'s engine meets hold at most 6.
+            walked = Counter(_root(result.links, p) for p in result.links)
+            assert max(walked.values()) == min(limit, 6 if m == 2 else 9), \
+                (m, limit)
+
+
+def _root(links, bits):
+    while links[bits] != bits:
+        bits = links[bits]
+    return bits
 
 
 def _ph21_witness(links):
@@ -545,6 +570,10 @@ def test_verify_mod_sym_reads_the_links_it_is_given():
     assert _ph21_witness({0b01: 0b00, 0b10: 0b01}) == [
         "point 01 reaches no member by generator steps",
         "point 10 reaches no member by generator steps"]
+    # A parent outside the space is read on its two low bits, which the
+    # swap maps onto the child; it is a root, and no member.
+    assert _ph21_witness({0b01: 0b110, 0b10: 0b01}) == [
+        "point 01 has no symmetric member", "point 10 has no symmetric member"]
 
 
 def test_engine_roots_are_its_members():
@@ -573,18 +602,26 @@ def test_sym_solve_walks_each_orbit_once(tmp_path, monkeypatch, capsys):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "5", "4", "-o", str(cnf), "--sym-out", str(sym)])
     starts = []
-    orbit = _OrbitWalker.orbit
+    walk = _OrbitWalker.walk
 
-    def counted(walker, bits):
+    def counted(walker, bits, seen):
         starts.append(bits)
-        return orbit(walker, bits)
+        return walk(walker, bits, seen)
 
-    monkeypatch.setattr(_OrbitWalker, "orbit", counted)
+    monkeypatch.setattr(_OrbitWalker, "walk", counted)
     capsys.readouterr()
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
                      str(cnf)]) == 20
     assert "representatives: 18\n" in capsys.readouterr().out
-    assert len(starts) == len(set(starts)) == 18
+    # Every generator fixes the empty point, the one representative that
+    # starts no walk.
+    assert len(starts) == len(set(starts)) == 17
+    assert 0 not in starts
+    # The walks go only as far as the queries need: walked whole, the 18
+    # orbits the engine meets link 3125 points.
+    f, inst = ph_formula(5, 4)
+    result = gen_ssp_mod_symmetry(f, ph_symmetry_generators(inst))
+    assert len(result.links) == 907
 
 
 def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
@@ -698,7 +735,7 @@ def groups_and_points(draw):
 def test_table_walker_matches_apply_perm_point(group_and_point):
     group, point = group_and_point
     n, cap = group.num_vars, 200
-    walker = _OrbitWalker(group, ORBIT_LIMIT)
+    walker = _OrbitWalker(group)
     start = point_bits(point)
     # With nothing marked seen, the first steps are the start's images.
     first = islice(walker.walk(start, {}), len(group.generators))
@@ -748,7 +785,7 @@ def test_table_bytes_errs_high():
         group = SymmetryGroup(generators, n)
         tracemalloc.start()
         try:
-            _OrbitWalker(group, ORBIT_LIMIT)
+            _OrbitWalker(group)
             size = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -822,3 +859,93 @@ def test_compact_sym_proof_round_trip_trivial_group(chain6_formula):
     assert (clusters, transport) == expand_mod_sym_to_ssp(
         chain6_formula, result.points, result.transport, group)
     assert len(clusters) == 14
+
+
+def _whole_orbit_engine(formula, group):
+    """The symmetry engine with a canonicaliser that walks the whole orbit
+    of the first point it meets of each orbit and links all of it."""
+    walker = _OrbitWalker(group)
+    links = {}
+
+    def canonical(bits):
+        if bits not in links:
+            links.update(_walk_links(walker, bits))
+            return bits
+        parent = links[bits]
+        while parent != bits:
+            bits, parent = parent, links[parent]
+        return bits
+
+    return gen_ssp(formula, None, SspConfig(canonical=canonical)), links
+
+
+def _same_as_whole_orbit_engine(formula, group):
+    reference, reference_links = _whole_orbit_engine(formula, group)
+    result = gen_ssp_mod_symmetry(formula, group)
+    assert (result.satisfiable, result.witness, result.iterations) == \
+        (reference.satisfiable, reference.witness, reference.iterations)
+    assert result.points == reference.points
+    assert result.transport == reference.transport
+    assert {p: reference_links[p] for p in result.links} == result.links
+    return result, reference_links
+
+
+def test_engine_matches_the_whole_orbit_engine_on_ph():
+    for m in (1, 2, 3, 4):
+        f, inst = ph_formula(m + 1, m)
+        result, walked = _same_as_whole_orbit_engine(
+            f, ph_symmetry_generators(inst))
+        assert not result.satisfiable
+        if m > 2:
+            assert len(result.links) < len(walked)
+
+
+def test_engine_matches_the_whole_orbit_engine_without_symmetry():
+    rng = random.Random(30)
+    verdicts = set()
+    for _ in range(60):
+        n = rng.randint(3, 9)
+        f = random_3cnf(n, round(n * rng.choice((3.0, 4.26, 6.0))), rng)
+        result, _ = _same_as_whole_orbit_engine(f, SymmetryGroup([], n))
+        verdicts.add(result.satisfiable)
+    assert verdicts == {False, True}
+
+
+def test_points_every_generator_fixes_start_no_walk(monkeypatch):
+    def no_walk(walker, bits, seen):
+        pytest.fail(f"a walk started from {bits}")
+
+    monkeypatch.setattr(_OrbitWalker, "walk", no_walk)
+    f = random_3cnf(8, 48, random.Random(31))
+    for group in (SymmetryGroup([], 8),
+                  SymmetryGroup([Permutation.identity(8)] * 2, 8)):
+        result = gen_ssp_mod_symmetry(f, group)
+        assert result.links == {p: p for p in result.links}
+        assert result.points == gen_ssp(f).points
+
+
+@settings(max_examples=25, deadline=None)
+@given(renamed_ph_with_group())
+def test_engine_matches_the_whole_orbit_engine_on_renamed_ph(
+        formula_and_group):
+    _same_as_whole_orbit_engine(*formula_and_group)
+
+
+@settings(max_examples=50, deadline=None)
+@given(renamed_ph_with_group(), st.data())
+def test_orbit_key_is_constant_on_orbits(formula_and_group, data):
+    formula, group = formula_and_group
+    n = formula.num_vars
+
+    def key(bits):
+        return symmetry._orbit_key(formula.clauses, bits)
+
+    for _ in range(4):
+        point = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                         max_size=n)))
+        for g in group.generators:
+            assert key(point_bits(point)) == \
+                key(point_bits(apply_perm_point(g, point)))
+    # A permutation keeps a point's weight, so no symmetry maps the empty
+    # point onto the full one; their keys tell them apart.
+    assert key(0) != key((1 << n) - 1)
