@@ -17,13 +17,12 @@ from .dimacs import DimacsError, parse_dimacs, write_dimacs
 from .oracle import OracleResult, brute_force_sat
 from .proofs import (Proof, emit_proof, format_proof, parse_proof,
                      proof_from_result, replay_proof)
-from .ssc import (LearnStep, SscConfig, SscResult, expand_body_to_points,
-                  gen_ssc, pick_split_var, verify_ssc)
+from .ssc import (LearnStep, SscConfig, SscResult, gen_ssc, pick_split_var,
+                  verify_ssc)
 from .ssp import SspConfig, SspResult, gen_ssp
 from .symmetry import (OrbitLimitExceeded, Permutation, PhInstance,
-                       SymmetryGroup, apply_perm_clause, apply_perm_point,
-                       expand_mod_sym_to_ssp, gen_ssp_mod_symmetry,
-                       is_symmetric, parse_permutation, parse_symmetry_file,
+                       SymmetryGroup, apply_perm_clause, expand_mod_sym_to_ssp,
+                       gen_ssp_mod_symmetry, is_symmetric, parse_symmetry_file,
                        ph_formula, ph_symmetry_generators,
                        verify_stable_mod_symmetry)
 from .trace import TraceRecord, emit_trace, format_trace

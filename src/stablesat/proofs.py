@@ -4,19 +4,25 @@ An unsatisfiability proof is line-oriented:
 
     learn <new-id> <lit...> 0 from <id1> <id2> pivot <var>
     cluster <cube-literals> 0 clause <id>
+    point <bits> clause <id>
     result UNSAT
 
 Learn lines replay through the resolution engine; cluster lines rebuild
 the Body, which the cluster verifier then checks against the extended
-formula. A proof modulo symmetry opens with one `sym <cycles>` record
-per generator, in cycle notation, and holds no learn record; its
-cluster lines are points, one representative per orbit, and the
-verifier checks the union of their orbits, which the caller expands.
-Satisfiable runs emit a witness line followed by `result SAT`; the
-witness cube must satisfy every input clause. The result line is
-always last, and no record carries tokens after its last field; the
-parser rejects either, and a misplaced sym record, with
-`proof line N: ...`.
+formula. The point engines write each member as a point line instead:
+`<bits>` is the point as a 0/1 string, x1 first, exactly num_vars
+characters long, and the point of zero variables leaves the token out
+(`point clause <id>`). A point line is the one-point cube of the fully
+pinned cluster line, which is read as well. A proof modulo symmetry
+opens with one `sym <cycles>` record per generator, in cycle notation,
+and holds no learn record; its members are points, one representative
+per orbit, and the verifier checks the union of their orbits, which
+the caller expands. Satisfiable runs emit a witness line followed by
+`result SAT`; the witness cube must satisfy every input clause. Blank
+lines, and lines that are `c` or start with `c ` or `#`, are comments.
+The result line is always last, and no record carries tokens after its
+last field; the parser rejects either, and a misplaced sym record,
+with `proof line N: ...`.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ class Proof:
     generators: list = field(default_factory=list)  # cycle lists, one each
     learns: list = field(default_factory=list)     # LearnStep records
     clusters: list = field(default_factory=list)   # (literal tuple, clause id)
+    points: list = field(default_factory=list)     # (0/1 string, clause id)
     witness: tuple | None = None                   # literal tuple
     result: str = ""                               # "SAT" or "UNSAT"
 
@@ -45,22 +52,29 @@ def proof_from_result(result, generators=()) -> Proof:
     result stable modulo a group names its generators (cycle lists)."""
     if isinstance(result, SscResult):
         proof = Proof(learns=list(result.learn_steps))
-        members, witness = result.body, result.witness
     elif isinstance(result, SspResult):
         proof = Proof()
-        members, witness = result.points, result.witness
-        if witness is not None:   # () is the model of zero variables
-            witness = Cube.from_point(witness)
     else:
         raise TypeError(f"no proof form for {type(result).__name__}")
     if result.satisfiable:
+        witness = result.witness
+        if isinstance(result, SspResult):   # a point, () for zero variables
+            witness = Cube.from_point(witness)
         proof.witness = witness.literals()
         proof.result = "SAT"
+        return proof
+    proof.generators = list(generators)
+    transport = result.transport
+    if isinstance(result, SscResult):
+        proof.clusters = [(cube.literals(), transport[cube])
+                          for cube in result.body]
     else:
-        proof.generators = list(generators)
-        proof.clusters = [(cube.literals(), result.transport[cube])
-                          for cube in members]
-        proof.result = "UNSAT"
+        # A sentinel bit above x_n makes the binary string exactly n + 1
+        # digits, also for n = 0; reversed, the sentinel is dropped and
+        # x1 comes first.
+        proof.points = [(format(cube.val | 1 << cube.n, "b")[:0:-1],
+                         transport[cube]) for cube in result.points]
+    proof.result = "UNSAT"
     return proof
 
 
@@ -78,6 +92,8 @@ def format_proof(proof: Proof) -> str:
                      f"from {step.left} {step.right} pivot {step.pivot}")
     for lits, cid in proof.clusters:
         lines.append(f"cluster {_terminated(lits)} clause {cid}")
+    lines += [f"point {bits} clause {cid}" if bits else f"point clause {cid}"
+              for bits, cid in proof.points]
     if proof.witness is not None:
         lines.append("witness " + _terminated(proof.witness))
     lines.append(f"result {proof.result}")
@@ -105,7 +121,7 @@ def parse_proof(text: str) -> Proof:
     proof = Proof()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("c "):
+        if not line or line.startswith(("#", "c ")) or line == "c":
             continue
         tokens = line.split()
         try:
@@ -115,9 +131,10 @@ def parse_proof(text: str) -> Proof:
                 raise ValueError(f"{tokens[0]} record in a proof with sym "
                                  f"records")
             if tokens[0] == "sym":
-                if proof.learns or proof.clusters or proof.witness is not None:
-                    raise ValueError("sym record after a learn, cluster or "
-                                     "witness record")
+                if (proof.learns or proof.clusters or proof.points
+                        or proof.witness is not None):
+                    raise ValueError("sym record after a learn, cluster, "
+                                     "point or witness record")
                 proof.generators.append(parse_cycles(line[len("sym"):]))
                 end = len(tokens)
             elif tokens[0] == "learn":
@@ -134,6 +151,14 @@ def parse_proof(text: str) -> Proof:
                 if tokens[i] != "clause":
                     raise ValueError("malformed cluster line")
                 proof.clusters.append((lits, int(tokens[i + 1])))
+                end = i + 2
+            elif tokens[0] == "point":
+                # The point of zero variables has no bits token.
+                bits = "" if tokens[1] == "clause" else tokens[1]
+                i = 2 if bits else 1
+                if tokens[i] != "clause":
+                    raise ValueError("malformed point line")
+                proof.points.append((bits, int(tokens[i + 1])))
                 end = i + 2
             elif tokens[0] == "witness":
                 proof.witness, end = _take_zero_terminated(tokens, 1)
@@ -161,8 +186,9 @@ def replay_proof(formula: CnfFormula, proof: Proof,
     """Re-derive every learn step and re-verify the certificate.
 
     The caller's formula is not modified; learn steps extend a copy. An
-    UNSAT proof must yield clusters that the independent cluster verifier
-    accepts; a SAT proof must carry a witness cube satisfying every input
+    UNSAT proof's cluster and point lines must yield cubes that the
+    independent cluster verifier accepts, a point line the one-point cube
+    of its 0/1 string; a SAT proof must carry a witness cube satisfying every input
     clause. A proof with sym records needs `expand`, which maps its
     clusters and their transport to the union of their orbits, as cubes
     and transport again; the cluster verifier judges that union, so a
@@ -206,17 +232,28 @@ def replay_proof(formula: CnfFormula, proof: Proof,
                 report.fail(f"witness does not satisfy clause {clause.cid}")
         return report
 
-    if not proof.clusters:
+    if not proof.clusters and not proof.points:
         report.fail("UNSAT proof without clusters")
         return report
+    n = work.num_vars
     clusters = []
     transport = {}
     for lits, cid in proof.clusters:
         try:
-            cube = Cube.from_literals(lits, work.num_vars)
+            cube = Cube.from_literals(lits, n)
         except ValueError as exc:
             report.fail(f"cluster invalid: {exc}")
             return report
+        clusters.append(cube)
+        transport[cube] = cid
+    full = (1 << n) - 1
+    for bits, cid in proof.points:
+        # int() alone would also read a sign, "_" or whitespace.
+        if len(bits) != n or bits.strip("01"):
+            report.fail(f"point invalid: {bits!r} is not a 0/1 string of "
+                        f"{n} variables")
+            return report
+        cube = Cube(n, full, int(bits[::-1] or "0", 2))
         clusters.append(cube)
         transport[cube] = cid
     if proof.generators:

@@ -521,17 +521,3 @@ def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
             report.fail(f"{member_name(cube)}: neighbor {member_name(neighbor)} "
                         f"via clause {cid} is not covered")
     return report
-
-
-def expand_body_to_points(body, transport):
-    """Flatten clusters to one-point cubes with a transport keyed by them.
-
-    Points in several clusters take the clause of the first cluster (in
-    the given order) containing them; any choice keeps the set stable.
-    """
-    points: dict[Cube, int] = {}
-    for cube in body:
-        cid = transport[cube]
-        for point in cube.points():
-            points.setdefault(Cube.from_point(point), cid)
-    return list(points), points

@@ -98,11 +98,6 @@ class Permutation:
         return f"Permutation({self.to_cycle_text()}, n={self.n})"
 
 
-def parse_permutation(text: str, n: int) -> Permutation:
-    """Parse cycle notation like '(1 4)(2 5)(3 6)'."""
-    return Permutation.from_cycles(parse_cycles(text), n)
-
-
 def table_bytes(generators: int, num_vars: int) -> int:
     """About the bytes of the orbit walker's lookup tables (_byte_tables):
     256 entries per 8-bit chunk of a point, each a list slot and an int
@@ -151,16 +146,6 @@ def parse_symmetry_file(text: str, num_vars: int) -> SymmetryGroup:
 
 def format_symmetry_file(group: SymmetryGroup) -> str:
     return "".join(g.to_cycle_text() + "\n" for g in group.generators)
-
-
-def apply_perm_point(perm: Permutation, point):
-    """Push the point forward: the image's value at pi(i) is the value at i."""
-    if len(point) != perm.n:
-        raise ValueError("point arity mismatch")
-    out = [0] * perm.n
-    for i, value in enumerate(point, start=1):
-        out[perm(i) - 1] = value
-    return tuple(out)
 
 
 def apply_perm_clause(perm: Permutation, clause: Clause) -> Clause:

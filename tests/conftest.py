@@ -97,6 +97,28 @@ def reference_stable(formula, points, transport) -> bool:
     return bool(members)
 
 
+def apply_perm_point(perm, point):
+    """Reference push-forward of a tuple point: the image's value at pi(i)
+    is the value at i."""
+    out = [0] * perm.n
+    for i, value in enumerate(point, start=1):
+        out[perm(i) - 1] = value
+    return tuple(out)
+
+
+def expand_body_to_points(body, transport):
+    """Reference flattening of clusters to one-point cubes, with a
+    transport keyed by them. Points in several clusters take the clause
+    of the first cluster (in the given order) containing them; any
+    choice keeps the set stable."""
+    points = {}
+    for cube in body:
+        cid = transport[cube]
+        for point in cube.points():
+            points.setdefault(Cube.from_point(point), cid)
+    return list(points), points
+
+
 def random_3cnf(n, m, rng: random.Random) -> CnfFormula:
     clauses = []
     for _ in range(m):

@@ -21,14 +21,13 @@ from stablesat.coverage import union_count
 from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import parse_proof, proof_from_result, replay_proof
-from stablesat.ssc import SscConfig, expand_body_to_points, gen_ssc, verify_ssc
+from stablesat.ssc import SscConfig, gen_ssc, verify_ssc
 from stablesat.ssp import gen_ssp
-from stablesat.symmetry import (apply_perm_clause, apply_perm_point,
-                                gen_ssp_mod_symmetry, ph_formula,
-                                ph_symmetry_generators,
+from stablesat.symmetry import (apply_perm_clause, gen_ssp_mod_symmetry,
+                                ph_formula, ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
-from conftest import (chain6_points, point_cubes, point_tuples, random_3cnf,
-                      reference_stable)
+from conftest import (apply_perm_point, chain6_points, expand_body_to_points,
+                      point_cubes, point_tuples, random_3cnf, reference_stable)
 
 
 @contextmanager

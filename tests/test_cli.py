@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 
@@ -6,8 +7,11 @@ from stablesat import cli
 from stablesat.cli import cli_main
 from stablesat.ssc import SscConfig
 from stablesat.ssp import SspConfig
-from stablesat.symmetry import (expand_mod_sym_to_ssp, is_symmetric,
-                               parse_permutation, ph_formula)
+from stablesat.core import parse_cycles
+from stablesat.dimacs import write_dimacs
+from stablesat.symmetry import (Permutation, expand_mod_sym_to_ssp,
+                                is_symmetric, ph_formula)
+from conftest import random_3cnf
 
 VB_DIMACS = """\
 c worked example
@@ -134,12 +138,12 @@ PH32_SYM_PROOF = """\
 sym (1 3)(2 4)
 sym (3 5)(4 6)
 sym (1 2)(3 4)(5 6)
-cluster -1 -2 -3 -4 -5 -6 0 clause 1
-cluster 1 -2 -3 -4 -5 -6 0 clause 2
-cluster 1 -2 3 -4 -5 -6 0 clause 3
-cluster 1 -2 -3 4 -5 -6 0 clause 3
-cluster 1 -2 3 -4 5 -6 0 clause 4
-cluster 1 -2 3 -4 -5 6 0 clause 4
+point 000000 clause 1
+point 100000 clause 2
+point 101000 clause 3
+point 100100 clause 3
+point 101010 clause 4
+point 101001 clause 4
 result UNSAT
 """
 
@@ -160,7 +164,7 @@ def test_ph65_sym_proof_is_small_and_verifies(tmp_path, capsys):
     cli_main(["gen-ph", "6", "5", "-o", str(cnf), "--sym-out", str(sym)])
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
                      "--proof", str(proof), str(cnf)]) == 20
-    assert proof.stat().st_size < 5000
+    assert proof.stat().st_size < 2000
     assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
     assert capsys.readouterr().out.endswith("verified: result UNSAT\n")
 
@@ -170,15 +174,31 @@ SYM_PROOF_MUTATIONS = {
     "generator not a symmetry": (
         ("sym (1 2)(3 4)(5 6)", "sym (1 3)"), "is not covered"),
     "representative removed": (
-        ("cluster 1 -2 3 -4 -5 -6 0 clause 3\n", ""), "is not covered"),
+        ("point 101000 clause 3\n", ""), "is not covered"),
     "transport id changed": (
-        ("-5 -6 0 clause 2", "-5 -6 0 clause 1"), "does not falsify clause 1"),
+        ("100000 clause 2", "100000 clause 1"), "does not falsify clause 1"),
     "transport id out of range": (
-        ("-5 -6 0 clause 2", "-5 -6 0 clause 99"),
+        ("100000 clause 2", "100000 clause 99"),
         "transport id 99 not in formula"),
-    "cluster not a point": (
-        ("1 -2 -3 -4 -5 -6 0 clause 2", "1 -2 -3 -4 -5 0 clause 2"),
-        "not a point"),
+    "point of the wrong length": (
+        ("point 100000 clause 2", "point 10000 clause 2"),
+        "point invalid: '10000' is not a 0/1 string of 6 variables"),
+    "point digit not 0 or 1": (
+        ("point 100000 clause 2", "point 100200 clause 2"),
+        "point invalid: '100200' is not a 0/1 string of 6 variables"),
+    # int(text, 2) alone would read "1_0000" as a number.
+    "point with a digit separator": (
+        ("point 100000 clause 2", "point 1_0000 clause 2"),
+        "point invalid: '1_0000' is not a 0/1 string of 6 variables"),
+    "point without clause": (
+        ("point 100000 clause 2", "point 100000 2"),
+        "proof line 5: malformed point line"),
+    "point without an id": (
+        ("point 100000 clause 2", "point 100000 clause"),
+        "proof line 5: truncated point record"),
+    "point with a trailing token": (
+        ("point 100000 clause 2", "point 100000 clause 2 0"),
+        "proof line 5: unexpected '0' after the point record"),
     "cycle element above num_vars": (
         ("sym (3 5)(4 6)", "sym (3 7)(4 6)"), "cycle element x7 outside 1..6"),
     "cycles share a variable": (
@@ -200,11 +220,98 @@ def test_verify_rejects_a_mutated_sym_proof(tmp_path, capsys, mutation):
     assert "Traceback" not in err
 
 
+def _as_pinned_clusters(text):
+    """The proof with each point line written as the cluster line that pins
+    every variable, the form point proofs took before point lines."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("point "):
+            tokens = line.split()   # point [bits] clause id
+            bits = tokens[1] if len(tokens) == 4 else ""
+            lits = [v if bit == "1" else -v
+                    for v, bit in enumerate(bits, start=1)]
+            line = " ".join(["cluster", *map(str, lits), "0", "clause",
+                             tokens[-1]])
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _unsat_formulas(tmp_path):
+    """PH(3,2), PH(4,3) and seeded random 3-CNF, with their generators (an
+    empty file for the random ones)."""
+    out = []
+    for p, h in ((3, 2), (4, 3)):
+        cnf, sym = tmp_path / f"ph{p}{h}.cnf", tmp_path / f"ph{p}{h}.sym"
+        cli_main(["gen-ph", str(p), str(h), "-o", str(cnf),
+                  "--sym-out", str(sym)])
+        out.append((cnf, sym))
+    none = tmp_path / "none.sym"
+    none.write_text("")
+    for seed in range(6):   # seed 2 is satisfiable
+        cnf = tmp_path / f"rnd{seed}.cnf"
+        cnf.write_text(write_dimacs(random_3cnf(10, 60, random.Random(seed))))
+        out.append((cnf, none))
+    return out
+
+
+def _verdict(cnf, proof, text, capsys):
+    proof.write_text(text)
+    capsys.readouterr()
+    code = cli_main(["verify", "--proof", str(proof), str(cnf)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode", ["ssp", "sym"])
+def test_point_lines_and_pinned_cluster_lines_get_one_verdict(tmp_path, capsys,
+                                                              mode):
+    # Point proofs in the cluster form keep verifying, and the point form
+    # is accepted exactly where that form is, also with a member missing.
+    proof = tmp_path / "f.proof"
+    unsat = 0
+    for cnf, sym in _unsat_formulas(tmp_path):
+        sym_args = ["--sym", str(sym)] if mode == "sym" else []
+        if cli_main(["solve", "--mode", mode, *sym_args, "--proof", str(proof),
+                     str(cnf)]) != 20:
+            continue
+        unsat += 1
+        lines = proof.read_text().splitlines(keepends=True)
+        members = [i for i, line in enumerate(lines)
+                   if line.startswith("point ")]
+        assert members and not any(l.startswith("cluster ") for l in lines)
+        variants = [lines] + [lines[:i] + lines[i + 1:] for i in
+                              sorted({members[0], members[len(members) // 2],
+                                      members[-1]})]
+        codes = []
+        for variant in variants:
+            text = "".join(variant)
+            new = _verdict(cnf, proof, text, capsys)
+            old = _verdict(cnf, proof, _as_pinned_clusters(text), capsys)
+            assert new == old, (cnf.name, text)
+            codes.append(new[0])
+        assert codes[0] == 0 and 1 in codes[1:], cnf.name
+    assert unsat == 7
+
+
+def test_zero_variable_point_proof_round_trips(tmp_path, capsys):
+    cnf, sym, proof = tmp_path / "f.cnf", tmp_path / "f.sym", tmp_path / "f.proof"
+    cnf.write_text("p cnf 0 1\n0\n")
+    sym.write_text("")
+    for sym_args in ([], ["--mode", "sym", "--sym", str(sym)]):
+        mode = sym_args or ["--mode", "ssp"]
+        assert cli_main(["solve", *mode, "--proof", str(proof),
+                         str(cnf)]) == 20
+        assert proof.read_text() == "point clause 1\nresult UNSAT\n"
+        capsys.readouterr()
+        assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
+        assert capsys.readouterr().out == "verified: result UNSAT\n"
+
+
 def test_mutated_generator_expands_but_is_no_symmetry():
     # The premise of the first mutation: (1 3) maps no placement clause
     # onto a clause, yet every transport it meets has an image.
     formula, _ = ph_formula(3, 2)
-    assert not is_symmetric(formula, parse_permutation("(1 3)", 6))
+    assert not is_symmetric(formula,
+                            Permutation.from_cycles(parse_cycles("(1 3)"), 6))
 
 
 def test_verify_refuses_an_expansion_over_the_orbit_limit(tmp_path, capsys,

@@ -7,12 +7,12 @@ import pytest
 
 from stablesat import proofs
 from stablesat.core import Clause, CnfFormula
-from stablesat.proofs import (emit_proof, format_proof, parse_proof,
+from stablesat.proofs import (Proof, emit_proof, format_proof, parse_proof,
                               proof_from_result, replay_proof)
 from stablesat.ssc import SscConfig, gen_ssc
 from stablesat.ssp import gen_ssp
 from stablesat.symmetry import ph_formula
-from conftest import traced_peak
+from conftest import CHAIN6_POINTS, CHAIN6_TRANSPORT, traced_peak
 
 GOLDEN_PROOF = """\
 learn 6 -2 3 0 from 2 3 pivot 1
@@ -150,8 +150,40 @@ def test_sat_proof_bad_witness_rejected():
 def test_ssp_unsat_proof_replays(chain6_formula):
     result = gen_ssp(chain6_formula)
     proof = proof_from_result(result)
-    assert len(proof.clusters) == 14
+    assert len(proof.points) == 14 and not proof.clusters
     assert replay_proof(chain6_formula, proof)
+    text = format_proof(proof)
+    assert text.splitlines()[:2] == ["point 000000 clause 1",
+                                     "point 100000 clause 5"]
+    assert sorted(text.splitlines()[:-1]) == sorted(
+        f"point {bits} clause {cid}"
+        for bits, cid in zip(CHAIN6_POINTS, CHAIN6_TRANSPORT))
+    assert parse_proof(text) == proof
+    assert replay_proof(chain6_formula, parse_proof(text))
+
+
+def test_zero_variable_point_leaves_the_bits_out():
+    f = CnfFormula(0, [[]])
+    proof = proof_from_result(gen_ssp(f))
+    assert proof.points == [("", 1)]
+    text = format_proof(proof)
+    assert text == "point clause 1\nresult UNSAT\n"
+    assert parse_proof(text) == proof
+    assert replay_proof(f, proof)
+    # A bits token of a zero-variable point is one character too many.
+    report = replay_proof(f, parse_proof("point 0 clause 1\nresult UNSAT\n"))
+    assert report.failures == ["point invalid: '0' is not a 0/1 string of "
+                               "0 variables"]
+
+
+@pytest.mark.parametrize("bits", [
+    "", "01", "0101", "0120", "01-", "+01", "0_1", "0x1", "ab1", "１01",
+])
+def test_replay_refuses_a_point_not_of_num_vars_binary_digits(bits):
+    f = CnfFormula(3, [[1, 2, 3]])
+    report = replay_proof(f, Proof(points=[(bits, 1)], result="UNSAT"))
+    assert report.failures == [f"point invalid: {bits!r} is not a 0/1 string "
+                               f"of 3 variables"]
 
 
 def test_ssp_sat_proof():
@@ -182,9 +214,21 @@ def test_parse_proof_rejects_records_after_the_result():
     assert parse_proof("result UNSAT\nc done\n\n").result == "UNSAT"
 
 
+def test_parse_proof_skips_comment_lines():
+    # As in DIMACS, a bare `c` is a comment; a record name starting with
+    # c is not.
+    text = "c\n  c  \nc a comment\n# another\n\npoint 01 clause 2\nresult UNSAT\n"
+    proof = parse_proof(text)
+    assert proof.points == [("01", 2)] and proof.result == "UNSAT"
+    with pytest.raises(ValueError, match="proof line 1: unknown record 'cx'"):
+        parse_proof("cx\nresult UNSAT\n")
+
+
 @pytest.mark.parametrize("line, extra", [
     ("learn 3 0 from 1 2 pivot 1 junk", "junk"),
     ("cluster -1 0 clause 1 9 9", "9"),
+    ("point 01 clause 1 9", "9"),
+    ("point clause 1 clause", "clause"),
     ("witness 1 0 1", "1"),
     ("result UNSAT 0", "0"),
 ])
@@ -199,6 +243,10 @@ def test_parse_proof_rejects_trailing_tokens(line, extra):
 @pytest.mark.parametrize("line", [
     "learn 3 0 from 1 2 pivot",
     "cluster 1 0",
+    "point 01",
+    "point 01 clause",
+    "point clause",
+    "point",
     "learn",
     "result",
 ])
@@ -262,15 +310,21 @@ def test_sym_records_parse_and_format():
     ("sym ()" + "    ()" * 40 + " x\nresult UNSAT\n",
      "proof line 1: bad cycle notation"),
     ("sym (1 2)\ncluster 1 2 0 clause 1\nsym (1 2)\nresult UNSAT\n",
-     "proof line 3: sym record after a learn, cluster or witness record"),
+     "proof line 3: sym record after a learn, cluster, point or witness "
+     "record"),
+    ("sym (1 2)\npoint 11 clause 1\nsym (1 2)\nresult UNSAT\n",
+     "proof line 3: sym record after a learn, cluster, point or witness "
+     "record"),
     ("sym (1 2)\nresult UNSAT\nsym (1 2)\n",
      "proof line 3: sym record after the result line"),
     ("learn 3 0 from 1 2 pivot 1\nsym (1 2)\nresult UNSAT\n",
-     "proof line 2: sym record after a learn, cluster or witness record"),
+     "proof line 2: sym record after a learn, cluster, point or witness "
+     "record"),
     ("sym (1 2)\nlearn 3 0 from 1 2 pivot 1\nresult UNSAT\n",
      "proof line 2: learn record in a proof with sym records"),
     ("witness 1 2 0\nsym (1 2)\nresult SAT\n",
-     "proof line 2: sym record after a learn, cluster or witness record"),
+     "proof line 2: sym record after a learn, cluster, point or witness "
+     "record"),
     ("sym (1 2)\nwitness 1 2 0\nresult SAT\n",
      "proof line 2: witness record in a proof with sym records"),
 ])

@@ -20,11 +20,11 @@ from stablesat.proofs import proof_from_result, replay_proof
 from stablesat.ssp import gen_ssp
 from stablesat import cubes, ssc
 from stablesat.symmetry import ph_formula
-from stablesat.ssc import (SscConfig, _Boundary, _find_merge,
-                           expand_body_to_points, gen_ssc, pick_split_var,
-                           verify_ssc)
+from stablesat.ssc import (SscConfig, _Boundary, _find_merge, gen_ssc,
+                           pick_split_var, verify_ssc)
 from stablesat.trace import format_trace
-from conftest import point_tuples, random_3cnf, random_clause, reference_stable
+from conftest import (expand_body_to_points, point_tuples, random_3cnf,
+                      random_clause, reference_stable)
 
 
 def cube(lits, n=4):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from stablesat import proofs, symmetry
 from stablesat.cli import cli_main
 from stablesat.core import (Clause, CnfFormula, bits_to_point, evaluate_clause,
-                            point_bits, point_nbhd)
+                            parse_cycles, point_bits, point_nbhd)
 from stablesat.cubes import Cube
 from stablesat.dimacs import write_dimacs
 from stablesat.oracle import brute_force_sat
@@ -24,14 +24,14 @@ from stablesat.ssc import verify_ssc
 from stablesat.ssp import SspConfig, SspResult, gen_ssp
 from stablesat.symmetry import (ORBIT_LIMIT, TABLE_LIMIT, OrbitLimitExceeded,
                                 Permutation, SymmetryGroup, _OrbitWalker,
-                                apply_perm_clause, apply_perm_point,
-                                expand_mod_sym_to_ssp, format_symmetry_file,
-                                gen_ssp_mod_symmetry, group_from_cycles,
-                                is_symmetric, parse_permutation,
+                                apply_perm_clause, expand_mod_sym_to_ssp,
+                                format_symmetry_file, gen_ssp_mod_symmetry,
+                                group_from_cycles, is_symmetric,
                                 parse_symmetry_file,
                                 ph_formula, ph_symmetry_generators,
                                 table_bytes, verify_stable_mod_symmetry)
-from conftest import point_cubes, point_tuples, random_3cnf, reference_stable
+from conftest import (apply_perm_point, point_cubes, point_tuples, random_3cnf,
+                      reference_stable)
 
 
 def random_perm(n, rng):
@@ -62,12 +62,15 @@ def test_permutation_validation_and_cycles():
     assert Permutation.identity(4).cycles() == []
 
 
-def test_parse_permutation_roundtrip():
-    perm = parse_permutation("(1 4)(2 5)(3 6)", 6)
+def test_cycle_notation_roundtrip():
+    perm = Permutation.from_cycles(parse_cycles("(1 4)(2 5)(3 6)"), 6)
     assert perm == Permutation.from_cycles([[1, 4], [2, 5], [3, 6]], 6)
-    assert parse_permutation("()", 3) == Permutation.identity(3)
+    assert Permutation.from_cycles(parse_cycles(perm.to_cycle_text()), 6) \
+        == perm
+    assert Permutation.from_cycles(parse_cycles("()"), 3) == \
+        Permutation.identity(3)
     with pytest.raises(ValueError):
-        parse_permutation("1 4)(", 6)
+        parse_cycles("1 4)(")
 
 
 @pytest.mark.parametrize("text", ["(1 3)(3 1)", "(1 3)(3 5)", "(3)(2 3)",
@@ -76,7 +79,7 @@ def test_cycles_must_be_disjoint(text):
     # Read as a product, (1 3)(3 1) is the identity; it is no cycle form.
     with pytest.raises(ValueError, match="^x3 appears twice; cycles must "
                                          "be disjoint$"):
-        parse_permutation(text, 6)
+        Permutation.from_cycles(parse_cycles(text), 6)
 
 
 def test_symmetry_file_roundtrip():
