@@ -335,21 +335,6 @@ def resolve(c1: Clause, c2: Clause, pivot: int) -> Clause:
                              (c1.fval | c2.fval) & keep)
 
 
-def point_nbhd(point, clause: Clause):
-    """1-neighborhood of a falsifying point: flip each clause variable.
-
-    One point per literal, ordered by ascending variable index.
-    """
-    _check_arity(clause, point)
-    if evaluate_clause(clause, point):
-        raise ValueError("1-neighborhood requires a point falsifying the clause")
-    out = []
-    for lit in clause.lits:
-        i = abs(lit) - 1
-        out.append(point[:i] + (1 - point[i],) + point[i + 1:])
-    return out
-
-
 @dataclass
 class VerifyReport:
     """Outcome of a certificate check; falsy when any condition failed."""

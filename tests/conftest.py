@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from stablesat.core import CnfFormula, evaluate_clause, point_nbhd
+from stablesat.core import CnfFormula, evaluate_clause
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig
 
@@ -95,6 +95,16 @@ def reference_stable(formula, points, transport) -> bool:
         if not members.issuperset(point_nbhd(point, clause)):
             return False
     return bool(members)
+
+
+def point_nbhd(point, clause):
+    """Reference 1-neighborhood of a tuple point falsifying the clause:
+    one point per literal, each with that literal's variable flipped, in
+    ascending variable order."""
+    if evaluate_clause(clause, point):
+        raise ValueError("1-neighborhood requires a point falsifying the clause")
+    return [point[:abs(lit) - 1] + (1 - point[abs(lit) - 1],) + point[abs(lit):]
+            for lit in clause.lits]
 
 
 def apply_perm_point(perm, point):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from stablesat.cli import cli_main
-from stablesat.core import Clause, CnfFormula, point_nbhd
+from stablesat.core import Clause, CnfFormula
 from stablesat.coverage import union_count
 from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
@@ -27,7 +27,8 @@ from stablesat.symmetry import (apply_perm_clause, gen_ssp_mod_symmetry,
                                 ph_formula, ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
 from conftest import (apply_perm_point, chain6_points, expand_body_to_points,
-                      point_cubes, point_tuples, random_3cnf, reference_stable)
+                      point_cubes, point_nbhd, point_tuples, random_3cnf,
+                      reference_stable)
 
 
 @contextmanager

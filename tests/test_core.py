@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesat.core import (Clause, CnfFormula, cycle_text, evaluate_clause,
-                            parse_cycles, point_bits, point_nbhd, resolvable_on,
-                            resolve)
-from conftest import random_clause, traced_peak
+                            parse_cycles, point_bits, resolvable_on, resolve)
+from conftest import point_nbhd, random_clause, traced_peak
 
 
 def test_clause_canonical_order_and_dedup():

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesat.core import (Clause, CnfFormula, point_nbhd, resolvable_on,
-                            resolve)
+from stablesat.core import Clause, CnfFormula, resolvable_on, resolve
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
                              merge, unreached_neighbors, unsat_cube)
 from stablesat.trace import prettify_payload
-from conftest import random_clause, traced_peak
+from conftest import point_nbhd, random_clause, traced_peak
 
 
 def cube(lits, n):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stablesat.core import (CnfFormula, VerifyReport, evaluate_clause,
-                            point_nbhd)
+from stablesat.core import CnfFormula, VerifyReport, evaluate_clause
 from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
                                 union_count)
 from stablesat.cubes import (Cube, checked_members, cube_falsifies,
@@ -23,8 +22,8 @@ from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Boundary, _find_merge, gen_ssc,
                            pick_split_var, verify_ssc)
 from stablesat.trace import format_trace
-from conftest import (expand_body_to_points, point_tuples, random_3cnf,
-                      random_clause, reference_stable)
+from conftest import (expand_body_to_points, point_nbhd, point_tuples,
+                      random_3cnf, random_clause, reference_stable)
 
 
 def cube(lits, n=4):
@@ -462,15 +461,22 @@ def test_pick_split_var_unit_first():
     assert pick_split_var(Cube.full(5), meeting(f, Cube.full(5))) == 5
     assert read == [1, 2, 3]
     assert split_var(Cube.full(5), f) == 1
-    # With no unit, the clause with the fewest free literals wins, not
-    # the narrowest: C2 has two of its four free, as C3 has of its two.
-    # The tie goes to the lower id, and the variable is its lowest free.
+    # With no unit, the variable in the most clauses of the fewest free
+    # literals wins, counted over free literals, not clause widths: C2
+    # has two of its four free, as C3 has of its two, and x4 is in both.
     f = CnfFormula(5, [[3, 4, 5], [1, 2, 4, 5], [3, 4]])
     c = Cube.from_literals([-1, -2], 5)
     assert split_var(c, f, heuristic="unit-first") == 4
     assert split_var(c, f) == 3
+    # The count decides: x3 is in both two-literal clauses, and the wider
+    # C3, where x1 and x2 also occur, is not counted.
+    f = CnfFormula(4, [[1, 3], [2, 3], [1, 2, 4]])
+    assert split_var(Cube.full(4), f, heuristic="unit-first") == 3
+    assert split_var(Cube.full(4), f) == 1
+    # x1 and x2 are in two clauses each: the tie goes to the lower
+    # variable, which the lowest-id clause C1 does not hold.
     f = CnfFormula(4, [[2, 3], [1, 4], [1, 2]])
-    assert split_var(Cube.full(4), f, heuristic="unit-first") == 2
+    assert split_var(Cube.full(4), f, heuristic="unit-first") == 1
 
 
 @pytest.mark.parametrize("heuristic", ["unit-first", "first-intersecting"])
@@ -479,6 +485,44 @@ def test_pick_split_var_needs_a_met_clause_with_a_free_variable(heuristic):
     for c in (Cube.from_literals([-1, -2], 2), Cube.from_literals([1], 2)):
         with pytest.raises(ValueError, match="no intersecting clause pins"):
             split_var(c, f, heuristic)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
+def test_unit_first_no_unit_pick_is_a_most_occurring_narrowest_variable(
+        n, seed):
+    # Counted against a plain Counter over the narrowest met clauses'
+    # free variables: the pick occurs in as many of them as any other
+    # free variable, and is the lowest such. A unit only comes from
+    # pinned variables here, and few are pinned.
+    rng = random.Random(seed)
+    formula = CnfFormula(n, [random_clause(n, rng, rng.randint(2, n))
+                             for _ in range(rng.randint(1, 12))])
+    mask = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+    c = Cube(n, mask, rng.getrandbits(n) & mask)
+    meeting = list(formula.clauses_of(formula.meeting_bits(c.mask, c.val)))
+    free = [[v for v in range(1, n + 1)
+             if clause.fmask >> (v - 1) & 1 and not c.mask >> (v - 1) & 1]
+            for clause in meeting]
+    free = [variables for variables in free if variables]
+    assume(free and min(map(len, free)) > 1)
+    width = min(map(len, free))
+    counts = Counter(v for variables in free if len(variables) == width
+                     for v in variables)
+    var = split_var(c, formula, heuristic="unit-first")
+    assert counts[var] == max(counts.values())
+    assert var == min(v for v in counts if counts[v] == counts[var])
+
+
+@pytest.mark.parametrize("holes, iterations, body", [(5, 1539, 458),
+                                                     (6, 4333, 1152)])
+def test_unit_first_pigeon_hole_counts(holes, iterations, body):
+    # The all-free PH(p+1, p) runs under MOMS, pinned as counts.
+    formula = ph_formula(holes + 1, holes)[0]
+    result = gen_ssc(formula)
+    assert not result.satisfiable
+    assert (result.iterations, len(result.body)) == (iterations, body)
+    assert verify_ssc(result.formula, result.body, result.transport)
 
 
 def test_unit_first_takes_no_more_iterations():
