@@ -108,6 +108,10 @@ class CnfFormula:
     clauses are appended. original_count marks the input/learned boundary.
     `clause_lits` holds literal iterables or Clauses; a Clause no formula
     holds (id 0) is registered itself, as `learn` does.
+
+    The occurrence index (`occurs`, `occ_bits`) is built at its first read
+    and kept from then on: a formula no engine searches costs nothing per
+    variable.
     """
 
     def __init__(self, num_vars: int, clause_lits=()):
@@ -116,11 +120,7 @@ class CnfFormula:
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
         self._by_lits: dict[tuple, Clause] = {}
-        # Slot 2(v-1)+b lists, in id order, the clauses holding the literal
-        # that x_v = b falsifies: x_v for b = 0, -x_v for b = 1. occ_bits
-        # holds the same clauses as a bitset over ids, bit cid - 1.
-        self.occurs: list[list[Clause]] = [[] for _ in range(2 * num_vars)]
-        self.occ_bits: list[int] = [0] * (2 * num_vars)
+        self._occurs = self._occ_bits = None
         for lits in clause_lits:
             fresh = isinstance(lits, Clause) and not lits.cid
             self._register(lits if fresh else self._clause(lits))
@@ -147,12 +147,38 @@ class CnfFormula:
         self.clauses.append(clause)
         clause.cid = len(self.clauses)
         self._by_lits.setdefault(clause.lits, clause)
+        if self._occurs is not None:
+            self._index(clause)
+        return clause
+
+    def _index(self, clause: Clause):
         bit = 1 << (clause.cid - 1)
         for lit in clause.lits:
             slot = 2 * abs(lit) - 2 + (lit < 0)
-            self.occurs[slot].append(clause)
-            self.occ_bits[slot] |= bit
-        return clause
+            self._occurs[slot].append(clause)
+            self._occ_bits[slot] |= bit
+
+    def _build_index(self):
+        self._occurs = [[] for _ in range(2 * self.num_vars)]
+        self._occ_bits = [0] * (2 * self.num_vars)
+        for clause in self.clauses:
+            self._index(clause)
+
+    @property
+    def occurs(self) -> list:
+        """Slot 2(v-1)+b lists, in id order, the clauses holding the literal
+        that x_v = b falsifies: x_v for b = 0, -x_v for b = 1."""
+        if self._occurs is None:
+            self._build_index()
+        return self._occurs
+
+    @property
+    def occ_bits(self) -> list:
+        """The clauses of each `occurs` slot as a bitset over ids, bit
+        cid - 1."""
+        if self._occ_bits is None:
+            self._build_index()
+        return self._occ_bits
 
     def learn(self, lits):
         """Append a learned clause unless its literal set already exists.
@@ -206,18 +232,12 @@ class CnfFormula:
         bitset over ids (bit cid - 1): the cube meets Unsat(C) when no
         pinned variable satisfies the clause, so it is every id but those
         in the occurrence bitset of each literal a pin satisfies."""
-        bits = (1 << len(self.clauses)) - 1
+        bits, occ_bits = (1 << len(self.clauses)) - 1, self.occ_bits
         while mask:
             low = mask & -mask
-            bits &= ~self.satisfied_by(low, val)
+            bits &= ~occ_bits[2 * low.bit_length() - (2 if val & low else 1)]
             mask ^= low
         return bits
-
-    def satisfied_by(self, bit: int, val: int) -> int:
-        """The ids, as a bitset, of the clauses holding the literal that
-        pinning the variable at `bit` (one set bit) to its value in `val`
-        satisfies."""
-        return self.occ_bits[2 * bit.bit_length() - (2 if val & bit else 1)]
 
     @property
     def learned(self):
@@ -227,8 +247,9 @@ class CnfFormula:
         dup = CnfFormula(self.num_vars)
         dup.clauses = list(self.clauses)
         dup._by_lits = dict(self._by_lits)
-        dup.occurs = [list(occ) for occ in self.occurs]
-        dup.occ_bits = list(self.occ_bits)
+        if self._occurs is not None:
+            dup._occurs = [list(occ) for occ in self._occurs]
+            dup._occ_bits = list(self._occ_bits)
         dup.original_count = self.original_count
         return dup
 
@@ -294,21 +315,6 @@ def parse_cycles(text: str):
 def cycle_text(cycles) -> str:
     """Cycle notation of cycle lists; `()` for none."""
     return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles) or "()"
-
-
-def _check_arity(clause: Clause, point):
-    if clause.max_var() > len(point):
-        raise ValueError(
-            f"point of length {len(point)} cannot evaluate clause {clause!r}")
-
-
-def evaluate_clause(clause: Clause, point) -> bool:
-    """True when the point satisfies the clause (some literal agrees).
-
-    The empty clause is falsified by every point.
-    """
-    _check_arity(clause, point)
-    return any((point[abs(l) - 1] == 1) == (l > 0) for l in clause.lits)
 
 
 def resolvable_on(c1: Clause, c2: Clause):

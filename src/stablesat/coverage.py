@@ -5,13 +5,18 @@ Both run one recursive splitting, a DPLL specialization over the
 complement of the cover set (the tautology check of Brayton et al.,
 1984): take the covers meeting the target from a per-literal index
 (CoverIndex), stop when one cover swallows the region or none meets it,
-otherwise split it on a variable pinned by the largest surviving cover.
-The point count is the space minus the points no cover holds; the cover
-check stops at the first such point. Exact unless the candidates are
-narrowed to shared-literal covers.
+otherwise split it: on the lowest variable every surviving cover pins,
+which sends each cover to one half only, or, when none is shared, on a
+variable pinned by the largest surviving cover. The point count is the
+space minus the points no cover holds; the cover check stops at the
+first such point. Exact unless the candidates are narrowed to
+shared-literal covers.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_, itemgetter
 
 from .cubes import Cube
 
@@ -130,9 +135,11 @@ def _uncovered(target: Cube, found, stop: bool) -> int:
     """The number of points of the target that no cube in `found` holds;
     with `stop`, a positive count at the first uncovered region found.
 
-    The target is split on a variable pinned by its largest surviving
-    cover until a cover contains the region or none meets it. Every count
-    comes from the intersection and containment tests made here.
+    The target is split until a cover contains the region or none meets
+    it: on the lowest variable every surviving cover pins, else on the
+    largest surviving cover's lowest pin; below a region with no shared
+    pin none is looked for. Every count comes from the intersection and
+    containment tests made here.
     """
     if not found:
         return target.count_points()
@@ -147,26 +154,30 @@ def _uncovered(target: Cube, found, stop: bool) -> int:
                         key=lambda c: c[0].bit_count())
     n = target.n
 
-    def rec(mask: int, cubes) -> int:
-        # Every cover in cubes meets the region `mask` pins.
+    def rec(mask: int, cubes, shared: int) -> int:
+        # Every cover in cubes meets the region `mask` pins; `shared` is
+        # zero once a region above this one had no pin every cover shares.
         if not cubes:
             return 1 << (n - mask.bit_count())
-        for c in cubes:
-            if not c[0] & ~mask:
-                return 0
-        # The largest cover neither contains nor misses the region, so it
-        # pins some variable that is still free in the region. A cover
-        # meets a half exactly when it does not pin that variable the
-        # other way.
-        pinned = cubes[0][0] & ~mask
+        # A free variable every cover pins means no cover contains the
+        # region, and it sends each cover to one half. Failing one, split
+        # on the largest cover's lowest free pin. A cover meets a half
+        # exactly when it does not pin that variable the other way.
+        if shared:
+            shared = reduce(and_, map(itemgetter(0), cubes)) & ~mask
+        if not shared:
+            for c in cubes:
+                if not c[0] & ~mask:
+                    return 0
+        pinned = shared or cubes[0][0] & ~mask
         bit = pinned & -pinned
         mask |= bit
-        count = rec(mask, [c for c in cubes if not c[1] & bit])
+        count = rec(mask, [c for c in cubes if not c[1] & bit], shared)
         if count and stop:
             return count
-        return count + rec(mask, [c for c in cubes if not c[2] & bit])
+        return count + rec(mask, [c for c in cubes if not c[2] & bit], shared)
 
-    return rec(mask, candidates)
+    return rec(mask, candidates, 1)
 
 
 def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Clause, CnfFormula
+from .core import Clause, CnfFormula, masks_to_lits
 
 
 class DimacsError(ValueError):
@@ -25,7 +25,10 @@ def parse_dimacs(text) -> CnfFormula:
         text = text.decode("utf-8", errors="replace")
     num_vars = declared = None
     clauses: list[Clause] = []
-    pending: list[int] = []
+    # Each distinct token read so far -> its literal's bit (_literal_bit):
+    # int() and the range test run once per token, not once per literal.
+    bits: dict[str, int] = {}
+    pos = neg = 0        # the pending clause's positive and negative variables
     pending_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -48,32 +51,46 @@ def parse_dimacs(text) -> CnfFormula:
             continue
         if num_vars is None:
             raise DimacsError(f"clause data before header: {line!r}", lineno)
+        if not pos | neg:
+            pending_line = lineno
         for token in line.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise DimacsError(f"bad literal {token!r}", lineno) from None
-            if lit == 0:
-                try:
-                    clauses.append(Clause(pending))
-                except ValueError as exc:
-                    raise DimacsError(str(exc), lineno) from None
-                pending = []
-                continue
-            if abs(lit) > num_vars:
-                raise DimacsError(
-                    f"variable x{abs(lit)} above declared count {num_vars}", lineno)
-            if not pending:
+            bit = bits.get(token)
+            if bit is None:
+                bit = bits[token] = _literal_bit(token, num_vars, lineno)
+            if bit > 0:
+                pos |= bit
+            elif bit:
+                neg |= -bit
+            else:
+                if pos & neg:   # Clause names the tautology
+                    try:
+                        Clause(masks_to_lits(pos, 0) + masks_to_lits(0, neg))
+                    except ValueError as exc:
+                        raise DimacsError(str(exc), lineno) from None
+                clauses.append(Clause.from_unsat(pos | neg, neg))
+                pos = neg = 0
                 pending_line = lineno
-            pending.append(lit)
     if num_vars is None:
         raise DimacsError("missing 'p cnf' header")
-    if pending:
+    if pos | neg:
         raise DimacsError("clause missing its 0 terminator", pending_line)
     if len(clauses) != declared:
         warnings.warn(f"header declares {declared} clauses, file has "
                       f"{len(clauses)}; using the actual count")
     return CnfFormula(num_vars, clauses)
+
+
+def _literal_bit(token: str, num_vars: int, lineno: int) -> int:
+    """1 << (v - 1) for the token of literal v, its negation for -v, 0 for
+    the terminator; refused unless int() reads it within num_vars."""
+    try:
+        lit = int(token)
+    except ValueError:
+        raise DimacsError(f"bad literal {token!r}", lineno) from None
+    if abs(lit) > num_vars:
+        raise DimacsError(
+            f"variable x{abs(lit)} above declared count {num_vars}", lineno)
+    return 1 << (lit - 1) if lit > 0 else -(1 << ~lit) if lit else 0
 
 
 def write_dimacs(formula: CnfFormula, comments=()) -> str:

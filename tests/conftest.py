@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from stablesat.core import CnfFormula, evaluate_clause
+from stablesat.core import CnfFormula
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig
 
@@ -95,6 +95,16 @@ def reference_stable(formula, points, transport) -> bool:
         if not members.issuperset(point_nbhd(point, clause)):
             return False
     return bool(members)
+
+
+def evaluate_clause(clause, point) -> bool:
+    """Reference clause test on a tuple point: True when some literal
+    agrees. The empty clause is falsified by every point; a clause over a
+    variable beyond the point is refused."""
+    if clause.max_var() > len(point):
+        raise ValueError(
+            f"point of length {len(point)} cannot evaluate clause {clause!r}")
+    return any((point[abs(l) - 1] == 1) == (l > 0) for l in clause.lits)
 
 
 def point_nbhd(point, clause):

@@ -11,7 +11,7 @@ from stablesat.core import parse_cycles
 from stablesat.dimacs import write_dimacs
 from stablesat.symmetry import (Permutation, expand_mod_sym_to_ssp,
                                 is_symmetric, ph_formula)
-from conftest import random_3cnf
+from conftest import random_3cnf, traced_peak
 
 VB_DIMACS = """\
 c worked example
@@ -99,6 +99,18 @@ def test_verify_rejects_tampered_proof(vb_file, tmp_path, capsys):
     proof.write_text(tampered)
     assert cli_main(["verify", "--proof", str(proof), vb_file]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_verify_of_a_huge_header_is_bounded(tmp_path, capsys):
+    # The checker reads no per-variable index, so a formula that declares
+    # 10^7 variables costs it what the file holds, not 2 * 10^7 lists.
+    cnf, proof = tmp_path / "huge.cnf", tmp_path / "huge.proof"
+    cnf.write_text("p cnf 10000000 1\n1 0\n")
+    proof.write_text("witness 1 0\nresult SAT\n")
+    code, peak = traced_peak(
+        lambda: cli_main(["verify", "--proof", str(proof), str(cnf)]))
+    assert code == 0 and peak < 4 * 2 ** 20
+    assert capsys.readouterr().out == "verified: result SAT\n"
 
 
 def test_gen_ph_then_solve_roundtrip(tmp_path):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesat.core import (Clause, CnfFormula, cycle_text, evaluate_clause,
-                            parse_cycles, point_bits, resolvable_on, resolve)
-from conftest import point_nbhd, random_clause, traced_peak
+from stablesat.core import (Clause, CnfFormula, cycle_text, parse_cycles,
+                            point_bits, resolvable_on, resolve)
+from conftest import evaluate_clause, point_nbhd, random_clause, traced_peak
 
 
 def test_clause_canonical_order_and_dedup():
@@ -89,6 +89,21 @@ def test_occurrence_lists_follow_the_clause_list():
     assert dup.occurs == occurrence_filter(dup)
     assert f.occurs == before == occurrence_filter(f)
     assert len(dup.occurs[3]) == len(f.occurs[3]) + 1   # x2 = 1 falsifies -2
+
+
+def test_occurrence_index_is_built_at_its_first_read():
+    # A formula that is never searched holds no per-variable list: one
+    # declaring 10^7 variables, and its copy, cost a few hundred bytes.
+    huge, peak = traced_peak(
+        lambda: CnfFormula(10 ** 7, [[1], [-2, 3]]).copy())
+    assert peak < 2 ** 16 and huge._occurs is None
+    # Learned in a copy before the first read, the index still follows
+    # the clause list, and the original builds none.
+    f = CnfFormula(3, [[1], [-2, 3]])
+    dup = f.copy()
+    dup.learn([2])
+    assert dup.meeting_bits(0b10, 0b10) == 0b011
+    assert dup.occurs == occurrence_filter(dup) and f._occurs is None
 
 
 def test_occurrence_lists_of_random_formulas():

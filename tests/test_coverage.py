@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
                                 union_count)
 from stablesat.cubes import Cube
-from stablesat.ssc import SscConfig
+from stablesat.ssc import SscConfig, gen_ssc
+from stablesat.symmetry import ph_formula
+from conftest import random_3cnf
 
 
 def cube(lits, n):
@@ -286,3 +289,64 @@ def test_cover_index_checks_arity_once_added():
         index.meeting(cube([1], 2))
     index.discard(cube([2], 3))     # absent: nothing happens
     assert len(index) == 1
+
+
+@st.composite
+def split_trees(draw, max_n=7):
+    """The leaves of a random split tree over n variables, with some
+    deleted: the cover sets whose regions often have a pin every
+    surviving cover shares, as the Bodies of the all-free start do."""
+    n = draw(st.integers(1, max_n))
+    leaves = [Cube.full(n)]
+    for _ in range(draw(st.integers(0, 16))):
+        i = draw(st.integers(0, len(leaves) - 1))
+        free = [v for v in range(1, n + 1) if not leaves[i].mask >> (v - 1) & 1]
+        if free:
+            leaves[i:i + 1] = leaves[i].split(draw(st.sampled_from(free)))
+    keep = draw(st.lists(st.booleans(), min_size=len(leaves),
+                         max_size=len(leaves)))
+    targets = draw(st.lists(cubes_of(n), max_size=3))
+    return n, [c for c, kept in zip(leaves, keep) if kept], targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_trees())
+def test_split_tree_covers_match_brute_force(tree):
+    n, covers, targets = tree
+    assert union_count(covers, n) == brute_union(covers, n)
+    for target in [Cube.full(n)] + targets:
+        expected = COVERED if brute_covered(target, covers) else UNCOVERED
+        assert is_covered(target, covers) == expected
+
+
+def rec_calls(query) -> int:
+    """How many times the coverage recursion's `rec` runs during query()."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec" and \
+                frame.f_code.co_filename.endswith("coverage.py"):
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        query()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("formula, nodes", [
+    (ph_formula(6, 5)[0], 887),                       # 458 clusters
+    (random_3cnf(20, 85, random.Random(4)), 159)])    # 81 clusters
+def test_whole_space_query_node_counts(formula, nodes):
+    # The checker's one query on an all-free Body: a pin every cover of a
+    # region shares splits the Body along its own split tree. The counts
+    # are deterministic; a change of branch rule shows here first.
+    result = gen_ssc(formula)
+    assert not result.satisfiable
+    space, index = Cube.full(formula.num_vars), CoverIndex(formula.num_vars,
+                                                             result.body)
+    assert rec_calls(lambda: is_covered(space, index)) == nodes
+    assert is_covered(space, index) == COVERED

@@ -73,3 +73,33 @@ def test_bytes_input():
 def test_empty_clause_parses():
     f = parse_dimacs("p cnf 1 1\n0\n")
     assert f.clauses[0].lits == ()
+
+
+def test_tokens_read_as_int_reads_them():
+    # "00" is a terminator and "-0" another; "+1" and "01" are x1.
+    f = parse_dimacs("p cnf 2 2\n+1 01 00\n-02 -0\n")
+    assert [c.lits for c in f.clauses] == [(1,), (-2,)]
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 2 1\n1 x 0\n")
+    assert str(err.value) == "line 2: bad literal 'x'"
+
+
+def test_tautology_across_lines_reported_at_its_terminator():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 2 1\n1 2\n-1\n0\n")
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: tautological clause: both polarities of x1"
+
+
+def test_missing_terminator_names_the_clause_start():
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 3 2\n1 2\n0 3\n")
+    assert err.value.line == 3
+
+
+def test_token_table_is_per_parse():
+    # A token read by one parse is range-checked afresh by the next.
+    assert parse_dimacs("p cnf 2 1\n2 0\n").clauses[0].lits == (2,)
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs("p cnf 1 1\n2 0\n")
+    assert str(err.value) == "line 2: variable x2 above declared count 1"

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesat.core import CnfFormula, evaluate_clause
+from stablesat.core import CnfFormula
 from stablesat.oracle import brute_force_sat
 from stablesat.symmetry import ph_formula
-from conftest import traced_peak
+from conftest import evaluate_clause, traced_peak
 
 
 def test_vb_formula_unsat(vb_formula):

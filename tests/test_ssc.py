@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from stablesat.core import CnfFormula, VerifyReport, evaluate_clause
+from stablesat.core import CnfFormula, VerifyReport
 from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
                                 union_count)
 from stablesat.cubes import (Cube, checked_members, cube_falsifies,
@@ -22,8 +22,9 @@ from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Boundary, _find_merge, gen_ssc,
                            pick_split_var, verify_ssc)
 from stablesat.trace import format_trace
-from conftest import (expand_body_to_points, point_nbhd, point_tuples,
-                      random_3cnf, random_clause, reference_stable)
+from conftest import (evaluate_clause, expand_body_to_points, point_nbhd,
+                      point_tuples, random_3cnf, random_clause,
+                      reference_stable)
 
 
 def cube(lits, n=4):

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from stablesat.core import CnfFormula, evaluate_clause
+from stablesat.core import CnfFormula
 from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.ssc import verify_ssc
 from stablesat.ssp import SspConfig, gen_ssp
-from conftest import point_cubes, point_tuples, random_3cnf, reference_stable
+from conftest import (evaluate_clause, point_cubes, point_tuples, random_3cnf,
+                      reference_stable)
 
 
 def test_one_variable_contradiction():

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from stablesat import proofs, symmetry
 from stablesat.cli import cli_main
-from stablesat.core import (Clause, CnfFormula, bits_to_point, evaluate_clause,
-                            parse_cycles, point_bits)
+from stablesat.core import (Clause, CnfFormula, bits_to_point, parse_cycles,
+                            point_bits)
 from stablesat.cubes import Cube
 from stablesat.dimacs import write_dimacs
 from stablesat.oracle import brute_force_sat
@@ -30,8 +30,8 @@ from stablesat.symmetry import (ORBIT_LIMIT, TABLE_LIMIT, OrbitLimitExceeded,
                                 parse_symmetry_file,
                                 ph_formula, ph_symmetry_generators,
                                 table_bytes, verify_stable_mod_symmetry)
-from conftest import (apply_perm_point, point_cubes, point_nbhd, point_tuples,
-                      random_3cnf, reference_stable)
+from conftest import (apply_perm_point, evaluate_clause, point_cubes,
+                      point_nbhd, point_tuples, random_3cnf, reference_stable)
 
 
 def random_perm(n, rng):
