@@ -109,9 +109,7 @@ class CnfFormula:
     `clause_lits` holds literal iterables or Clauses; a Clause no formula
     holds (id 0) is registered itself, as `learn` does.
 
-    The occurrence index (`occurs`, `occ_bits`) is built at its first read
-    and kept from then on: a formula no engine searches costs nothing per
-    variable.
+    The occurrence index (`occurs`, `occ_bits`) is built at its first read.
     """
 
     def __init__(self, num_vars: int, clause_lits=()):
@@ -148,21 +146,18 @@ class CnfFormula:
         clause.cid = len(self.clauses)
         self._by_lits.setdefault(clause.lits, clause)
         if self._occurs is not None:
-            self._index(clause)
+            _index(clause, self._occurs, self._occ_bits)
         return clause
 
-    def _index(self, clause: Clause):
-        bit = 1 << (clause.cid - 1)
-        for lit in clause.lits:
-            slot = 2 * abs(lit) - 2 + (lit < 0)
-            self._occurs[slot].append(clause)
-            self._occ_bits[slot] |= bit
-
     def _build_index(self):
-        self._occurs = [[] for _ in range(2 * self.num_vars)]
-        self._occ_bits = [0] * (2 * self.num_vars)
+        """Build the index whole, then publish it, `_occurs` last, so that
+        `copy` never sees half of it."""
+        occurs = [[] for _ in range(2 * self.num_vars)]
+        occ_bits = [0] * (2 * self.num_vars)
         for clause in self.clauses:
-            self._index(clause)
+            _index(clause, occurs, occ_bits)
+        self._occ_bits = occ_bits
+        self._occurs = occurs
 
     @property
     def occurs(self) -> list:
@@ -258,6 +253,15 @@ class CnfFormula:
 
     def __repr__(self):
         return f"CnfFormula(n={self.num_vars}, clauses={len(self.clauses)})"
+
+
+def _index(clause: Clause, occurs: list, occ_bits: list):
+    """File a registered clause in an occurrence index's lists."""
+    bit = 1 << (clause.cid - 1)
+    for lit in clause.lits:
+        slot = 2 * abs(lit) - 2 + (lit < 0)
+        occurs[slot].append(clause)
+        occ_bits[slot] |= bit
 
 
 def falsified_among(clauses, mask: int, val: int):

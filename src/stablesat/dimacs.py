@@ -25,9 +25,9 @@ def parse_dimacs(text) -> CnfFormula:
         text = text.decode("utf-8", errors="replace")
     num_vars = declared = None
     clauses: list[Clause] = []
-    # Each distinct token read so far -> its literal's bit (_literal_bit):
-    # int() and the range test run once per token, not once per literal.
-    bits: dict[str, int] = {}
+    # Each distinct token read so far -> its checked literal (_literal), so
+    # int() and the range test run once per token; bits are shifted at use.
+    lits: dict[str, int] = {}
     pos = neg = 0        # the pending clause's positive and negative variables
     pending_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -54,13 +54,13 @@ def parse_dimacs(text) -> CnfFormula:
         if not pos | neg:
             pending_line = lineno
         for token in line.split():
-            bit = bits.get(token)
-            if bit is None:
-                bit = bits[token] = _literal_bit(token, num_vars, lineno)
-            if bit > 0:
-                pos |= bit
-            elif bit:
-                neg |= -bit
+            lit = lits.get(token)
+            if lit is None:
+                lit = lits[token] = _literal(token, num_vars, lineno)
+            if lit > 0:
+                pos |= 1 << (lit - 1)
+            elif lit:
+                neg |= 1 << ~lit        # ~lit is -lit - 1
             else:
                 if pos & neg:   # Clause names the tautology
                     try:
@@ -80,9 +80,9 @@ def parse_dimacs(text) -> CnfFormula:
     return CnfFormula(num_vars, clauses)
 
 
-def _literal_bit(token: str, num_vars: int, lineno: int) -> int:
-    """1 << (v - 1) for the token of literal v, its negation for -v, 0 for
-    the terminator; refused unless int() reads it within num_vars."""
+def _literal(token: str, num_vars: int, lineno: int) -> int:
+    """The literal int() reads in the token, 0 for the terminator; refused
+    unless its variable is within num_vars."""
     try:
         lit = int(token)
     except ValueError:
@@ -90,7 +90,7 @@ def _literal_bit(token: str, num_vars: int, lineno: int) -> int:
     if abs(lit) > num_vars:
         raise DimacsError(
             f"variable x{abs(lit)} above declared count {num_vars}", lineno)
-    return 1 << (lit - 1) if lit > 0 else -(1 << ~lit) if lit else 0
+    return lit
 
 
 def write_dimacs(formula: CnfFormula, comments=()) -> str:

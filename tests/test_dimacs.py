@@ -1,6 +1,7 @@
 import pytest
 
 from stablesat.dimacs import DimacsError, parse_dimacs, write_dimacs
+from conftest import traced_peak
 
 
 def test_minimal_unsat_pair():
@@ -103,3 +104,13 @@ def test_token_table_is_per_parse():
     with pytest.raises(DimacsError) as err:
         parse_dimacs("p cnf 1 1\n2 0\n")
     assert str(err.value) == "line 2: variable x2 above declared count 1"
+
+
+def test_wide_clause_near_a_huge_header_is_bounded():
+    # The token table keeps each literal as read, not its bit: 10^4
+    # distinct literals near x10^6 cost kilobytes each only while shifted.
+    text = "p cnf 1000000 1\n" + " ".join(
+        str(v) for v in range(990_001, 1_000_001)) + " 0\n"
+    f, peak = traced_peak(lambda: parse_dimacs(text))
+    assert f.clauses[0].lits == tuple(range(990_001, 1_000_001))
+    assert peak < 4 * 2 ** 20
