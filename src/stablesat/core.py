@@ -46,27 +46,28 @@ def masks_to_lits(pos: int, neg: int) -> tuple:
 
 
 class Clause:
-    """A disjunction of literals, kept sorted by variable index.
+    """A disjunction of literals, stored as the bits of its falsifying cube.
 
-    Duplicate literals collapse. A clause holding both polarities of one
-    variable is tautological and rejected at construction. Equality and
-    hashing use the literal set only, so learned duplicates are detectable
-    regardless of id.
+    `fmask` marks the clause variables and `fval` holds the falsifying
+    value of each (1 exactly for negative literals); these bits are the
+    clause. `lits`, its literals sorted by variable, is built from them at
+    its first read and then kept. Duplicate literals collapse. A clause
+    holding both polarities of one variable is tautological and rejected
+    at construction. Equality, hashing, length and `max_var` read the bits
+    only, so learned duplicates are detectable regardless of id.
     """
 
-    __slots__ = ("lits", "cid", "fmask", "fval")
+    __slots__ = ("fmask", "fval", "cid", "_lits")
 
     def __init__(self, lits, cid: int = 0):
         pos, neg = lits_to_masks(lits)
         if pos & neg:
             raise ValueError("tautological clause: both polarities of "
                              f"x{(pos & neg).bit_length()}")
-        self.lits = masks_to_lits(pos, neg)
-        self.cid = cid
-        # Bit view of Unsat(C): fmask marks the clause variables, fval holds
-        # the falsifying value of each (1 exactly for negative literals).
         self.fmask = pos | neg
         self.fval = neg
+        self.cid = cid
+        self._lits = None
 
     @classmethod
     def from_unsat(cls, fmask: int, fval: int) -> "Clause":
@@ -75,26 +76,34 @@ class Clause:
         if fval & ~fmask:
             raise ValueError("falsifying values outside the clause variables")
         clause = cls.__new__(cls)
-        clause.lits = masks_to_lits(fmask ^ fval, fval)
-        clause.cid = 0
         clause.fmask = fmask
         clause.fval = fval
+        clause.cid = 0
+        clause._lits = None
         return clause
 
+    @property
+    def lits(self) -> tuple:
+        """The literals, ascending by variable."""
+        if self._lits is None:
+            self._lits = masks_to_lits(self.fmask ^ self.fval, self.fval)
+        return self._lits
+
     def max_var(self) -> int:
-        return abs(self.lits[-1]) if self.lits else 0
+        return self.fmask.bit_length()
 
     def __len__(self):
-        return len(self.lits)
+        return self.fmask.bit_count()
 
     def __iter__(self):
         return iter(self.lits)
 
     def __eq__(self, other):
-        return isinstance(other, Clause) and self.lits == other.lits
+        return isinstance(other, Clause) and self.fmask == other.fmask \
+            and self.fval == other.fval
 
     def __hash__(self):
-        return hash(self.lits)
+        return hash((self.fmask, self.fval))
 
     def __repr__(self):
         body = " ".join(str(l) for l in self.lits) or "<empty>"
@@ -117,7 +126,7 @@ class CnfFormula:
             raise ValueError("num_vars must be >= 0")
         self.num_vars = num_vars
         self.clauses: list[Clause] = []
-        self._by_lits: dict[tuple, Clause] = {}
+        self._by_bits: dict[tuple, Clause] = {}   # (fmask, fval) -> first
         self._occurs = self._occ_bits = None
         for lits in clause_lits:
             fresh = isinstance(lits, Clause) and not lits.cid
@@ -144,7 +153,7 @@ class CnfFormula:
             raise self._too_wide(" ".join(map(str, clause.lits)))
         self.clauses.append(clause)
         clause.cid = len(self.clauses)
-        self._by_lits.setdefault(clause.lits, clause)
+        self._by_bits.setdefault((clause.fmask, clause.fval), clause)
         if self._occurs is not None:
             _index(clause, self._occurs, self._occ_bits)
         return clause
@@ -185,11 +194,11 @@ class CnfFormula:
         was already present, in which case that clause is returned.
         """
         clause = lits if isinstance(lits, Clause) else self._clause(lits)
-        existing = self._by_lits.get(clause.lits)
+        existing = self._by_bits.get((clause.fmask, clause.fval))
         if existing is not None:
             return existing, False
         if clause.cid:
-            clause = Clause(clause.lits)
+            clause = Clause.from_unsat(clause.fmask, clause.fval)
         return self._register(clause), True
 
     def find(self, lits):
@@ -198,7 +207,7 @@ class CnfFormula:
             probe = self._clause(lits)
         except ValueError:
             return None
-        return self._by_lits.get(probe.lits)
+        return self._by_bits.get((probe.fmask, probe.fval))
 
     def clause_by_id(self, cid: int):
         if 1 <= cid <= len(self.clauses):
@@ -206,17 +215,11 @@ class CnfFormula:
         return None
 
     def clauses_of(self, bits: int):
-        """The clauses a bitset over ids (bit cid - 1) holds, in id order.
-
-        The first costs one lowest-bit step; the rest come from one pass
-        over the binary digits, so reading them all is linear in the
-        bitset's width, not in its width times its clause count."""
-        if not bits:
-            return
-        clauses = self.clauses
-        yield clauses[(bits & -bits).bit_length() - 1]
-        rest = bin(bits & (bits - 1))[:1:-1]     # digit i is bit i
-        yield from compress(clauses, rest.encode().translate(_DIGIT_FLAGS))
+        """An iterator over the clauses a bitset over ids (bit cid - 1)
+        holds, in id order: one C-level `compress` of the clause list by
+        the bitset's binary digits, linear in the bitset's width."""
+        digits = bin(bits)[:1:-1]     # digit i is bit i
+        return compress(self.clauses, digits.encode().translate(_DIGIT_FLAGS))
 
     def falsified(self, mask: int, val: int):
         """Clauses every point of the cube (mask, val) falsifies, in order."""
@@ -241,7 +244,7 @@ class CnfFormula:
     def copy(self) -> "CnfFormula":
         dup = CnfFormula(self.num_vars)
         dup.clauses = list(self.clauses)
-        dup._by_lits = dict(self._by_lits)
+        dup._by_bits = dict(self._by_bits)
         if self._occurs is not None:
             dup._occurs = [list(occ) for occ in self._occurs]
             dup._occ_bits = list(self._occ_bits)
@@ -256,12 +259,16 @@ class CnfFormula:
 
 
 def _index(clause: Clause, occurs: list, occ_bits: list):
-    """File a registered clause in an occurrence index's lists."""
+    """File a registered clause in an occurrence index's lists, from its
+    bits: slot 2(v-1) for x_v, 2(v-1)+1 for -x_v."""
     bit = 1 << (clause.cid - 1)
-    for lit in clause.lits:
-        slot = 2 * abs(lit) - 2 + (lit < 0)
+    rest, neg = clause.fmask, clause.fval
+    while rest:
+        low = rest & -rest
+        slot = 2 * low.bit_length() - (1 if neg & low else 2)
         occurs[slot].append(clause)
         occ_bits[slot] |= bit
+        rest ^= low
 
 
 def falsified_among(clauses, mask: int, val: int):

@@ -156,8 +156,12 @@ def cube_falsifies(cube: Cube, clause: Clause) -> bool:
 
 
 def cube_satisfies(cube: Cube, clause: Clause) -> bool:
-    """True when every point of the cube satisfies the clause."""
-    return not unsat_cube(clause, cube.n).intersects(cube)
+    """True when every point of the cube satisfies the clause: the cube
+    pins some clause variable to its satisfying value, so it misses
+    Unsat(C)."""
+    if clause.fmask >> cube.n:
+        raise ValueError(f"clause {clause!r} exceeds arity {cube.n}")
+    return (cube.val ^ clause.fval) & cube.mask & clause.fmask != 0
 
 
 def cube_nbhd(cube: Cube, clause: Clause):

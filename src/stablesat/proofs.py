@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice, takewhile
 
-from .core import (CnfFormula, VerifyReport, cycle_text, parse_cycles,
-                   resolvable_on, resolve)
+from .core import (CnfFormula, VerifyReport, cycle_text, lits_to_masks,
+                   parse_cycles, resolvable_on, resolve)
 from .cubes import Cube, cube_satisfies
 from .ssc import LearnStep, SscResult, verify_ssc
 from .ssp import SspResult
@@ -207,9 +207,13 @@ def replay_proof(formula: CnfFormula, proof: Proof,
                         f"do not clash exactly on x{step.pivot}")
             return report
         resolvent = resolve(left, right, step.pivot)
-        # As sets, duplicates collapse and 0, a tautology or a variable
-        # above num_vars differ; no stated literal becomes a shift count.
-        if set(step.lits) != set(resolvent.lits):
+        # Refused before the codec: 0, or a variable above num_vars, so no
+        # stated literal becomes a shift count. As masks, duplicates
+        # collapse and a tautology differs: its positive mask meets fval.
+        lits = step.lits
+        if not (all(lits) and max(map(abs, lits), default=0) <= work.num_vars
+                and lits_to_masks(lits) == (resolvent.fmask ^ resolvent.fval,
+                                            resolvent.fval)):
             report.fail(f"learn {step.cid}: stated literals differ from the "
                         f"resolvent {resolvent.lits}")
             return report

@@ -62,6 +62,7 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
     if len(init) != n:
         raise ValueError(f"init point has length {len(init)}, expected {n}")
     log = TraceLog(config.record_trace)
+    tracing = log.enabled   # trace payloads are built only under this test
 
     def text(bits):
         return point_str(bits_to_point(bits, n))
@@ -72,29 +73,40 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
     boundary = deque([start])
     reached = {canonical(start)}   # representatives of every point pushed
     body: dict[int, int] = {}   # point bits -> transport clause id, pop order
-    log.add("initialize", lambda: f"point {point_str(init)}")
+    if tracing:
+        log.add("initialize", lambda: f"point {point_str(init)}")
     iterations = 0
+    clauses = formula.clauses
 
     while boundary:
         iterations += 1
         pbits = boundary.popleft()
-        falsified = formula.falsified(full, pbits)
-        if not falsified:
-            log.add("move-to-body", lambda: f"point {text(pbits)}")
-            log.add("satisfied", lambda: f"point {text(pbits)}")
-            log.add("finish", lambda: "result SAT")
+        # The first clause the point falsifies: every variable is pinned,
+        # so the value test alone decides.
+        clause = next((c for c in clauses if pbits & c.fmask == c.fval), None)
+        if clause is None:
+            if tracing:
+                log.add("move-to-body", lambda: f"point {text(pbits)}")
+                log.add("satisfied", lambda: f"point {text(pbits)}")
+                log.add("finish", lambda: "result SAT")
             return SspResult(True, witness=bits_to_point(pbits, n),
                              iterations=iterations, trace=log.records)
-        clause = falsified[0]
         body[pbits] = clause.cid
-        log.add("move-to-body", lambda: f"point {text(pbits)} clause {clause.cid}")
-        for lit in clause.lits:
-            nbits = pbits ^ (1 << (abs(lit) - 1))
+        if tracing:
+            log.add("move-to-body",
+                    lambda: f"point {text(pbits)} clause {clause.cid}")
+        rest = clause.fmask
+        while rest:   # one neighbour per clause variable, ascending
+            bit = rest & -rest
+            rest ^= bit
+            nbits = pbits ^ bit
             rep = canonical(nbits)
             known = rep in reached
-            log.add("nbhd", lambda: f"point {text(pbits)} clause {clause.cid} "
-                                    f"dir {abs(lit)} -> point {text(nbits)} "
-                                    f"{'seen' if known else 'new'}")
+            if tracing:
+                log.add("nbhd", lambda: f"point {text(pbits)} clause {clause.cid} "
+                                        f"dir {bit.bit_length()} -> point "
+                                        f"{text(nbits)} "
+                                        f"{'seen' if known else 'new'}")
             if known:
                 continue
             reached.add(rep)
@@ -103,7 +115,8 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
             else:
                 boundary.appendleft(nbits)
 
-    log.add("finish", lambda: "result UNSAT")
+    if tracing:
+        log.add("finish", lambda: "result UNSAT")
     points = [Cube(n, full, b) for b in body]
     return SspResult(False, points=points,
                      transport=dict(zip(points, body.values())),

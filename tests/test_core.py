@@ -16,6 +16,30 @@ def test_clause_canonical_order_and_dedup():
     assert hash(Clause([4, -2])) == hash(c)
 
 
+# A literal list with duplicates and no tautology: variables drawn with
+# repeats, each given the polarity its variable has in `signs`.
+_LITERAL_LISTS = st.builds(
+    lambda variables, signs: [v if signs[v - 1] else -v for v in variables],
+    st.lists(st.integers(1, 9), max_size=12),
+    st.lists(st.booleans(), min_size=9, max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LITERAL_LISTS, _LITERAL_LISTS, st.randoms(use_true_random=False))
+def test_clause_bits_agree_with_the_literal_set(lits, other, rng):
+    # Clause stores its bits; every literal-level reading must equal the
+    # definition on the literal set, whatever the order and duplicates.
+    clause = Clause(lits)
+    shuffled = lits * 2
+    rng.shuffle(shuffled)
+    assert clause.lits == tuple(sorted(set(lits), key=abs))
+    assert len(clause) == len(set(lits))
+    assert clause.max_var() == max(map(abs, lits), default=0)
+    assert Clause(shuffled) == clause and hash(Clause(shuffled)) == hash(clause)
+    assert (Clause(other) == clause) == (set(other) == set(lits))
+    assert list(clause) == list(clause.lits)
+
+
 def test_tautology_rejected():
     with pytest.raises(ValueError):
         Clause([1, -1])

@@ -191,6 +191,20 @@ def test_cube_satisfies_means_every_point():
             assert [cl for cl in f.clauses if not cube_satisfies(c, cl)] == expected
 
 
+def test_cube_satisfies_is_a_miss_of_the_unsat_cube():
+    rng = random.Random(34)
+    for _ in range(500):
+        n = rng.randint(0, 7)
+        clause = Clause(random_clause(n, rng, rng.randint(1, n))
+                        if n and rng.random() < 0.9 else [])
+        mask = rng.getrandbits(n)
+        c = Cube(n, mask, rng.getrandbits(n) & mask)
+        assert cube_satisfies(c, clause) == \
+            (not unsat_cube(clause, n).intersects(c))
+    with pytest.raises(ValueError, match="exceeds arity 2"):
+        cube_satisfies(cube([1], 2), Clause([1, 3]))
+
+
 def test_split_examples():
     zero, one = cube([2, -3], 4).split(1)
     assert zero == cube([-1, 2, -3], 4)

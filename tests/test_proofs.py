@@ -1,18 +1,20 @@
 import ast
 import io
+import random
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from stablesat import proofs
+from stablesat import core, proofs
 from stablesat.core import Clause, CnfFormula
+from stablesat.dimacs import parse_dimacs, write_dimacs
 from stablesat.proofs import (Proof, emit_proof, format_proof, parse_proof,
                               proof_from_result, replay_proof)
-from stablesat.ssc import SscConfig, gen_ssc
+from stablesat.ssc import LearnStep, SscConfig, gen_ssc
 from stablesat.ssp import gen_ssp
 from stablesat.symmetry import ph_formula
-from conftest import CHAIN6_POINTS, CHAIN6_TRANSPORT, traced_peak
+from conftest import CHAIN6_POINTS, CHAIN6_TRANSPORT, random_3cnf, traced_peak
 
 GOLDEN_PROOF = """\
 learn 6 -2 3 0 from 2 3 pivot 1
@@ -67,6 +69,40 @@ def test_replay_builds_one_clause_per_learn_step():
             mock.patch.object(Clause, "from_unsat", classmethod(counting_unsat)):
         assert replay_proof(formula, proof)
     assert len(built) == len(proof.learns)
+
+
+def test_reading_and_replaying_a_sat_proof_builds_no_literal_tuple(monkeypatch):
+    # A clause is its bits: parsing DIMACS and replaying learn steps and a
+    # witness read only those, so no clause lists its literals.
+    rng = random.Random(5)
+    while True:
+        formula = random_3cnf(20, 80, rng)
+        result = gen_ssc(formula)
+        if result.satisfiable and result.learn_steps:
+            break
+    text = write_dimacs(formula)
+    sink = io.StringIO()
+    emit_proof(result, sink)
+    proof = parse_proof(sink.getvalue())
+    listed = []
+    masks_to_lits = core.masks_to_lits
+
+    def counting(pos, neg):
+        listed.append((pos, neg))
+        return masks_to_lits(pos, neg)
+
+    monkeypatch.setattr(core, "masks_to_lits", counting)
+    report = replay_proof(parse_dimacs(text), proof)
+    assert report and listed == []
+
+
+def test_replay_refuses_a_zero_stated_literal():
+    # No parsed record holds a 0 (it ends the list), but a Proof built in
+    # code may; it is refused like any other wrong literal.
+    formula = CnfFormula(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
+    proof = Proof(learns=[LearnStep(5, (2, 0), 1, 2, 1)], result="UNSAT")
+    assert replay_proof(formula, proof).failures == [
+        "learn 5: stated literals differ from the resolvent (2,)"]
 
 
 def test_replay_refuses_a_huge_stated_literal_in_bounded_memory():

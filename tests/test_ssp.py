@@ -7,6 +7,9 @@ from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.ssc import verify_ssc
 from stablesat.ssp import SspConfig, gen_ssp
+from stablesat.symmetry import gen_ssp_mod_symmetry, ph_formula, \
+    ph_symmetry_generators
+from stablesat.trace import TraceLog
 from conftest import (evaluate_clause, point_cubes, point_tuples, random_3cnf,
                       reference_stable)
 
@@ -139,3 +142,15 @@ def test_trace_ends_with_finish(chain6_formula):
     assert kinds.count("finish") == 1
     steps = [r.step for r in result.trace]
     assert steps == sorted(steps) and len(set(steps)) == len(steps)
+
+
+def test_point_engines_build_no_trace_record_when_tracing_is_off(monkeypatch):
+    # Tracing costs nothing when off: not even a call that would drop it.
+    def refused(self, kind, payload):
+        raise AssertionError(f"TraceLog.add({kind!r}) with the trace off")
+
+    monkeypatch.setattr(TraceLog, "add", refused)
+    formula, inst = ph_formula(4, 3)
+    assert not gen_ssp(formula).satisfiable
+    assert gen_ssp(CnfFormula(2, [[1, 2]])).satisfiable
+    assert not gen_ssp_mod_symmetry(formula, ph_symmetry_generators(inst)).satisfiable
