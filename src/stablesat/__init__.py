@@ -21,7 +21,7 @@ from .ssc import (LearnStep, SscConfig, SscResult, gen_ssc, pick_split_var,
                   verify_ssc)
 from .ssp import SspConfig, SspResult, gen_ssp
 from .symmetry import (OrbitLimitExceeded, Permutation, PhInstance,
-                       SymmetryGroup, apply_perm_clause, expand_mod_sym_to_ssp,
+                       SymmetryGroup, expand_mod_sym_to_ssp,
                        gen_ssp_mod_symmetry, is_symmetric, parse_symmetry_file,
                        ph_formula, ph_symmetry_generators,
                        verify_stable_mod_symmetry)

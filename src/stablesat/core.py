@@ -207,7 +207,12 @@ class CnfFormula:
             probe = self._clause(lits)
         except ValueError:
             return None
-        return self._by_bits.get((probe.fmask, probe.fval))
+        return self.find_bits(probe.fmask, probe.fval)
+
+    def find_bits(self, fmask: int, fval: int):
+        """Look up a clause by its bits, as `Clause` keeps them; None when
+        absent."""
+        return self._by_bits.get((fmask, fval))
 
     def clause_by_id(self, cid: int):
         if 1 <= cid <= len(self.clauses):

@@ -41,7 +41,8 @@ class SspResult:
     witness: tuple | None = None   # a model; () has no variables and is falsy
     points: list = field(default_factory=list)   # body as one-point cubes, pop order
     transport: dict = field(default_factory=dict)  # one-point cube -> clause id
-    links: dict = field(default_factory=dict)   # sym engine: point bits -> parent bits
+    # sym engine: point bits -> parent bits, a forest of generator steps
+    links: dict = field(default_factory=dict)
     iterations: int = 0
     trace: list = field(default_factory=list)
 

@@ -11,11 +11,13 @@ which is all the stability arguments need.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import islice, pairwise
 from operator import getitem
 
 from .core import Clause, CnfFormula, VerifyReport, cycle_text, parse_cycles
-from .cubes import Cube, checked_members, member_name, unreached_neighbors
+from .cubes import (Cube, _cube, checked_members, member_name,
+                    unreached_neighbors)
 from .ssp import SspConfig, SspResult, gen_ssp
 
 ORBIT_LIMIT = 10 ** 6
@@ -88,6 +90,13 @@ class Permutation:
     def to_cycle_text(self) -> str:
         return cycle_text(self.cycles())
 
+    def inverse(self) -> "Permutation":
+        """The permutation that maps each image back to its variable."""
+        images = [0] * self.n
+        for v, image in enumerate(self.images, start=1):
+            images[image - 1] = v
+        return Permutation(images)
+
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -106,8 +115,8 @@ def table_bytes(generators: int, num_vars: int) -> int:
     return 256 * -(-num_vars // 8) * (40 + generators * num_vars // 7)
 
 
-def _check_table_size(generators: int, num_vars: int):
-    size = table_bytes(generators, num_vars)
+def _check_table_size(generators: int, num_vars: int, copies: int = 1):
+    size = copies * table_bytes(generators, num_vars)
     if size > TABLE_LIMIT:
         raise ValueError(
             f"{generators} generators over {num_vars} variables need about "
@@ -148,22 +157,20 @@ def format_symmetry_file(group: SymmetryGroup) -> str:
     return "".join(g.to_cycle_text() + "\n" for g in group.generators)
 
 
-def apply_perm_clause(perm: Permutation, clause: Clause) -> Clause:
-    """Relabel clause variables, keeping literal polarities."""
-    if clause.max_var() > perm.n:
-        raise ValueError("clause arity mismatch")
-    return Clause((1 if l > 0 else -1) * perm(abs(l)) for l in clause.lits)
+def _bit_images(perm: Permutation) -> list:
+    """The image bit of each variable's bit under the permutation."""
+    return [1 << (v - 1) for v in perm.images]
 
 
 def is_symmetric(formula: CnfFormula, perm: Permutation) -> bool:
     """True when the permuted formula has exactly the same clause multiset.
 
-    A clause's image is its bits pushed through the permutation, the bits
-    of `apply_perm_clause(perm, clause)`: a bijection makes no duplicate
-    literal and no tautology."""
+    A clause's image is its bits pushed through the permutation, literal
+    polarities kept: a bijection makes no duplicate literal and no
+    tautology."""
     if perm.n != formula.num_vars:
         return False
-    bit_images = [1 << (v - 1) for v in perm.images]
+    bit_images = _bit_images(perm)
     original: dict[tuple, int] = {}
     for clause in formula.clauses:
         key = clause.fmask, clause.fval
@@ -219,12 +226,23 @@ class _OrbitWalker:
 
     def __init__(self, group: SymmetryGroup):
         n = group.num_vars
+        self.group = group
         self.tables = _byte_tables(group.generators, n)
         self.nbytes = len(self.tables)
         self.offsets = [gi * n for gi in range(len(group.generators))]
         self.full = (1 << n) - 1
         # bits * spread copies bits into every generator's slice.
         self.spread = sum(1 << offset for offset in self.offsets)
+
+    @cached_property
+    def inverse_tables(self):
+        """The tables of the inverse generators, built at the first read:
+        the forward tables themselves when every generator is an
+        involution, as every pigeon-hole swap is."""
+        inverses = [g.inverse() for g in self.group.generators]
+        if inverses == self.group.generators:
+            return self.tables
+        return _byte_tables(inverses, self.group.num_vars)
 
     def fixes(self, bits: int) -> bool:
         """Whether every generator maps bits onto itself: its orbit is
@@ -233,11 +251,13 @@ class _OrbitWalker:
                          bits.to_bytes(self.nbytes, "little")))
         return images == bits * self.spread
 
-    def walk(self, bits: int, seen):
+    def walk(self, bits: int, seen, inverse: bool = False):
         """Breadth-first walk of the orbit of bits. Yields (image, parent,
-        generator index) for each image not in `seen`; the caller adds it."""
-        tables, nbytes = self.tables, self.nbytes
-        offsets, full = self.offsets, self.full
+        generator index) for each image not in `seen`; the caller adds it.
+        The image is the generator's image of the parent, or with
+        `inverse` its preimage: then the parent is the image's image."""
+        tables = self.inverse_tables if inverse else self.tables
+        nbytes, offsets, full = self.nbytes, self.offsets, self.full
         frontier = [bits]
         while frontier:
             nxt = []
@@ -262,19 +282,54 @@ def _orbit_key(clauses, bits: int) -> tuple:
                         for c in clauses))
 
 
-def _advance(walks, links, bits: int):
-    """Resume the suspended walks one step each, in turn, adding every
-    step to `links`, until `bits` is linked or every walk is done; a
-    finished walk is dropped."""
+def _meet(walker, walks, links, walked, bits: int, limit: int) -> bool:
+    """Link `bits` to a linked point of its orbit, if the orbit has one;
+    return whether it did.
+
+    A breadth-first search from bits over the inverse generators takes
+    one step, then the suspended walks one step, each in turn, adding
+    every walk step to `links` and to `walked`, the walks' seen set. A
+    search that meets a linked point y links its path bits -> ... -> y,
+    each point to the one it was reached from, its image under some
+    generator, from bits' end up to the first path point already linked.
+    A search that exhausts the orbit meets no point: the orbit has no
+    root. A search cut at `limit` points proves nothing, and bits is then
+    linked only by a walk; once every walk is done (a finished walk is
+    dropped) it is not linked."""
+    back = {bits: bits}    # search point -> the point it was reached from
+    search = islice(walker.walk(bits, back, inverse=True), limit - 1)
     i = 0
-    while walks and bits not in links:
+    while walks:
+        if search is not None:
+            step = next(search, None)
+            if step is not None:
+                image, parent, _ = step
+                if image in links:
+                    path = [image, parent]
+                    while path[-1] != bits:
+                        path.append(back[path[-1]])
+                    for child, parent in pairwise(reversed(path)):
+                        if child in links:
+                            break
+                        links[child] = parent
+                    return True
+                back[image] = parent
+            elif len(back) < limit:
+                return False
+            else:
+                search = None
         i %= len(walks)
         step = next(walks[i], None)
         if step is None:
             del walks[i]
         else:
-            links[step[0]] = step[1]
+            image, parent, _ = step
+            links[image] = parent
+            walked.add(image)
+            if image == bits:
+                return True
             i += 1
+    return False
 
 
 def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
@@ -286,31 +341,46 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
     proves unsatisfiability. Every generator must leave the formula's
     clause multiset unchanged.
 
-    Orbits are walked only as far as the engine's queries need. The first
-    point the engine meets of an orbit starts a breadth-first walk that is
-    suspended at once and filed under the point's orbit key
+    Orbits are searched only as far as the engine's queries need. The
+    first point the engine meets of an orbit starts a breadth-first walk
+    that is suspended at once and filed under the point's orbit key
     (`_orbit_key`), which is the same on a whole orbit; a point every
     generator fixes is an orbit alone and starts none. A later point not
-    yet linked resumes only the walks filed under its own key, one step
-    each in turn, until one of them reaches it or all are done; in the
-    second case it starts a walk of its own. `result.links` maps each
-    point a walk reached to the point it was reached from, a walk's start
-    to itself. A point's representative is that start, the root of its
-    links, and the engine pushes it, so on UNSAT every root is a member.
-    The walks share `links` as their seen set, so a link is the one a
-    walk of the whole orbit from its start would make. A walk stops after
-    orbit_limit points, its start included, and keeps the links it has
-    made: each is a generator step back towards that start, a member, so
-    the result is still stable modulo the group, and the orbit's later
-    points start walks of their own.
+    yet linked, under a key with running walks, is met halfway
+    (`_meet`): a search from it over the inverse generators alternates
+    with one step of each of those walks, until the search meets a
+    linked point, a walk reaches the point, or the search exhausts its
+    orbit or every walk is done; in the last two cases it starts a walk
+    of its own. `result.links` maps each linked point to the point it
+    was reached from, which some generator maps onto it, and a walk's
+    start to itself; the links form a forest. A point's representative
+    is that start, the root of its links, and the engine pushes it, so on
+    UNSAT every root is a member. The walks keep their own seen set, so a
+    search's links never stop one; a walk that reaches a searched point
+    relinks it towards the same root. So each point's root, and with it
+    every representative, transport and proof, is that of walking every
+    orbit whole.
+
+    A walk stops after orbit_limit points, its start included, and a
+    search visits at most orbit_limit points. A cut walk keeps the links
+    it has made: each is a generator step back towards its start, a
+    member, so the result is still stable modulo the group, and the
+    orbit's later points start walks of their own. A search may still
+    meet the points such a walk linked, so under a binding limit the
+    representatives can be fewer than with walks alone, never unsound.
+    A group with a generator that is no involution needs inverse tables
+    too, and is refused when both sets together exceed `TABLE_LIMIT`.
     """
     for gen in group.generators:
         if not is_symmetric(formula, gen):
             raise ValueError(f"formula is not symmetric under {gen!r}")
     if orbit_limit < 1:
         raise ValueError("orbit limit must be positive")
+    if any(g.inverse() != g for g in group.generators):
+        _check_table_size(len(group.generators), group.num_vars, copies=2)
     walker = _OrbitWalker(group)
     links: dict[int, int] = {}
+    walked: set[int] = set()          # the walks' seen set
     running: dict[tuple, list] = {}   # orbit key -> suspended walks
 
     def canonical(bits: int) -> int:
@@ -319,10 +389,10 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
                 links[bits] = bits
                 return bits
             walks = running.setdefault(_orbit_key(formula.clauses, bits), [])
-            _advance(walks, links, bits)
-            if bits not in links:
+            if not _meet(walker, walks, links, walked, bits, orbit_limit):
                 links[bits] = bits
-                walks.append(islice(walker.walk(bits, links), orbit_limit - 1))
+                walked.add(bits)
+                walks.append(islice(walker.walk(bits, walked), orbit_limit - 1))
                 return bits
         parent = links[bits]
         while parent != bits:
@@ -393,7 +463,7 @@ def verify_stable_mod_symmetry(formula: CnfFormula, points, transport,
         return report
     member_bits = {cube.val for cube in points}
     replayed: dict[int, int] = {}  # links checked by _replayed_start
-    bit_images = [[1 << (v - 1) for v in g.images] for g in group.generators]
+    bit_images = [_bit_images(g) for g in group.generators]
     members = checked_members(formula, points, transport, report)
     for cube, cid, neighbor in unreached_neighbors(members):
         start = _replayed_start(links, neighbor.val, bit_images, replayed)
@@ -421,18 +491,26 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
     else is checked: `verify_ssc` judges the result.
     """
     walker = _OrbitWalker(group)
+    n = group.num_vars
     expanded: dict[Cube, int] = {}
-    full = (1 << group.num_vars) - 1
+    full = (1 << n) - 1
+    bit_images = [_bit_images(g) for g in group.generators]
     images: dict[tuple[int, int], int] = {}   # (generator, id) -> image id
 
     def image_id(gi: int, cid: int) -> int:
         if (gi, cid) not in images:
-            clause = apply_perm_clause(group.generators[gi],
-                                       formula.clause_by_id(cid))
-            target = formula.find(clause.lits)
+            clause = formula.clause_by_id(cid)
+            if clause.fmask >> n:
+                raise ValueError("clause arity mismatch")
+            # The image's bits, pushed through the generator as in
+            # is_symmetric; the duplicate table maps them to the clause.
+            mask = _pushed(bit_images[gi], clause.fmask)
+            val = _pushed(bit_images[gi], clause.fval)
+            target = formula.find_bits(mask, val)
             if target is None:
-                raise ValueError(
-                    f"permuted transport clause {clause!r} not in formula")
+                raise ValueError(f"permuted transport clause "
+                                 f"{Clause.from_unsat(mask, val)!r} not in "
+                                 f"formula")
             images[gi, cid] = target.cid
         return images[gi, cid]
 
@@ -451,8 +529,9 @@ def expand_mod_sym_to_ssp(formula: CnfFormula, points, transport,
             if len(expanded) + len(ids) >= limit:
                 raise OrbitLimitExceeded(f"expansion exceeds {limit} points")
             ids[image] = image_id(gi, ids[parent])
+        # Each member is a generator image of a checked point.
         for member, cid in ids.items():
-            expanded[Cube(group.num_vars, full, member)] = cid
+            expanded[_cube(n, full, member)] = cid
     return list(expanded), expanded
 
 

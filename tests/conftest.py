@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from stablesat.core import CnfFormula
+from stablesat.core import Clause, CnfFormula
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig
 
@@ -115,6 +115,14 @@ def point_nbhd(point, clause):
         raise ValueError("1-neighborhood requires a point falsifying the clause")
     return [point[:abs(lit) - 1] + (1 - point[abs(lit) - 1],) + point[abs(lit):]
             for lit in clause.lits]
+
+
+def apply_perm_clause(perm, clause):
+    """Reference relabelling of a clause's variables by a permutation,
+    literal polarities kept."""
+    if clause.max_var() > perm.n:
+        raise ValueError("clause arity mismatch")
+    return Clause((1 if l > 0 else -1) * perm(abs(l)) for l in clause.lits)
 
 
 def apply_perm_point(perm, point):

@@ -23,10 +23,11 @@ from stablesat.oracle import brute_force_sat
 from stablesat.proofs import parse_proof, proof_from_result, replay_proof
 from stablesat.ssc import SscConfig, gen_ssc, verify_ssc
 from stablesat.ssp import gen_ssp
-from stablesat.symmetry import (apply_perm_clause, gen_ssp_mod_symmetry,
-                                ph_formula, ph_symmetry_generators,
+from stablesat.symmetry import (gen_ssp_mod_symmetry, ph_formula,
+                                ph_symmetry_generators,
                                 verify_stable_mod_symmetry)
-from conftest import (apply_perm_point, chain6_points, expand_body_to_points,
+from conftest import (apply_perm_clause, apply_perm_point, chain6_points,
+                      expand_body_to_points,
                       point_cubes, point_nbhd, point_tuples, random_3cnf,
                       reference_stable)
 

@@ -24,14 +24,15 @@ from stablesat.ssc import verify_ssc
 from stablesat.ssp import SspConfig, SspResult, gen_ssp
 from stablesat.symmetry import (ORBIT_LIMIT, TABLE_LIMIT, OrbitLimitExceeded,
                                 Permutation, SymmetryGroup, _OrbitWalker,
-                                apply_perm_clause, expand_mod_sym_to_ssp,
+                                expand_mod_sym_to_ssp,
                                 format_symmetry_file, gen_ssp_mod_symmetry,
                                 group_from_cycles, is_symmetric,
                                 parse_symmetry_file,
                                 ph_formula, ph_symmetry_generators,
                                 table_bytes, verify_stable_mod_symmetry)
-from conftest import (apply_perm_point, evaluate_clause, point_cubes,
-                      point_nbhd, point_tuples, random_3cnf, reference_stable)
+from conftest import (apply_perm_clause, apply_perm_point, evaluate_clause,
+                      point_cubes, point_nbhd, point_tuples, random_3cnf,
+                      random_clause, reference_stable, traced_peak)
 
 
 def random_perm(n, rng):
@@ -419,9 +420,12 @@ def test_verify_mod_sym_matches_reference_on_ph():
 def _corrupt_generator_0(monkeypatch, edit):
     """Let `edit(table, n)` rewrite the walker's first byte table (n <= 8:
     the only one), whose entries hold generator 0's images at bits
-    0..n-1. The orbit key becomes a constant, so the engine resumes every
-    running walk for each point, as a walk of the whole orbit would
-    search it: the corrupted walks need not keep the true key."""
+    0..n-1. Every pigeon-hole swap is an involution, so the walker reads
+    these tables for the inverse generators too, and the searches are
+    corrupted alike. The orbit key becomes a constant, so the engine
+    resumes every running walk for each point, as a walk of the whole
+    orbit would search it: the corrupted walks need not keep the true
+    key."""
     real = symmetry._byte_tables
 
     def corrupted(generators, n):
@@ -457,6 +461,7 @@ def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
             result = gen_ssp_mod_symmetry(f, group)
             walker = _OrbitWalker(group)
         assert not result.satisfiable
+        _assert_forest(result.links)
         report = verify_stable_mod_symmetry(f, result.points, result.transport,
                                             group, result.links)
         assert not report or _reference_mod_sym(f, result.points,
@@ -494,6 +499,7 @@ def test_verify_mod_sym_replays_points_of_a_cached_orbit(monkeypatch):
     _corrupt_generator_0(monkeypatch, to_gone)
     result = gen_ssp_mod_symmetry(f, group)
     assert not result.satisfiable
+    _assert_forest(result.links)
     assert gone not in {p.val for p in result.points}
     report = verify_stable_mod_symmetry(f, result.points, result.transport,
                                         group, result.links)
@@ -522,29 +528,81 @@ def test_cli_reports_a_failing_self_check(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-def test_engine_at_small_orbit_limits_checks_itself():
+def _counted_walks(monkeypatch):
+    """Record the points each walk and each search visits, its start
+    first, as the engine takes them: (walks, searches)."""
+    walks, searches = [], []
+    walk = _OrbitWalker.walk
+
+    def steps(visited, inner):
+        for step in inner:
+            visited.append(step[0])
+            yield step
+
+    def counted(walker, bits, seen, inverse=False):
+        visited = [bits]
+        (searches if inverse else walks).append(visited)
+        return steps(visited, walk(walker, bits, seen, inverse))
+
+    monkeypatch.setattr(_OrbitWalker, "walk", counted)
+    return walks, searches
+
+
+def test_engine_at_small_orbit_limits_checks_itself(monkeypatch):
     # A cut walk keeps the links it made, each a generator step towards
-    # its start; the orbit's later points start walks of their own.
+    # its start; the orbit's later points start walks of their own unless
+    # a search meets a point the walk linked.
+    walks, searches = _counted_walks(monkeypatch)
     for m in (2, 3):
         f, inst = ph_formula(m + 1, m)
         group = ph_symmetry_generators(inst)
         for limit in (1, 2, 3, 5, 9):
+            walks.clear()
+            searches.clear()
             result = gen_ssp_mod_symmetry(f, group, orbit_limit=limit)
             assert not result.satisfiable
             assert verify_stable_mod_symmetry(
                 f, result.points, result.transport, group, result.links), \
                 (m, limit)
+            _assert_forest(result.links)
             # A walk links at most `limit` points, its start included; the
-            # orbits PH(3,2)'s engine meets hold at most 6.
-            walked = Counter(_root(result.links, p) for p in result.links)
-            assert max(walked.values()) == min(limit, 6 if m == 2 else 9), \
-                (m, limit)
+            # orbits PH(3,2)'s engine meets hold at most 6. The searches
+            # meet most walks early, but the smallest limits cut some.
+            longest = max(map(len, walks))
+            assert longest <= min(limit, 6 if m == 2 else 9), (m, limit)
+            assert longest == limit or limit > 3, (m, limit)
+            # A search visits at most `limit` points, its start included.
+            assert searches and max(map(len, searches)) <= limit, (m, limit)
 
 
 def _root(links, bits):
     while links[bits] != bits:
         bits = links[bits]
     return bits
+
+
+def _assert_forest(links):
+    """Following the links from any point ends at a root, a point linked
+    to itself, within len(links) steps."""
+    for start in links:
+        bits = start
+        for _ in range(len(links)):
+            if links[bits] == bits:
+                break
+            bits = links[bits]
+        else:
+            pytest.fail(f"the links from {start} do not end at a root")
+
+
+def _assert_generator_steps(links, group):
+    """Each link is one generator step: some generator, applied point by
+    point, maps the parent onto the child."""
+    n = group.num_vars
+    for child, parent in links.items():
+        if child != parent:
+            point = bits_to_point(parent, n)
+            assert any(point_bits(apply_perm_point(g, point)) == child
+                       for g in group.generators), (child, parent)
 
 
 def _ph21_witness(links):
@@ -604,27 +662,25 @@ def test_engine_roots_are_its_members():
 def test_sym_solve_walks_each_orbit_once(tmp_path, monkeypatch, capsys):
     cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
     cli_main(["gen-ph", "5", "4", "-o", str(cnf), "--sym-out", str(sym)])
-    starts = []
-    walk = _OrbitWalker.walk
-
-    def counted(walker, bits, seen):
-        starts.append(bits)
-        return walk(walker, bits, seen)
-
-    monkeypatch.setattr(_OrbitWalker, "walk", counted)
+    walks, searches = _counted_walks(monkeypatch)
     capsys.readouterr()
     assert cli_main(["solve", "--mode", "sym", "--sym", str(sym),
                      str(cnf)]) == 20
     assert "representatives: 18\n" in capsys.readouterr().out
     # Every generator fixes the empty point, the one representative that
     # starts no walk.
+    starts = [visited[0] for visited in walks]
     assert len(starts) == len(set(starts)) == 17
     assert 0 not in starts
-    # The walks go only as far as the queries need: walked whole, the 18
-    # orbits the engine meets link 3125 points.
-    f, inst = ph_formula(5, 4)
-    result = gen_ssp_mod_symmetry(f, ph_symmetry_generators(inst))
-    assert len(result.links) == 907
+    assert searches
+    # The walks go only as far as the queries need, and the searches meet
+    # them halfway: walked whole, the 18 orbits the engine meets link 3125
+    # points, and walked until each queried point was reached, 907; PH(6,5)
+    # linked 13,878 points that way.
+    for pigeons, links in ((5, 273), (6, 2348)):
+        f, inst = ph_formula(pigeons, pigeons - 1)
+        result = gen_ssp_mod_symmetry(f, ph_symmetry_generators(inst))
+        assert len(result.links) == links
 
 
 def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
@@ -744,14 +800,19 @@ def test_table_walker_matches_apply_perm_point(group_and_point):
     first = islice(walker.walk(start, {}), len(group.generators))
     assert list(first) == [(point_bits(apply_perm_point(g, point)), start, gi)
                            for gi, g in enumerate(group.generators)]
-    # The walk's order is the reference BFS's order.
-    seen, steps = {start}, []
-    for image, parent, gi in walker.walk(start, seen):
-        if len(steps) == cap:
-            break
-        seen.add(image)
-        steps.append((bits_to_point(image, n), bits_to_point(parent, n), gi))
-    assert steps == _reference_walk(group, point, cap)
+    # The walk's order is the reference BFS's order, and with `inverse`
+    # the order of the walk over the inverse generators.
+    inverses = SymmetryGroup([Permutation(sorted(range(1, n + 1), key=g))
+                              for g in group.generators], n)
+    for inverse, reference in ((False, group), (True, inverses)):
+        seen, steps = {start}, []
+        for image, parent, gi in walker.walk(start, seen, inverse):
+            if len(steps) == cap:
+                break
+            seen.add(image)
+            steps.append((bits_to_point(image, n), bits_to_point(parent, n),
+                          gi))
+        assert steps == _reference_walk(reference, point, cap)
 
 
 def test_table_limit_refuses_before_building_anything():
@@ -889,7 +950,12 @@ def _same_as_whole_orbit_engine(formula, group):
         (reference.satisfiable, reference.witness, reference.iterations)
     assert result.points == reference.points
     assert result.transport == reference.transport
-    assert {p: reference_links[p] for p in result.links} == result.links
+    # The links differ, since searches link paths, but they are generator
+    # steps, they form a forest, and each point has the reference's root.
+    _assert_generator_steps(result.links, group)
+    _assert_forest(result.links)
+    assert {p: _root(result.links, p) for p in result.links} == \
+        {p: _root(reference_links, p) for p in result.links}
     return result, reference_links
 
 
@@ -925,6 +991,59 @@ def test_points_every_generator_fixes_start_no_walk(monkeypatch):
         result = gen_ssp_mod_symmetry(f, group)
         assert result.links == {p: p for p in result.links}
         assert result.points == gen_ssp(f).points
+
+
+def _closed_under(clauses, group):
+    """The clauses and all their images under the group, each once, by
+    the reference relabelling."""
+    closed, todo = set(), [Clause(lits) for lits in clauses]
+    while todo:
+        clause = todo.pop()
+        if clause not in closed:
+            closed.add(clause)
+            todo += [apply_perm_clause(g, clause) for g in group.generators]
+    return sorted(clause.lits for clause in closed)
+
+
+def test_engine_matches_the_whole_orbit_engine_without_involutions(
+        monkeypatch):
+    # Generators of order 3, 4 and 12, so the searches read inverse
+    # tables that differ from the forward ones.
+    walks, searches = _counted_walks(monkeypatch)
+    rng = random.Random(35)
+    verdicts = set()
+    for text in ("(1 2 3)(4 5 6)", "(1 2 3)(4 5 6)\n(4 5 6)(7 8 9)",
+                 "(1 2 3 4)", "(1 2 3 4)(5 6 7)"):
+        group = parse_symmetry_file(text, 9)
+        walker = _OrbitWalker(group)
+        assert walker.inverse_tables != walker.tables
+        for _ in range(12):
+            clauses = [random_clause(9, rng, 3)
+                       for _ in range(rng.randint(4, 12))]
+            f = CnfFormula(9, _closed_under(clauses, group))
+            result, _ = _same_as_whole_orbit_engine(f, group)
+            verdicts.add(result.satisfiable)
+            if not result.satisfiable:
+                assert verify_stable_mod_symmetry(
+                    f, result.points, result.transport, group, result.links)
+    assert verdicts == {False, True}
+    assert len(searches) > len(walks) / 2
+
+
+def test_engine_counts_the_inverse_tables_against_the_limit():
+    # Nine 3-cycles over 1000 variables need about 40 MB of tables, under
+    # the limit once but not with the inverse tables; the engine refuses
+    # them before it builds any. Nine swaps would pass.
+    n = 1000
+    group = SymmetryGroup([Permutation.from_cycles([[v, v + 1, v + 2]], n)
+                           for v in range(1, 28, 3)], n)
+    outcome, peak = traced_peak(
+        lambda: gen_ssp_mod_symmetry(CnfFormula(n), group))
+    assert isinstance(outcome, ValueError)
+    assert str(outcome) == ("9 generators over 1000 variables need about "
+                            "81 MB of orbit tables, over the limit of 64 MB")
+    assert peak < 2 ** 20
+    assert table_bytes(9, n) < TABLE_LIMIT < 2 * table_bytes(9, n)
 
 
 @settings(max_examples=25, deadline=None)
