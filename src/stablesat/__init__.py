@@ -8,8 +8,7 @@ independent certificate verifiers, a symmetry-aware variant, pigeon-hole
 generators, a brute-force oracle and the DIMACS/proof/trace formats.
 """
 
-from .core import (Clause, CnfFormula, VerifyReport, parse_point,
-                   point_str, resolvable_on, resolve)
+from .core import Clause, CnfFormula, VerifyReport, resolvable_on, resolve
 from .coverage import COVERED, UNCOVERED, is_covered, union_count
 from .cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies, merge,
                     unsat_cube)

@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .core import CnfFormula, bits_to_point, parse_point
+from .core import CnfFormula, point_row, row_bits
 from .cubes import Cube
 from .dimacs import parse_dimacs, write_dimacs
 from .oracle import DEFAULT_CAP, brute_force_sat
@@ -83,8 +83,11 @@ def _load_formula(path: str) -> CnfFormula:
         return parse_dimacs(handle.read())
 
 
-def _print_model(point):
-    lits = [i + 1 if v else -(i + 1) for i, v in enumerate(point)]
+def _print_model(cube):
+    """The `v` lines of a model cube. Any completion of the cube is a
+    model; a free variable reads 0."""
+    row = point_row(cube.val, cube.n)
+    lits = [v if bit == "1" else -v for v, bit in enumerate(row, start=1)]
     lines = [lits[lo:lo + 12] for lo in range(0, len(lits), 12)] or [[]]
     lines[-1].append(0)
     for line in lines:
@@ -103,8 +106,8 @@ _MODE_FLAGS = [("init", "--init", ("ssp", "ssc", "sym")),
 
 
 # A runner runs one mode's engine and prints its `c` lines. It returns
-# the result, the certificate that --proof writes, and the model (None
-# when unsatisfiable).
+# the result, whose witness is the model (None when unsatisfiable), and
+# the certificate that --proof writes.
 
 def _given(args, **fields):
     """`field=attr` pairs as {field: args.attr} for the flags given."""
@@ -126,22 +129,27 @@ def _solve_ssc(args, formula):
     result = gen_ssc(formula, config)
     if result.satisfiable:
         print(f"c witness cube: {result.witness.to_text() or 'T'}")
-        # Any completion of the cube is a model; free variables read 0.
-        return result, result, bits_to_point(result.witness.val,
-                                             result.witness.n)
-    print(f"c body clusters: {len(result.body)}  learned clauses: "
-          f"{len(result.learned)}  iterations: {result.iterations}")
-    return result, result, None
+    else:
+        print(f"c body clusters: {len(result.body)}  learned clauses: "
+              f"{len(result.learned)}  iterations: {result.iterations}")
+    return result, result
+
+
+def _init_point(args, formula):
+    """The --init row of the point engines as a one-point cube, or None."""
+    if args.init is None:
+        return None
+    n = formula.num_vars
+    return Cube(n, (1 << n) - 1, row_bits(args.init, n))
 
 
 def _solve_ssp(args, formula):
-    init = parse_point(args.init) if args.init is not None else None
-    result = gen_ssp(formula, init, SspConfig(
+    result = gen_ssp(formula, _init_point(args, formula), SspConfig(
         record_trace=args.trace is not None, **_given(args, pop="pop")))
     if not result.satisfiable:
         print(f"c stable set size: {len(result.points)}  iterations: "
               f"{result.iterations}")
-    return result, result, result.witness
+    return result, result
 
 
 def _solve_sym(args, formula):
@@ -149,11 +157,10 @@ def _solve_sym(args, formula):
         raise ValueError("--mode sym requires --sym FILE with generators")
     with open(args.sym, "r", encoding="utf-8") as handle:
         group = parse_symmetry_file(handle.read(), formula.num_vars)
-    init = parse_point(args.init) if args.init is not None else None
-    result = gen_ssp_mod_symmetry(formula, group, init,
+    result = gen_ssp_mod_symmetry(formula, group, _init_point(args, formula),
                                   **_given(args, orbit_limit="orbit_limit"))
     if result.satisfiable:
-        return result, result, result.witness
+        return result, result
     report = verify_stable_mod_symmetry(formula, result.points,
                                         result.transport, group, result.links)
     if not report:
@@ -162,7 +169,7 @@ def _solve_sym(args, formula):
     # The proof names the generators and the representatives; verify
     # expands them to the plain stable set, the union of their orbits.
     return result, proof_from_result(
-        result, [g.cycles() for g in group.generators]), None
+        result, [g.cycles() for g in group.generators])
 
 
 _RUNNERS = {"ssc": _solve_ssc, "ssc-ne": _solve_ssc, "ssp": _solve_ssp,
@@ -177,22 +184,22 @@ def _cmd_solve(args) -> int:
         raise ValueError("--trace-style without --trace writes nothing; "
                          "drop --trace-style")
     formula = _load_formula(args.file)
-    result, certificate, model = _RUNNERS[args.mode](args, formula)
+    result, certificate = _RUNNERS[args.mode](args, formula)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as handle:
             emit_trace(result.trace, handle, args.trace_style or "dimacs")
     if args.proof:
         with open(args.proof, "w", encoding="utf-8") as handle:
             emit_proof(certificate, handle)
-    return _print_verdict(model)
+    return _print_verdict(result.witness)
 
 
-def _print_verdict(model) -> int:
-    if model is None:
+def _print_verdict(witness) -> int:
+    if witness is None:
         print("s UNSATISFIABLE")
         return EXIT_UNSAT
     print("s SATISFIABLE")
-    _print_model(model)
+    _print_model(witness)
     return EXIT_SAT
 
 

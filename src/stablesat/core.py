@@ -1,10 +1,11 @@
-"""Propositional basics: clauses, CNF formulas, points, resolution, and
-the cycle notation of variable permutations.
+"""Propositional basics: clauses, CNF formulas, the 0/1 row of a point,
+resolution, and the cycle notation of variable permutations.
 
 Literals are signed DIMACS-style integers (3 means x3, -3 means not-x3).
-A point is a complete assignment, stored as a tuple of 0/1 ints indexed
-by variable - 1. Variable indices are 1-based externally; bit positions
-used internally are variable - 1.
+A point is a complete assignment, kept as a one-point `Cube` whose value
+bits hold x_v at bit v - 1; `point_row` and `row_bits` write and read it
+as text. Variable indices are 1-based externally; bit positions used
+internally are variable - 1.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class CnfFormula:
     """An ordered clause list over num_vars variables.
 
     Clause ids are 1-based list positions and stay stable as learned
-    clauses are appended. original_count marks the input/learned boundary.
+    clauses are appended.
     `clause_lits` holds literal iterables or Clauses; a Clause no formula
     holds (id 0) is registered itself, as `learn` does.
 
@@ -131,7 +132,6 @@ class CnfFormula:
         for lits in clause_lits:
             fresh = isinstance(lits, Clause) and not lits.cid
             self._register(lits if fresh else self._clause(lits))
-        self.original_count = len(self.clauses)
 
     def _clause(self, lits) -> Clause:
         """The Clause of a literal iterable, refused before the codec
@@ -201,14 +201,6 @@ class CnfFormula:
             clause = Clause.from_unsat(clause.fmask, clause.fval)
         return self._register(clause), True
 
-    def find(self, lits):
-        """Look up a clause by literal set; None when absent."""
-        try:
-            probe = self._clause(lits)
-        except ValueError:
-            return None
-        return self.find_bits(probe.fmask, probe.fval)
-
     def find_bits(self, fmask: int, fval: int):
         """Look up a clause by its bits, as `Clause` keeps them; None when
         absent."""
@@ -242,10 +234,6 @@ class CnfFormula:
             mask ^= low
         return bits
 
-    @property
-    def learned(self):
-        return self.clauses[self.original_count:]
-
     def copy(self) -> "CnfFormula":
         dup = CnfFormula(self.num_vars)
         dup.clauses = list(self.clauses)
@@ -253,7 +241,6 @@ class CnfFormula:
         if self._occurs is not None:
             dup._occurs = [list(occ) for occ in self._occurs]
             dup._occ_bits = list(self._occ_bits)
-        dup.original_count = self.original_count
         return dup
 
     def __len__(self):
@@ -287,28 +274,21 @@ def falsified_among(clauses, mask: int, val: int):
             if val & c.fmask == c.fval and not c.fmask & free]
 
 
-def point_bits(point) -> int:
-    """Pack a point tuple into an int with variable i at bit i-1."""
-    bits = 0
-    for i, v in enumerate(point):
-        if v:
-            bits |= 1 << i
-    return bits
+def point_row(bits: int, n: int) -> str:
+    """The 0/1 row of the point with value bits `bits` over n variables,
+    x1 first, exactly n characters. A sentinel bit above x_n makes the
+    binary string n + 1 digits, also for n = 0; reversed, the sentinel
+    is dropped."""
+    return format(bits | 1 << n, "b")[:0:-1]
 
 
-def bits_to_point(bits: int, num_vars: int):
-    return tuple((bits >> i) & 1 for i in range(num_vars))
-
-
-def point_str(point) -> str:
-    """Render a point the way the variable order reads, x1 first."""
-    return "".join(str(v) for v in point)
-
-
-def parse_point(text: str):
-    if not text or any(ch not in "01" for ch in text):
-        raise ValueError(f"not a 0/1 point string: {text!r}")
-    return tuple(int(ch) for ch in text)
+def row_bits(text: str, n: int) -> int:
+    """The value bits of a 0/1 row, x1 first; anything but exactly n
+    characters of 0 and 1 is refused."""
+    # int() alone would also read a sign, "_" or whitespace.
+    if len(text) != n or text.strip("01"):
+        raise ValueError(f"{text!r} is not a 0/1 string of {n} variables")
+    return int(text[::-1] or "0", 2)
 
 
 # One way to match each character, so a long bad line fails in linear time.

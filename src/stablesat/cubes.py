@@ -9,8 +9,7 @@ order, e.g. "-2 -3" for the cube fixing x2=0, x3=0.
 
 from __future__ import annotations
 
-from .core import (Clause, bits_to_point, lits_to_masks, masks_to_lits,
-                   point_bits, point_str)
+from .core import Clause, lits_to_masks, masks_to_lits, point_row
 
 
 class Cube:
@@ -49,10 +48,6 @@ class Cube:
                 f"conflicting literals for x{(pos & neg).bit_length()}")
         return cls(n, pos | neg, pos)
 
-    @classmethod
-    def from_point(cls, point) -> "Cube":
-        return cls(len(point), (1 << len(point)) - 1, point_bits(point))
-
     def literals(self):
         """Signed literals of the literal components, ascending by variable."""
         return masks_to_lits(self.val, self.mask ^ self.val)
@@ -65,26 +60,6 @@ class Cube:
 
     def is_point(self) -> bool:
         return self.free_count() == 0
-
-    def to_point(self):
-        if not self.is_point():
-            raise ValueError("cube has free variables, not a single point")
-        return bits_to_point(self.val, self.n)
-
-    def points(self):
-        """Iterate the points of the cube in increasing packed-bit order."""
-        free = [i for i in range(self.n) if not self.mask & (1 << i)]
-        for k in range(1 << len(free)):
-            bits = self.val
-            for j, i in enumerate(free):
-                if k & (1 << j):
-                    bits |= 1 << i
-            yield bits_to_point(bits, self.n)
-
-    def contains(self, inner: "Cube") -> bool:
-        """True when every component of inner is a subset of ours."""
-        return (self.mask & ~inner.mask) == 0 and \
-            ((self.val ^ inner.val) & self.mask) == 0
 
     def intersects(self, other: "Cube") -> bool:
         return ((self.val ^ other.val) & self.mask & other.mask) == 0
@@ -174,7 +149,7 @@ def cube_nbhd(cube: Cube, clause: Clause):
 def member_name(cube: Cube) -> str:
     """How failure messages name a member: `point 0101` or `cluster -2 -3`."""
     if cube.is_point():
-        return "point " + point_str(cube.to_point())
+        return "point " + point_row(cube.val, cube.n)
     return "cluster " + (cube.to_text() or "T")
 
 

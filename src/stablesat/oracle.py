@@ -1,13 +1,15 @@
 """Exhaustive truth-table oracle for desk-scale validation: scans all 2^n
 points in lexicographic order (x1 is the most significant position) for the
-first satisfying one. It reads only `clause.lits`, to referee the engines.
+first satisfying one, and returns it as a one-point `Cube`, as the engines
+return a model. It reads only `clause.lits`, to referee the engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import CnfFormula
+from .core import CnfFormula, row_bits
+from .cubes import Cube
 
 DEFAULT_CAP = 24
 _LOW = 16   # the last min(n, _LOW) variables vary inside one scan block
@@ -16,7 +18,7 @@ _LOW = 16   # the last min(n, _LOW) variables vary inside one scan block
 @dataclass
 class OracleResult:
     satisfiable: bool
-    witness: tuple | None = None
+    witness: Cube | None = None   # the first model, as a one-point cube
 
 
 def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_CAP) -> OracleResult:
@@ -53,5 +55,7 @@ def brute_force_sat(formula: CnfFormula, cap: int = DEFAULT_CAP) -> OracleResult
                 falsified |= points
         if falsified != full:
             k = block << low | ((falsified + 1) & ~falsified).bit_length() - 1
-            return OracleResult(True, tuple(k >> e & 1 for e in range(n)[::-1]))
+            # k's n binary digits, most significant first, are the row.
+            row = format(k | 1 << n, "b")[1:]
+            return OracleResult(True, Cube(n, (1 << n) - 1, row_bits(row, n)))
     return OracleResult(False)

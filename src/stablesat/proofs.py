@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import islice, takewhile
 
 from .core import (CnfFormula, VerifyReport, cycle_text, lits_to_masks,
-                   parse_cycles, resolvable_on, resolve)
+                   parse_cycles, point_row, resolvable_on, resolve, row_bits)
 from .cubes import Cube, cube_satisfies
 from .ssc import LearnStep, SscResult, verify_ssc
 from .ssp import SspResult
@@ -57,10 +57,7 @@ def proof_from_result(result, generators=()) -> Proof:
     else:
         raise TypeError(f"no proof form for {type(result).__name__}")
     if result.satisfiable:
-        witness = result.witness
-        if isinstance(result, SspResult):   # a point, () for zero variables
-            witness = Cube.from_point(witness)
-        proof.witness = witness.literals()
+        proof.witness = result.witness.literals()
         proof.result = "SAT"
         return proof
     proof.generators = list(generators)
@@ -69,11 +66,8 @@ def proof_from_result(result, generators=()) -> Proof:
         proof.clusters = [(cube.literals(), transport[cube])
                           for cube in result.body]
     else:
-        # A sentinel bit above x_n makes the binary string exactly n + 1
-        # digits, also for n = 0; reversed, the sentinel is dropped and
-        # x1 comes first.
-        proof.points = [(format(cube.val | 1 << cube.n, "b")[:0:-1],
-                         transport[cube]) for cube in result.points]
+        proof.points = [(point_row(cube.val, cube.n), transport[cube])
+                        for cube in result.points]
     proof.result = "UNSAT"
     return proof
 
@@ -252,12 +246,11 @@ def replay_proof(formula: CnfFormula, proof: Proof,
         transport[cube] = cid
     full = (1 << n) - 1
     for bits, cid in proof.points:
-        # int() alone would also read a sign, "_" or whitespace.
-        if len(bits) != n or bits.strip("01"):
-            report.fail(f"point invalid: {bits!r} is not a 0/1 string of "
-                        f"{n} variables")
+        try:
+            cube = Cube(n, full, row_bits(bits, n))
+        except ValueError as exc:
+            report.fail(f"point invalid: {exc}")
             return report
-        cube = Cube(n, full, int(bits[::-1] or "0", 2))
         clusters.append(cube)
         transport[cube] = cid
     if proof.generators:

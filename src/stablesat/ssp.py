@@ -5,8 +5,8 @@ The generator keeps two point sets. Boundary holds reached points whose
 expanded. When Boundary drains, Body is stable: every member's
 neighborhood through its transport clause stays inside Body, which
 proves the formula unsatisfiable. Body is returned as one-point cubes,
-so the cluster verifier `ssc.verify_ssc` rechecks it independently of
-how the set was built.
+as a model is, so the cluster verifier `ssc.verify_ssc` rechecks it
+independently of how the set was built.
 
 An optional orbit canonicaliser turns the generator into the
 stable-modulo-symmetry engine: a fresh neighbor whose orbit
@@ -19,8 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import CnfFormula, bits_to_point, point_bits, point_str
-from .cubes import Cube
+from .core import CnfFormula, point_row
+from .cubes import Cube, member_name
 from .trace import TraceLog
 
 
@@ -38,7 +38,7 @@ class SspConfig:
 @dataclass
 class SspResult:
     satisfiable: bool
-    witness: tuple | None = None   # a model; () has no variables and is falsy
+    witness: Cube | None = None    # a model, as a one-point cube
     points: list = field(default_factory=list)   # body as one-point cubes, pop order
     transport: dict = field(default_factory=dict)  # one-point cube -> clause id
     # sym engine: point bits -> parent bits, a forest of generator steps
@@ -47,35 +47,36 @@ class SspResult:
     trace: list = field(default_factory=list)
 
 
-def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> SspResult:
-    """Run the point-by-point generator from the given start point.
+def gen_ssp(formula: CnfFormula, init: Cube | None = None,
+            config: SspConfig | None = None) -> SspResult:
+    """Run the point-by-point generator from the start point `init`, a
+    one-point cube; the all-zero point by default.
 
-    Returns a satisfying point, or the stable set with its transport
-    function. Always terminates: the body grows by one point per
+    Returns a model, as a one-point cube, or the stable set with its
+    transport function. Always terminates: the body grows by one point per
     iteration inside a finite space. With config.canonical the set is
     stable modulo the orbits it names: points with equal representatives
     must lie in one orbit.
     """
     config = config or SspConfig()
     n = formula.num_vars
-    if init is None:
-        init = (0,) * n
-    if len(init) != n:
-        raise ValueError(f"init point has length {len(init)}, expected {n}")
+    full = (1 << n) - 1
+    start = 0
+    if init is not None:
+        if init.n != n:
+            raise ValueError(f"init cube arity {init.n}, expected {n}")
+        if not init.is_point():
+            raise ValueError(f"init {member_name(init)}: not a point")
+        start = init.val
     log = TraceLog(config.record_trace)
     tracing = log.enabled   # trace payloads are built only under this test
 
-    def text(bits):
-        return point_str(bits_to_point(bits, n))
-
     canonical = config.canonical or (lambda bits: bits)
-    full = (1 << n) - 1
-    start = point_bits(init)
     boundary = deque([start])
     reached = {canonical(start)}   # representatives of every point pushed
     body: dict[int, int] = {}   # point bits -> transport clause id, pop order
     if tracing:
-        log.add("initialize", lambda: f"point {point_str(init)}")
+        log.add("initialize", lambda: f"point {point_row(start, n)}")
     iterations = 0
     clauses = formula.clauses
 
@@ -87,15 +88,15 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
         clause = next((c for c in clauses if pbits & c.fmask == c.fval), None)
         if clause is None:
             if tracing:
-                log.add("move-to-body", lambda: f"point {text(pbits)}")
-                log.add("satisfied", lambda: f"point {text(pbits)}")
+                log.add("move-to-body", lambda: f"point {point_row(pbits, n)}")
+                log.add("satisfied", lambda: f"point {point_row(pbits, n)}")
                 log.add("finish", lambda: "result SAT")
-            return SspResult(True, witness=bits_to_point(pbits, n),
+            return SspResult(True, witness=Cube(n, full, pbits),
                              iterations=iterations, trace=log.records)
         body[pbits] = clause.cid
         if tracing:
             log.add("move-to-body",
-                    lambda: f"point {text(pbits)} clause {clause.cid}")
+                    lambda: f"point {point_row(pbits, n)} clause {clause.cid}")
         rest = clause.fmask
         while rest:   # one neighbour per clause variable, ascending
             bit = rest & -rest
@@ -104,9 +105,9 @@ def gen_ssp(formula: CnfFormula, init=None, config: SspConfig | None = None) -> 
             rep = canonical(nbits)
             known = rep in reached
             if tracing:
-                log.add("nbhd", lambda: f"point {text(pbits)} clause {clause.cid} "
-                                        f"dir {bit.bit_length()} -> point "
-                                        f"{text(nbits)} "
+                log.add("nbhd", lambda: f"point {point_row(pbits, n)} clause "
+                                        f"{clause.cid} dir {bit.bit_length()} "
+                                        f"-> point {point_row(nbits, n)} "
                                         f"{'seen' if known else 'new'}")
             if known:
                 continue

@@ -42,10 +42,6 @@ class Permutation:
         self.images = images
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
     def from_cycles(cls, cycles, n: int) -> "Permutation":
         """Build from cycle lists, e.g. [[1, 4], [2, 5]] over n variables."""
         images = list(range(1, n + 1))
@@ -332,9 +328,11 @@ def _meet(walker, walks, links, walked, bits: int, limit: int) -> bool:
     return False
 
 
-def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
+def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup,
+                         init: Cube | None = None,
                          orbit_limit: int = ORBIT_LIMIT) -> SspResult:
     """Point engine that skips neighbors already represented up to symmetry.
+    It starts from `init`, a one-point cube, as `gen_ssp` does.
 
     A neighborhood point is dropped when some reached point lies in its
     orbit, so the result is stable modulo the group: its existence still
@@ -406,8 +404,7 @@ def gen_ssp_mod_symmetry(formula: CnfFormula, group: SymmetryGroup, init=None,
 
 def _pushed(bit_images, bits: int) -> int:
     """Push a packed point through one generator, given as the image bit
-    of each variable's bit; bits above the arity are dropped, as
-    `bits_to_point` drops them."""
+    of each variable's bit; bits above the arity are dropped."""
     bits &= (1 << len(bit_images)) - 1
     image = 0
     while bits:

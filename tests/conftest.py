@@ -7,6 +7,7 @@ import pytest
 from stablesat.core import Clause, CnfFormula
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig
+from stablesat.symmetry import Permutation
 
 
 # Seconds one test may run before every thread's stack is dumped and the
@@ -71,15 +72,73 @@ def chain6_ssp():
 
 def point_cubes(points, transport):
     """Tuple points and their transport as one-point cubes."""
-    cubes = [Cube.from_point(point) for point in points]
+    cubes = [tuple_cube(point) for point in points]
     return cubes, {cube: transport[point] for cube, point in zip(cubes, points)
                    if point in transport}
 
 
 def point_tuples(cubes, transport):
     """One-point cubes and their transport as tuple points."""
-    return ([cube.to_point() for cube in cubes],
-            {cube.to_point(): cid for cube, cid in transport.items()})
+    return ([cube_tuple(cube) for cube in cubes],
+            {cube_tuple(cube): cid for cube, cid in transport.items()})
+
+
+def point_bits(point) -> int:
+    """Reference packing of a tuple point: variable i at bit i - 1."""
+    bits = 0
+    for i, v in enumerate(point):
+        if v:
+            bits |= 1 << i
+    return bits
+
+
+def bits_to_point(bits: int, n: int):
+    """Reference unpacking of n value bits into a tuple point."""
+    return tuple((bits >> i) & 1 for i in range(n))
+
+
+def tuple_cube(point):
+    """A tuple point as the one-point cube the engines use."""
+    return Cube(len(point), (1 << len(point)) - 1, point_bits(point))
+
+
+def cube_tuple(cube):
+    """A one-point cube as a tuple point; a cube with a free variable is
+    refused."""
+    if not cube.is_point():
+        raise ValueError("cube has free variables, not a single point")
+    return bits_to_point(cube.val, cube.n)
+
+
+def cube_points(cube):
+    """Reference enumeration of a cube's points as tuples, in increasing
+    packed-bit order."""
+    free = [i for i in range(cube.n) if not cube.mask & (1 << i)]
+    for k in range(1 << len(free)):
+        bits = cube.val
+        for j, i in enumerate(free):
+            if k & (1 << j):
+                bits |= 1 << i
+        yield bits_to_point(bits, cube.n)
+
+
+def cube_contains(outer, inner) -> bool:
+    """Reference containment: every component of `inner` is a subset of
+    the same component of `outer`."""
+    return (outer.mask & ~inner.mask) == 0 and \
+        ((outer.val ^ inner.val) & outer.mask) == 0
+
+
+def identity_perm(n: int):
+    """The identity permutation on 1..n."""
+    return Permutation(range(1, n + 1))
+
+
+def find_clause(formula, lits):
+    """Reference lookup of a clause by literal set, through its bits;
+    None when the formula lacks it."""
+    probe = Clause(lits)
+    return formula.find_bits(probe.fmask, probe.fval)
 
 
 def reference_stable(formula, points, transport) -> bool:
@@ -142,8 +201,8 @@ def expand_body_to_points(body, transport):
     points = {}
     for cube in body:
         cid = transport[cube]
-        for point in cube.points():
-            points.setdefault(Cube.from_point(point), cid)
+        for point in cube_points(cube):
+            points.setdefault(tuple_cube(point), cid)
     return list(points), points
 
 

@@ -318,6 +318,35 @@ def test_zero_variable_point_proof_round_trips(tmp_path, capsys):
         assert capsys.readouterr().out == "verified: result UNSAT\n"
 
 
+def test_init_of_zero_variables_is_the_empty_row(tmp_path, capsys):
+    # The one point of zero variables is the empty row, which a proof
+    # writes as `point clause <id>`; any other row is refused.
+    cnf, sym = tmp_path / "f.cnf", tmp_path / "f.sym"
+    sym.write_text("")
+    for mode in (["--mode", "ssp"], ["--mode", "sym", "--sym", str(sym)]):
+        for text, verdict in (("p cnf 0 1\n0\n", 20), ("p cnf 0 0\n", 10)):
+            cnf.write_text(text)
+            assert cli_main(["solve", *mode, "--init", "",
+                             str(cnf)]) == verdict
+        capsys.readouterr()
+        assert cli_main(["solve", *mode, "--init", "0", str(cnf)]) == 1
+        assert capsys.readouterr().err == \
+            "error: '0' is not a 0/1 string of 0 variables\n"
+
+
+@pytest.mark.parametrize("mode", ["ssp", "sym"])
+def test_init_row_of_the_wrong_length_is_refused(tmp_path, capsys, mode):
+    cnf, sym = tmp_path / "ph.cnf", tmp_path / "ph.sym"
+    cli_main(["gen-ph", "3", "2", "-o", str(cnf), "--sym-out", str(sym)])
+    sym_args = ["--sym", str(sym)] if mode == "sym" else []
+    assert cli_main(["solve", "--mode", mode, *sym_args, "--init", "00000",
+                     str(cnf)]) == 1
+    assert capsys.readouterr().err == \
+        "error: '00000' is not a 0/1 string of 6 variables\n"
+    assert cli_main(["solve", "--mode", mode, *sym_args, "--init", "000000",
+                     str(cnf)]) == 20
+
+
 def test_mutated_generator_expands_but_is_no_symmetry():
     # The premise of the first mutation: (1 3) maps no placement clause
     # onto a clause, yet every transport it meets has an image.

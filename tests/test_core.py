@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablesat.core import (Clause, CnfFormula, cycle_text, parse_cycles,
-                            point_bits, resolvable_on, resolve)
-from conftest import evaluate_clause, point_nbhd, random_clause, traced_peak
+                            point_row, resolvable_on, resolve, row_bits)
+from conftest import (evaluate_clause, find_clause, point_bits, point_nbhd,
+                      random_clause, traced_peak)
 
 
 def test_clause_canonical_order_and_dedup():
@@ -64,8 +65,6 @@ def test_a_huge_literal_is_refused_before_it_becomes_a_clause():
         assert str(refusal) == (f"clause Clause({shown}, id=0) uses a "
                                 "variable above num_vars=2")
         assert peak < 2 ** 20
-    absent, peak = traced_peak(lambda: CnfFormula(2).find([4 * 10 ** 7]))
-    assert absent is None and peak < 2 ** 20
     for lits in ([3, 1, 3], Clause([1, 3])):
         with pytest.raises(ValueError) as refusal:
             CnfFormula(2, [lits])
@@ -76,19 +75,17 @@ def test_a_huge_literal_is_refused_before_it_becomes_a_clause():
 def test_formula_ids_stable_across_learning():
     f = CnfFormula(3, [[1, 2], [-1, 3]])
     assert [c.cid for c in f.clauses] == [1, 2]
-    assert f.original_count == 2
     learned, created = f.learn([2, 3])
     assert created and learned.cid == 3
     again, created = f.learn([3, 2])
     assert not created and again.cid == 3
-    assert f.original_count == 2
-    assert [c.cid for c in f.learned] == [3]
+    assert [c.cid for c in f.clauses[2:]] == [3]
     # A learned clause over a variable above num_vars is refused, and
     # nothing is added.
     with pytest.raises(ValueError):
         f.learn([4])
     assert [c.cid for c in f.clauses] == [1, 2, 3]
-    assert f.find([2, 3]) is learned
+    assert find_clause(f, [2, 3]) is learned
 
 
 def occurrence_filter(formula):
@@ -206,8 +203,8 @@ def test_learning_through_a_copy_leaves_the_original_alone():
         a is b for a, b in zip(f.clauses, clauses))
     assert [c.cid for c in f.clauses] == ids == [1, 2, 3]
     assert f.occurs == occurs and f.occ_bits == occ_bits
-    assert f.find([-2, -3]).cid == 3
-    assert f.find([2, 3]) is None and f.find([-3]) is None
+    assert find_clause(f, [-2, -3]).cid == 3
+    assert find_clause(f, [2, 3]) is None and find_clause(f, [-3]) is None
     assert dup.occ_bits == occurrence_ids(dup)
 
 
@@ -265,6 +262,30 @@ def test_falsified_clauses_vb_origin(vb_formula):
     # The cube x2 = x3 = 0 lies inside only Unsat(x2 | x3).
     assert _falsified_at(vb_formula, (0, 0, 0, 0)) == \
         vb_formula.falsified(0b0110, 0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65])
+def test_point_row_codec(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        bits = rng.getrandbits(n)
+        row = point_row(bits, n)
+        # x1 first
+        assert row == "".join(str(bits >> i & 1) for i in range(n))
+        assert row_bits(row, n) == bits
+
+    def put(ch, at):
+        """The row with the character at `at` replaced; ch alone for n = 0."""
+        return row[:at] + ch + row[at + 1:] if n else ch
+    # int(text[::-1], 2) alone would read a sign or whitespace at the
+    # row's end, and an underscore between digits.
+    bad = [put("-", 0), put("+", n - 1), put("_", n // 2), put(" ", n // 2),
+           put("\t", n - 1), row + "0"] + ([row[:-1]] if n else [])
+    for text in bad:
+        with pytest.raises(ValueError) as refusal:
+            row_bits(text, n)
+        assert str(refusal.value) == \
+            f"{text!r} is not a 0/1 string of {n} variables"
 
 
 def test_resolvable_on_single_clash():

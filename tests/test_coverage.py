@@ -11,7 +11,7 @@ from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
 from stablesat.cubes import Cube
 from stablesat.ssc import SscConfig, gen_ssc
 from stablesat.symmetry import ph_formula
-from conftest import random_3cnf
+from conftest import cube_contains, cube_points, random_3cnf, tuple_cube
 
 
 def cube(lits, n):
@@ -19,14 +19,14 @@ def cube(lits, n):
 
 
 def brute_covered(target, covers):
-    return all(any(c.contains(Cube.from_point(p)) for c in covers)
-               for p in target.points())
+    return all(any(cube_contains(c, tuple_cube(p)) for c in covers)
+               for p in cube_points(target))
 
 
 def brute_union(covers, n):
     points = set()
     for c in covers:
-        points.update(c.points())
+        points.update(cube_points(c))
     return len(points)
 
 
@@ -175,7 +175,7 @@ def reference_is_covered(target, covers, shared_literal=False):
         live = [c for c in cubes if c.intersects(region)]
         if not live:
             return UNCOVERED
-        if any(c.contains(region) for c in live):
+        if any(cube_contains(c, region) for c in live):
             return COVERED
         big = max(live, key=lambda c: c.free_count())
         pinned = big.mask & ~region.mask

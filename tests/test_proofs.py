@@ -14,7 +14,8 @@ from stablesat.proofs import (Proof, emit_proof, format_proof, parse_proof,
 from stablesat.ssc import LearnStep, SscConfig, gen_ssc
 from stablesat.ssp import gen_ssp
 from stablesat.symmetry import ph_formula
-from conftest import CHAIN6_POINTS, CHAIN6_TRANSPORT, random_3cnf, traced_peak
+from conftest import (CHAIN6_POINTS, CHAIN6_TRANSPORT, random_3cnf,
+                      traced_peak, tuple_cube)
 
 GOLDEN_PROOF = """\
 learn 6 -2 3 0 from 2 3 pivot 1
@@ -224,7 +225,7 @@ def test_replay_refuses_a_point_not_of_num_vars_binary_digits(bits):
 
 def test_ssp_sat_proof():
     f = CnfFormula(2, [[1, 2]])
-    result = gen_ssp(f, init=(1, 0))
+    result = gen_ssp(f, init=tuple_cube((1, 0)))
     proof = proof_from_result(result)
     assert proof.result == "SAT" and proof.witness == (1, -2)
     assert replay_proof(f, proof)

@@ -10,30 +10,30 @@ from stablesat.ssp import SspConfig, gen_ssp
 from stablesat.symmetry import gen_ssp_mod_symmetry, ph_formula, \
     ph_symmetry_generators
 from stablesat.trace import TraceLog
-from conftest import (evaluate_clause, point_cubes, point_tuples, random_3cnf,
-                      reference_stable)
+from conftest import (cube_tuple, evaluate_clause, point_cubes, point_tuples,
+                      random_3cnf, reference_stable, tuple_cube)
 
 
 def test_one_variable_contradiction():
     f = CnfFormula(1, [[1], [-1]])
-    result = gen_ssp(f, init=(0,))
+    result = gen_ssp(f, init=tuple_cube((0,)))
     assert not result.satisfiable
-    assert result.points == [Cube.from_point((0,)), Cube.from_point((1,))]
+    assert result.points == [tuple_cube((0,)), tuple_cube((1,))]
     assert result.transport == {result.points[0]: 1, result.points[1]: 2}
     assert verify_ssc(f, result.points, result.transport)
 
 
 def test_init_already_satisfying():
     f = CnfFormula(2, [[1, 2]])
-    result = gen_ssp(f, init=(1, 1))
+    result = gen_ssp(f, init=tuple_cube((1, 1)))
     assert result.satisfiable
-    assert result.witness == (1, 1)
+    assert result.witness == tuple_cube((1, 1))
 
 
 def test_zero_variable_formulas():
-    # The model of zero variables is (), which is falsy.
+    # The model of zero variables is the one point of zero variables.
     result = gen_ssp(CnfFormula(0, []))
-    assert result.satisfiable and result.witness == ()
+    assert result.satisfiable and result.witness == Cube.full(0)
     result = gen_ssp(CnfFormula(0, [[]]))
     assert not result.satisfiable
     assert result.points == [Cube.full(0)]
@@ -42,7 +42,7 @@ def test_zero_variable_formulas():
 
 def test_chain_formula_reproduces_known_stable_set(chain6_formula, chain6_ssp):
     points, _ = chain6_ssp
-    result = gen_ssp(chain6_formula, init=(0,) * 6)
+    result = gen_ssp(chain6_formula, init=tuple_cube((0,) * 6))
     assert not result.satisfiable
     assert set(result.points) == set(points)
     assert verify_ssc(chain6_formula, result.points, result.transport)
@@ -55,7 +55,7 @@ def test_verify_accepts_known_stable_set(chain6_formula, chain6_ssp):
 
 def test_verify_rejects_after_removing_point(chain6_formula, chain6_ssp):
     points, transport = chain6_ssp
-    p9 = Cube.from_point(tuple(int(ch) for ch in "011011"))
+    p9 = tuple_cube(tuple(int(ch) for ch in "011011"))
     rest = [p for p in points if p != p9]
     report = verify_ssc(chain6_formula, rest,
                         {p: c for p, c in transport.items() if p != p9})
@@ -119,7 +119,8 @@ def test_oracle_agreement_random():
         oracle = brute_force_sat(f)
         assert result.satisfiable == oracle.satisfiable
         if result.satisfiable:
-            assert all(evaluate_clause(c, result.witness) for c in f.clauses)
+            assert all(evaluate_clause(c, cube_tuple(result.witness))
+                       for c in f.clauses)
         else:
             assert verify_ssc(f, result.points, result.transport)
 

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from stablesat import proofs, symmetry
 from stablesat.cli import cli_main
-from stablesat.core import (Clause, CnfFormula, bits_to_point, parse_cycles,
-                            point_bits)
+from stablesat.core import Clause, CnfFormula, parse_cycles
 from stablesat.cubes import Cube
 from stablesat.dimacs import write_dimacs
 from stablesat.oracle import brute_force_sat
@@ -30,9 +29,11 @@ from stablesat.symmetry import (ORBIT_LIMIT, TABLE_LIMIT, OrbitLimitExceeded,
                                 parse_symmetry_file,
                                 ph_formula, ph_symmetry_generators,
                                 table_bytes, verify_stable_mod_symmetry)
-from conftest import (apply_perm_clause, apply_perm_point, evaluate_clause,
+from conftest import (apply_perm_clause, apply_perm_point, bits_to_point,
+                      cube_tuple, evaluate_clause, identity_perm, point_bits,
                       point_cubes, point_nbhd, point_tuples, random_3cnf,
-                      random_clause, reference_stable, traced_peak)
+                      random_clause, reference_stable, traced_peak,
+                      tuple_cube)
 
 
 def random_perm(n, rng):
@@ -59,8 +60,8 @@ def test_permutation_validation_and_cycles():
     assert perm.to_cycle_text() == "(1 4)(2 5)(3 6)"
     # A product of transpositions is its own inverse.
     assert Permutation(perm(perm(v)) for v in range(1, 7)) == \
-        Permutation.identity(6)
-    assert Permutation.identity(4).cycles() == []
+        identity_perm(6)
+    assert identity_perm(4).cycles() == []
 
 
 def test_cycle_notation_roundtrip():
@@ -69,7 +70,7 @@ def test_cycle_notation_roundtrip():
     assert Permutation.from_cycles(parse_cycles(perm.to_cycle_text()), 6) \
         == perm
     assert Permutation.from_cycles(parse_cycles("()"), 3) == \
-        Permutation.identity(3)
+        identity_perm(3)
     with pytest.raises(ValueError):
         parse_cycles("1 4)(")
 
@@ -93,7 +94,7 @@ def test_symmetry_file_roundtrip():
 
 def test_apply_perm_point_identity_and_swap():
     p = (1, 0, 1)
-    assert apply_perm_point(Permutation.identity(3), p) == p
+    assert apply_perm_point(identity_perm(3), p) == p
     swap = Permutation.from_cycles([[1, 2]], 3)
     assert apply_perm_point(swap, (1, 0, 1)) == (0, 1, 1)
 
@@ -111,7 +112,7 @@ def test_apply_perm_point_composition_law():
 
 def test_apply_perm_clause_examples():
     clause = Clause([1, -3])
-    assert apply_perm_clause(Permutation.identity(3), clause) == clause
+    assert apply_perm_clause(identity_perm(3), clause) == clause
     swap = Permutation.from_cycles([[1, 2]], 3)
     assert apply_perm_clause(swap, clause) == Clause([2, -3])
 
@@ -275,7 +276,7 @@ def test_verify_mod_sym_rejects_a_cluster():
 
 def test_verify_mod_sym_fails_mixed_arity_naming_the_first_odd_point():
     f = CnfFormula(2, [[1], [-1]])
-    points = [Cube.from_point(p) for p in ((0, 0), (1, 0, 0), (0, 1, 1),
+    points = [tuple_cube(p) for p in ((0, 0), (1, 0, 0), (0, 1, 1),
                                            (1, 0))]
     report = verify_stable_mod_symmetry(f, points, dict.fromkeys(points, 1),
                                         SymmetryGroup([], 2), {})
@@ -320,7 +321,8 @@ def test_gen_mod_sym_satisfiable_instance():
     group = ph_symmetry_generators(inst)
     result = gen_ssp_mod_symmetry(f, group)
     assert result.satisfiable
-    assert all(evaluate_clause(c, result.witness) for c in f.clauses)
+    assert all(evaluate_clause(c, cube_tuple(result.witness))
+               for c in f.clauses)
 
 
 def test_verify_mod_sym_rejects_mutation():
@@ -378,7 +380,7 @@ def test_verify_mod_sym_trivial_group_matches_point_reference(chain6_formula,
         rejected += not verdicts[0]
         point = rng.choice(points)
         satisfied = [c.cid for c in f.clauses
-                     if evaluate_clause(c, point.to_point())]
+                     if evaluate_clause(c, cube_tuple(point))]
         moved = {**transport, point: rng.choice(satisfied)}
         assert _verdicts(f, points, moved) == (False,) * 4
     assert rejected > 0
@@ -473,7 +475,7 @@ def test_verify_mod_sym_replays_what_a_corrupted_table_claims(monkeypatch):
         # from that orbit passes the fake step.
         [start] = result.points
         assert start.val == 0
-        neighbors = point_nbhd(start.to_point(),
+        neighbors = point_nbhd(cube_tuple(start),
                                f.clause_by_id(result.transport[start]))
         assert all(member in _walk_links(walker, point_bits(q))
                    for q in neighbors)
@@ -485,7 +487,7 @@ def test_verify_mod_sym_replays_points_of_a_cached_orbit(monkeypatch):
     f, inst = ph_formula(3, 2)
     group = ph_symmetry_generators(inst)
     gone = point_bits((1, 0, 1, 0, 0, 0))
-    assert Cube.from_point(bits_to_point(gone, 6)) in \
+    assert tuple_cube(bits_to_point(gone, 6)) in \
         gen_ssp_mod_symmetry(f, group).points
     # One wrong entry: generator 0, (1 3)(2 4), sends 100000 to 101000, not
     # to 001000. That joins the orbit of 101000 to the orbit the engine
@@ -696,7 +698,7 @@ def test_expand_trivial_group_is_identity(chain6_formula, chain6_ssp):
                                     {(0, 0): 2, (0, 1): 1, (1, 0): 3, (1, 1): 3})
     assert reference_stable(f, *point_tuples(points, transport))
     for group in (SymmetryGroup([], 2),
-                  SymmetryGroup([Permutation.identity(2)], 2)):
+                  SymmetryGroup([identity_perm(2)], 2)):
         assert expand_mod_sym_to_ssp(f, points, transport, group) == \
             (points, transport)
 
@@ -722,7 +724,7 @@ def test_expand_counts_every_representative_against_the_limit():
     # Under the identity each orbit is its representative alone, so the
     # walk yields no image and only the representatives can overflow.
     f = CnfFormula(2, [[1, 2], [-1, 2], [1, -2], [-1, -2]])
-    identity = SymmetryGroup([Permutation.identity(2)], 2)
+    identity = SymmetryGroup([identity_perm(2)], 2)
     points, transport = point_cubes(
         [(0, 0), (1, 0), (0, 1), (1, 1)],
         {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): 4})
@@ -828,7 +830,7 @@ def test_table_limit_refuses_before_building_anything():
         tracemalloc.stop()
     assert peak < 2 * 2 ** 20
     with pytest.raises(ValueError, match="over the limit"):
-        SymmetryGroup([Permutation.identity(1000)] * 100, 1000)
+        SymmetryGroup([identity_perm(1000)] * 100, 1000)
     # PH(6,5), the largest group the benchmark walks, is far below it.
     _, inst = ph_formula(6, 5)
     assert table_bytes(len(ph_symmetry_generators(inst).generators),
@@ -987,7 +989,7 @@ def test_points_every_generator_fixes_start_no_walk(monkeypatch):
     monkeypatch.setattr(_OrbitWalker, "walk", no_walk)
     f = random_3cnf(8, 48, random.Random(31))
     for group in (SymmetryGroup([], 8),
-                  SymmetryGroup([Permutation.identity(8)] * 2, 8)):
+                  SymmetryGroup([identity_perm(8)] * 2, 8)):
         result = gen_ssp_mod_symmetry(f, group)
         assert result.links == {p: p for p in result.links}
         assert result.points == gen_ssp(f).points
