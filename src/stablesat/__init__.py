@@ -9,7 +9,7 @@ generators, a brute-force oracle and the DIMACS/proof/trace formats.
 """
 
 from .core import Clause, CnfFormula, VerifyReport, resolvable_on, resolve
-from .coverage import COVERED, UNCOVERED, is_covered, union_count
+from .coverage import COVERED, UNCOVERED, is_covered
 from .cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies, merge,
                     unsat_cube)
 from .dimacs import DimacsError, parse_dimacs, write_dimacs

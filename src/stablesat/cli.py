@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .core import CnfFormula, point_row, row_bits
+from .core import CnfFormula, non_decimal_chars, point_row, row_bits
 from .cubes import Cube
 from .dimacs import parse_dimacs, write_dimacs
 from .oracle import DEFAULT_CAP, brute_force_sat
@@ -118,7 +118,13 @@ def _given(args, **fields):
 def _solve_ssc(args, formula):
     init_cube = None
     if args.init is not None:
-        lits = [int(tok) for tok in args.init.replace(",", " ").split()]
+        try:
+            if non_decimal_chars(args.init):
+                raise ValueError
+            lits = [int(tok) for tok in args.init.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(f"{args.init!r} is not a list of literals") \
+                from None
         init_cube = Cube.from_literals(lits, formula.num_vars)
     config = SscConfig(
         init_strategy="ne-style" if args.mode == "ssc-ne" else "single-cube",

@@ -282,6 +282,13 @@ def point_row(bits: int, n: int) -> str:
     return format(bits | 1 << n, "b")[:0:-1]
 
 
+def non_decimal_chars(text: str) -> bool:
+    """Whether the text holds a character that int() reads inside a
+    number but ASCII decimal lacks: '_' ('1_0') or a non-ASCII digit
+    ('٣'). The readers refuse such text."""
+    return "_" in text or not text.isascii()
+
+
 def row_bits(text: str, n: int) -> int:
     """The value bits of a 0/1 row, x1 first; anything but exactly n
     characters of 0 and 1 is refused."""
@@ -292,8 +299,9 @@ def row_bits(text: str, n: int) -> int:
 
 
 # One way to match each character, so a long bad line fails in linear time.
-_CYCLES_RE = re.compile(r"(?:\([\d\s,]*\)\s*)+")
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# ASCII: a Unicode \d would let int() read non-ASCII digits.
+_CYCLES_RE = re.compile(r"(?:\([\d\s,]*\)\s*)+", re.ASCII)
+_CYCLE_RE = re.compile(r"\(([^()]*)\)", re.ASCII)
 
 
 def parse_cycles(text: str):

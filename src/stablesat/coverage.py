@@ -1,16 +1,14 @@
-"""Coverage queries: is a cube inside the union of a set of cubes, and
-how many points does that union hold?
+"""Coverage queries: is a cube inside the union of a set of cubes?
 
-Both run one recursive splitting, a DPLL specialization over the
+The query is a recursive splitting, a DPLL specialization over the
 complement of the cover set (the tautology check of Brayton et al.,
 1984): take the covers meeting the target from a per-literal index
 (CoverIndex), stop when one cover swallows the region or none meets it,
 otherwise split it: on the lowest variable every surviving cover pins,
 which sends each cover to one half only, or, when none is shared, on a
-variable pinned by the largest surviving cover. The point count is the
-space minus the points no cover holds; the cover check stops at the
-first such point. Exact unless the candidates are narrowed to
-shared-literal covers.
+variable pinned by the largest surviving cover. The search stops at the
+first region no cover meets. Exact unless the candidates are narrowed
+to shared-literal covers.
 """
 
 from __future__ import annotations
@@ -131,34 +129,33 @@ class CoverIndex:
         return self.present.bit_count()
 
 
-def _uncovered(target: Cube, found, stop: bool) -> int:
-    """The number of points of the target that no cube in `found` holds;
-    with `stop`, a positive count at the first uncovered region found.
+def _uncovered(target: Cube, found) -> bool:
+    """Whether some point of the target lies in no cube of `found`.
 
     The target is split until a cover contains the region or none meets
     it: on the lowest variable every surviving cover pins, else on the
     largest surviving cover's lowest pin; below a region with no shared
-    pin none is looked for. Every count comes from the intersection and
+    pin none is looked for. The search stops at the first region no
+    cover meets. Every verdict comes from the intersection and
     containment tests made here.
     """
     if not found:
-        return target.count_points()
+        return True
     mask, val = target.mask, target.val
     for c in found:
         if not (c.mask & ~mask or (c.val ^ val) & c.mask):
-            return 0
+            return False
     # Per cover: (pinned, pinned to 1, pinned to 0), fewest pins first, so
     # the first survivor of a region is its largest cover.
     candidates = sorted(((c.mask, c.val, c.mask & ~c.val) for c in found
                          if not (c.val ^ val) & c.mask & mask),
                         key=lambda c: c[0].bit_count())
-    n = target.n
 
-    def rec(mask: int, cubes, shared: int) -> int:
+    def rec(mask: int, cubes, shared: int) -> bool:
         # Every cover in cubes meets the region `mask` pins; `shared` is
         # zero once a region above this one had no pin every cover shares.
         if not cubes:
-            return 1 << (n - mask.bit_count())
+            return True
         # A free variable every cover pins means no cover contains the
         # region, and it sends each cover to one half. Failing one, split
         # on the largest cover's lowest free pin. A cover meets a half
@@ -168,22 +165,20 @@ def _uncovered(target: Cube, found, stop: bool) -> int:
         if not shared:
             for c in cubes:
                 if not c[0] & ~mask:
-                    return 0
+                    return False
         pinned = shared or cubes[0][0] & ~mask
         bit = pinned & -pinned
         mask |= bit
-        count = rec(mask, [c for c in cubes if not c[1] & bit], shared)
-        if count and stop:
-            return count
-        return count + rec(mask, [c for c in cubes if not c[2] & bit], shared)
+        return rec(mask, [c for c in cubes if not c[1] & bit], shared) or \
+            rec(mask, [c for c in cubes if not c[2] & bit], shared)
 
     return rec(mask, candidates, 1)
 
 
-def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
-    """Whether the target cube lies inside the union of the cover cubes.
+def is_covered(target: Cube, covers: CoverIndex,
+               shared_literal: bool = False) -> str:
+    """Whether the target cube lies inside the union of the covers.
 
-    `covers` is a CoverIndex or any iterable of cubes (indexed afresh).
     The index only narrows the candidates: every verdict comes from the
     intersection and containment tests of `_uncovered` on them. With
     shared_literal the candidates are narrowed further to those sharing
@@ -191,14 +186,5 @@ def is_covered(target: Cube, covers, shared_literal: bool = False) -> str:
     covered cube as uncovered, which is sound for the solver (it only
     re-adds work) but not exact.
     """
-    index = covers if isinstance(covers, CoverIndex) else \
-        CoverIndex(target.n, covers)
-    found = index.meeting(target, shared_literal)
-    return UNCOVERED if _uncovered(target, found, True) else COVERED
-
-
-def union_count(covers, num_vars: int) -> int:
-    """Exact number of points in the union of the cubes."""
-    space = Cube.full(num_vars)
-    found = CoverIndex(num_vars, covers).meeting(space)
-    return (1 << num_vars) - _uncovered(space, found, False)
+    found = covers.meeting(target, shared_literal)
+    return UNCOVERED if _uncovered(target, found) else COVERED

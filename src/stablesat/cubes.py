@@ -55,14 +55,8 @@ class Cube:
     def free_count(self) -> int:
         return self.n - self.mask.bit_count()
 
-    def count_points(self) -> int:
-        return 1 << self.free_count()
-
     def is_point(self) -> bool:
         return self.free_count() == 0
-
-    def intersects(self, other: "Cube") -> bool:
-        return ((self.val ^ other.val) & self.mask & other.mask) == 0
 
     def split(self, var: int):
         """The two halves fixing variable var to 0 and to 1, in that order."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import warnings
 
-from .core import Clause, CnfFormula, masks_to_lits
+from .core import Clause, CnfFormula, masks_to_lits, non_decimal_chars
 
 
 class DimacsError(ValueError):
@@ -13,16 +13,15 @@ class DimacsError(ValueError):
         self.line = line
 
 
-def parse_dimacs(text) -> CnfFormula:
-    """Parse DIMACS CNF text (str or bytes) into a formula.
+def parse_dimacs(text: str) -> CnfFormula:
+    """Parse DIMACS CNF text into a formula.
 
     Comments and blank lines are skipped, clauses may span lines, a lone
-    '%' ends the clause section. Duplicate literals collapse; tautological
-    clauses and out-of-range variables are errors. A clause count that
-    disagrees with the header is only a warning; the actual count wins.
+    '%' ends the clause section. Numbers are ASCII decimal. Duplicate
+    literals collapse; tautological clauses and out-of-range variables
+    are errors. A clause count that disagrees with the header is only a
+    warning; the actual count wins.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8", errors="replace")
     num_vars = declared = None
     clauses: list[Clause] = []
     # Each distinct token read so far -> its checked literal (_literal), so
@@ -40,7 +39,8 @@ def parse_dimacs(text) -> CnfFormula:
             if num_vars is not None:
                 raise DimacsError("duplicate header", lineno)
             parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf" or \
+                    non_decimal_chars(line):
                 raise DimacsError(f"malformed header {line!r}", lineno)
             try:
                 num_vars, declared = int(parts[2]), int(parts[3])
@@ -82,8 +82,10 @@ def parse_dimacs(text) -> CnfFormula:
 
 def _literal(token: str, num_vars: int, lineno: int) -> int:
     """The literal int() reads in the token, 0 for the terminator; refused
-    unless its variable is within num_vars."""
+    unless it is ASCII decimal and its variable is within num_vars."""
     try:
+        if non_decimal_chars(token):
+            raise ValueError
         lit = int(token)
     except ValueError:
         raise DimacsError(f"bad literal {token!r}", lineno) from None

@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from itertools import islice, takewhile
 
 from .core import (CnfFormula, VerifyReport, cycle_text, lits_to_masks,
-                   parse_cycles, point_row, resolvable_on, resolve, row_bits)
+                   non_decimal_chars, parse_cycles, point_row, resolvable_on,
+                   resolve, row_bits)
 from .cubes import Cube, cube_satisfies
 from .ssc import LearnStep, SscResult, verify_ssc
 from .ssp import SspResult
@@ -119,6 +120,9 @@ def parse_proof(text: str) -> Proof:
             continue
         tokens = line.split()
         try:
+            if non_decimal_chars(line):
+                raise ValueError("'_' or a non-ASCII character: numbers are "
+                                 "ASCII decimal")
             if proof.result:
                 raise ValueError(f"{tokens[0]} record after the result line")
             if proof.generators and tokens[0] in ("learn", "witness"):

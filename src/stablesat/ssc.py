@@ -28,8 +28,7 @@ from operator import attrgetter
 
 from .core import (Clause, CnfFormula, VerifyReport, falsified_among,
                    resolvable_on)
-from .coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
-                       union_count)
+from .coverage import COVERED, UNCOVERED, CoverIndex, is_covered
 from .cubes import (Cube, checked_members, cube_nbhd, member_name, merge,
                     unreached_neighbors, unsat_cube)
 from .trace import TraceLog
@@ -43,7 +42,6 @@ class SscConfig:
     split_heuristic: str = "unit-first"  # or "first-intersecting"
     merge_enabled: bool = True
     coverage: str = "full"               # or "shared": shared-literal covers only
-    xi_log: bool = False                 # log (iteration, |Union(Body)|, |F|) per iteration
     record_trace: bool = False
 
     def __post_init__(self):
@@ -90,7 +88,6 @@ class SscResult:
     learned: list = field(default_factory=list)     # Clause objects, learn order
     learn_steps: list = field(default_factory=list)
     formula: CnfFormula | None = None               # learned-extended copy
-    xi_log: list = field(default_factory=list)
     iterations: int = 0
     trace: list = field(default_factory=list)
 
@@ -350,8 +347,6 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
     work = formula.copy()
     log = TraceLog(config.record_trace)
     tracing = log.enabled   # trace payloads are built only under this test
-    xi_log: list = []
-    union_size = 0   # |Union(Body)|, kept only when xi_log is on
     shared = config.coverage == "shared"
 
     if config.init_strategy == "ne-style":
@@ -398,13 +393,10 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                 if tracing:
                     log.add("satisfied", lambda: f"cube {p.to_text()} 0")
                     log.add("finish", lambda: "result SAT")
-                if config.xi_log:
-                    xi_log.append((iterations, union_size, len(work.clauses)))
                 return SscResult(True, witness=p,
                                  learned=work.clauses[len(formula.clauses):],
                                  learn_steps=learn_steps, formula=work,
-                                 xi_log=xi_log, iterations=iterations,
-                                 trace=log.records)
+                                 iterations=iterations, trace=log.records)
             var = pick_split_var(p, work.clauses_of(meeting),
                                  config.split_heuristic)
             halves = low, high = p.split(var)
@@ -489,25 +481,18 @@ def gen_ssc(formula: CnfFormula, config: SscConfig | None = None) -> SscResult:
                             boundary.push_back(record)
                         else:
                             boundary.push([record])
-                if p in transport:
-                    if not whole:
-                        covers.discard(p)   # the Body holds a copy already
-                elif config.xi_log:
-                    overlap = [Cube(n, p.mask | q.mask, p.val | q.val)
-                               for q in transport if q.intersects(p)]
-                    union_size += p.count_points() - union_count(overlap, n)
+                if p in transport and not whole:
+                    covers.discard(p)   # the Body holds a copy already
                 transport[p] = clause.cid
                 if tracing:
                     log.add("move-to-body",
                             lambda: f"cube {p.to_text()} 0 clause {clause.cid}")
-        if config.xi_log:
-            xi_log.append((iterations, union_size, len(work.clauses)))
 
     if tracing:
         log.add("finish", lambda: "result UNSAT")
     return SscResult(False, body=list(transport), transport=transport,
                      learned=work.clauses[len(formula.clauses):],
-                     learn_steps=learn_steps, formula=work, xi_log=xi_log,
+                     learn_steps=learn_steps, formula=work,
                      iterations=iterations, trace=log.records)
 
 

@@ -129,6 +129,61 @@ def cube_contains(outer, inner) -> bool:
         ((outer.val ^ inner.val) & outer.mask) == 0
 
 
+def count_points(cube) -> int:
+    """Reference point count of a cube: 2 to its free variables."""
+    return 1 << (cube.n - cube.mask.bit_count())
+
+
+def intersects(a, b) -> bool:
+    """Reference meeting test: no variable pinned by both cubes to
+    different values."""
+    return (a.val ^ b.val) & a.mask & b.mask == 0
+
+
+def cube_point_bits(cube):
+    """The packed value bits of each point of a cube: its pinned values
+    with every subset of its free variables set."""
+    free = ~cube.mask & ((1 << cube.n) - 1)
+    subset = 0
+    while True:
+        yield cube.val | subset
+        subset = (subset - free) & free
+        if not subset:
+            return
+
+
+def union_count(cubes) -> int:
+    """Exact point count of a union of cubes, by listing its points."""
+    points = set()
+    for cube in cubes:
+        points.update(cube_point_bits(cube))
+    return len(points)
+
+
+# The trace records that close one iteration of the cube-cluster engine:
+# each iteration pops one cube and ends in exactly one of them.
+ITERATION_ENDS = ("split", "merge", "move-to-body", "satisfied")
+
+
+def xi_from_trace(trace, formula):
+    """(|Union(Body)|, |F|) after each iteration of a traced `gen_ssc` run
+    on the formula, read off its trace: a `move-to-body` record adds its
+    cube's points to the union, and a `merge` record that learns adds
+    one clause to F. Their sum is the termination measure xi."""
+    n = formula.num_vars
+    union, clauses, xi = set(), len(formula.clauses), []
+    for record in trace:
+        if record.kind == "move-to-body":
+            tokens = record.payload.split()    # cube <lits> 0 clause <id>
+            lits = map(int, tokens[1:tokens.index("0")])
+            union.update(cube_point_bits(Cube.from_literals(lits, n)))
+        elif record.kind == "merge" and " learn " in record.payload:
+            clauses += 1
+        if record.kind in ITERATION_ENDS:
+            xi.append((len(union), clauses))
+    return xi
+
+
 def identity_perm(n: int):
     """The identity permutation on 1..n."""
     return Permutation(range(1, n + 1))

@@ -17,7 +17,6 @@ import pytest
 
 from stablesat.cli import cli_main
 from stablesat.core import Clause, CnfFormula
-from stablesat.coverage import union_count
 from stablesat.cubes import Cube
 from stablesat.oracle import brute_force_sat
 from stablesat.proofs import parse_proof, proof_from_result, replay_proof
@@ -29,7 +28,7 @@ from stablesat.symmetry import (gen_ssp_mod_symmetry, ph_formula,
 from conftest import (apply_perm_clause, apply_perm_point, chain6_points,
                       expand_body_to_points,
                       point_cubes, point_nbhd, point_tuples, random_3cnf,
-                      reference_stable)
+                      reference_stable, union_count, xi_from_trace)
 
 
 @contextmanager
@@ -58,6 +57,7 @@ class CorpusSummary:
     ssc_agree: int = 0
     ssc_runs: int = 0
     xi_ok: int = 0
+    traced_agree: int = 0
     unsat_runs: int = 0
     verified: int = 0
     replayed: int = 0
@@ -70,7 +70,9 @@ class CorpusSummary:
 def _process(summary, formula, config=None):
     oracle = brute_force_sat(formula)
     ssp = gen_ssp(formula)
-    ssc = gen_ssc(formula, dataclasses.replace(config or SscConfig(), xi_log=True))
+    config = config or SscConfig()
+    ssc = gen_ssc(formula, config)
+    traced = gen_ssc(formula, dataclasses.replace(config, record_trace=True))
     summary.total += 1
     summary.ssc_runs += 1
     if ssp.satisfiable == oracle.satisfiable:
@@ -81,11 +83,15 @@ def _process(summary, formula, config=None):
         summary.ssc_agree += 1
     else:
         summary.mismatches.append(("ssc", formula))
-    xs = [union + clauses for _, union, clauses in ssc.xi_log]
+    # Tracing only records: the traced run makes the same moves.
+    if (traced.iterations, traced.body, traced.learned, traced.witness) == \
+            (ssc.iterations, ssc.body, ssc.learned, ssc.witness):
+        summary.traced_agree += 1
+    xi = xi_from_trace(traced.trace, formula)
+    xs = [union + clauses for union, clauses in xi]
     # A SAT result carries no Body, so the final union is checked on UNSAT runs.
     if xs == sorted(xs) and len(xs) == ssc.iterations and (
-            ssc.satisfiable
-            or ssc.xi_log[-1][1] == union_count(ssc.body, formula.num_vars)):
+            ssc.satisfiable or xi[-1][0] == union_count(ssc.body)):
         summary.xi_ok += 1
     if not ssc.satisfiable:
         summary.unsat_runs += 1
@@ -204,6 +210,7 @@ def test_criterion_5_certificate_soundness(corpus):
 def test_criterion_6_termination_and_xi(corpus):
     with criterion(6, "termination and xi monotonicity"):
         assert corpus.ssc_runs == corpus.total
+        assert corpus.traced_agree == corpus.ssc_runs
         assert corpus.xi_ok == corpus.ssc_runs
 
 

@@ -198,10 +198,11 @@ SYM_PROOF_MUTATIONS = {
     "point digit not 0 or 1": (
         ("point 100000 clause 2", "point 100200 clause 2"),
         "point invalid: '100200' is not a 0/1 string of 6 variables"),
-    # int(text, 2) alone would read "1_0000" as a number.
+    # int(text, 2) alone would read "1_0000" as a number; the proof
+    # reader refuses a "_" anywhere on a line before any field is read.
     "point with a digit separator": (
         ("point 100000 clause 2", "point 1_0000 clause 2"),
-        "point invalid: '1_0000' is not a 0/1 string of 6 variables"),
+        "proof line 5: '_' or a non-ASCII character"),
     "point without clause": (
         ("point 100000 clause 2", "point 100000 2"),
         "proof line 5: malformed point line"),
@@ -316,6 +317,15 @@ def test_zero_variable_point_proof_round_trips(tmp_path, capsys):
         capsys.readouterr()
         assert cli_main(["verify", "--proof", str(proof), str(cnf)]) == 0
         assert capsys.readouterr().out == "verified: result UNSAT\n"
+
+
+@pytest.mark.parametrize("init", ["1_0", "-٣", "x"])
+def test_ssc_init_literals_are_ascii_decimal(vb_file, capsys, init):
+    # int() reads "1_0" as 10 and "-٣" as -3.
+    assert cli_main(["solve", "--mode", "ssc", "--init", init,
+                     str(vb_file)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: {init!r} is not a list of literals\n"
 
 
 def test_init_of_zero_variables_is_the_empty_row(tmp_path, capsys):

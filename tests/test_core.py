@@ -410,6 +410,13 @@ def test_parse_cycles_and_cycle_text():
             parse_cycles(text)
 
 
+@pytest.mark.parametrize("text", ["(١ ２)", "(1 ٢)", "(1\u00a02)"])
+def test_parse_cycles_reads_ascii_only(text):
+    # A Unicode \d or \s would pass these, and int() reads the digits.
+    with pytest.raises(ValueError, match="bad cycle notation"):
+        parse_cycles(text)
+
+
 def test_parse_cycles_refuses_a_long_bad_line_at_once():
     # With an ambiguous pattern (whitespace matched on either side of a
     # cycle) a regex search backtracks exponentially in the number of

@@ -9,8 +9,8 @@ from stablesat.core import Clause, CnfFormula, resolvable_on, resolve
 from stablesat.cubes import (Cube, cube_falsifies, cube_nbhd, cube_satisfies,
                              merge, unreached_neighbors, unsat_cube)
 from stablesat.trace import prettify_payload
-from conftest import (cube_contains, cube_points, point_nbhd, random_clause,
-                      traced_peak, tuple_cube)
+from conftest import (count_points, cube_contains, cube_points, intersects,
+                      point_nbhd, random_clause, traced_peak, tuple_cube)
 
 
 def cube(lits, n):
@@ -93,10 +93,10 @@ def test_a_huge_literal_is_refused_in_bounded_memory():
 def test_unsat_cube_examples():
     u = unsat_cube(Clause([2, -4]), 4)
     assert u.literals() == (-2, 4)
-    assert u.count_points() == 4
+    assert count_points(u) == 4
     assert unsat_cube(Clause([2, 3]), 4) == cube([-2, -3], 4)
     full = unsat_cube(Clause([]), 2)
-    assert full == Cube.full(2) and full.count_points() == 4
+    assert full == Cube.full(2) and count_points(full) == 4
 
 
 def test_unsat_cube_arity_violation():
@@ -203,7 +203,7 @@ def test_cube_satisfies_is_a_miss_of_the_unsat_cube():
         mask = rng.getrandbits(n)
         c = Cube(n, mask, rng.getrandbits(n) & mask)
         assert cube_satisfies(c, clause) == \
-            (not unsat_cube(clause, n).intersects(c))
+            (not intersects(unsat_cube(clause, n), c))
     with pytest.raises(ValueError, match="exceeds arity 2"):
         cube_satisfies(cube([1], 2), Clause([1, 3]))
 
@@ -494,11 +494,6 @@ def test_cube_contains_examples():
     assert not cube_contains(cube([-1], 1), cube([1], 1))
     c = cube([1, -4], 5)
     assert cube_contains(c, c)
-
-
-def test_point_count_is_exact_int():
-    c = Cube.full(70)
-    assert c.count_points() == 2 ** 70
 
 
 def test_cube_text_forms():

@@ -66,11 +66,6 @@ def test_comments_blanks_and_percent_marker():
     assert [c.lits for c in f.clauses] == [(1, -2)]
 
 
-def test_bytes_input():
-    f = parse_dimacs(b"p cnf 1 1\n1 0\n")
-    assert f.clauses[0].lits == (1,)
-
-
 def test_empty_clause_parses():
     f = parse_dimacs("p cnf 1 1\n0\n")
     assert f.clauses[0].lits == ()
@@ -83,6 +78,21 @@ def test_tokens_read_as_int_reads_them():
     with pytest.raises(DimacsError) as err:
         parse_dimacs("p cnf 2 1\n1 x 0\n")
     assert str(err.value) == "line 2: bad literal 'x'"
+
+
+@pytest.mark.parametrize("token", ["1_0", "-٣", "１"])
+def test_literals_are_ascii_decimal(token):
+    # int() reads each of these: "1_0" as 10, "-٣" as -3, "１" as 1.
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(f"p cnf 12 1\n{token} 0\n")
+    assert str(err.value) == f"line 2: bad literal {token!r}"
+
+
+@pytest.mark.parametrize("header", ["p cnf 1_0 5", "p cnf 10 ٥"])
+def test_header_counts_are_ascii_decimal(header):
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(header + "\n")
+    assert str(err.value) == f"line 1: malformed header {header!r}"
 
 
 def test_tautology_across_lines_reported_at_its_terminator():

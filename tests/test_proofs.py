@@ -293,6 +293,20 @@ def test_parse_proof_names_a_truncated_record(line):
         parse_proof(line + "\nresult UNSAT\n")
 
 
+@pytest.mark.parametrize("line", [
+    "learn ٣ 1 0 from 1 2 pivot 3",
+    "learn 3 1_0 0 from 1 2 pivot 3",
+    "cluster -2 0 clause ٣",
+    "point 01 clause 1_0",
+])
+def test_parse_proof_refuses_numbers_not_in_ascii_decimal(line):
+    # int() would read "٣" as 3 and "1_0" as 10.
+    with pytest.raises(ValueError, match="^proof line 1: '_' or a non-ASCII "
+                                         "character: numbers are ASCII "
+                                         "decimal$"):
+        parse_proof(line + "\nresult UNSAT\n")
+
+
 @pytest.mark.parametrize("zero", ["0", "00", "-0"])
 def test_any_spelling_of_zero_closes_a_literal_list(zero):
     proof = parse_proof(f"learn 3 1 {zero} from 1 2 pivot 4\n"

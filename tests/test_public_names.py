@@ -11,6 +11,10 @@ as a plain name or as an attribute in a package module other than
 `__init__.py`, whose imports only re-export, or in a bench script. A
 bench string constant that spells the name counts too: the tracer
 looks up the functions it wraps by name.
+
+The same holds for options: every field of a package `*Config`
+dataclass is passed by keyword in some package module other than
+`__init__.py`. A field only the tests set is no part of the program.
 """
 
 import ast
@@ -85,3 +89,74 @@ def test_no_unread_public_names_in_package():
     bench = {path.name: path.read_text(encoding="utf-8") for path in BENCH}
     assert bench, "no bench scripts found"
     assert unread_public_names(package, bench) == []
+
+
+def config_fields(tree):
+    """(class, field) of each field the module's `*Config` classes
+    declare."""
+    return [(node.name, item.target.id) for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Config")
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def callee(call):
+    """The name a call's function is spelled by, bare or as an attribute."""
+    func = call.func
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def config_keywords(tree, classes):
+    """The keywords the module passes to a call of one of the classes,
+    with those of a `**_given(...)` among its arguments: the CLI builds
+    a config's keywords from the flags given."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and callee(node) in classes):
+            continue
+        for keyword in node.keywords:
+            value = keyword.value
+            if keyword.arg is not None:
+                passed.add(keyword.arg)
+            elif isinstance(value, ast.Call) and callee(value) == "_given":
+                passed.update(item.arg for item in value.keywords)
+    return passed
+
+
+def unset_config_fields(package):
+    """(module, class, field) of each field of a `*Config` class in
+    `package` (module -> source text) that no call of that class in a
+    package module but `__init__.py` passes by keyword."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    fields = [(module, cls, field) for module, tree in trees.items()
+              for cls, field in config_fields(tree)]
+    classes = {cls for _, cls, _ in fields}
+    passed = set().union(*(config_keywords(tree, classes)
+                           for module, tree in trees.items()
+                           if module != "__init__.py"))
+    return sorted(entry for entry in fields if entry[2] not in passed)
+
+
+def test_unset_config_fields_are_found():
+    # `spare` is passed only by `__init__.py` and to another class.
+    package = {"__init__.py": "from .a import RunConfig\n"
+                              "RunConfig(spare=True)\n",
+               "a.py": "from dataclasses import dataclass\n"
+                       "@dataclass\n"
+                       "class RunConfig:\n"
+                       "    kept: int = 0\n"
+                       "    given: str = ''\n"
+                       "    spare: bool = False\n"
+                       "class Box:\n"
+                       "    size: int = 0\n",
+               "b.py": "import a\n"
+                       "a.RunConfig(kept=1, **_given(args, given='flag'))\n"
+                       "Result(spare=[])\n"}
+    assert unset_config_fields(package) == [("a.py", "RunConfig", "spare")]
+
+
+def test_no_unset_config_fields_in_package():
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    assert any(config_fields(ast.parse(source)) for source in package.values())
+    assert unset_config_fields(package) == []

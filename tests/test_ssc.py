@@ -10,8 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stablesat.core import CnfFormula, VerifyReport
-from stablesat.coverage import (COVERED, UNCOVERED, CoverIndex, is_covered,
-                                union_count)
+from stablesat.coverage import COVERED, UNCOVERED, CoverIndex, is_covered
 from stablesat.cubes import (Cube, checked_members, cube_falsifies,
                              cube_satisfies, unreached_neighbors)
 from stablesat.oracle import brute_force_sat
@@ -22,9 +21,10 @@ from stablesat.symmetry import ph_formula
 from stablesat.ssc import (SscConfig, _Boundary, _find_merge, gen_ssc,
                            pick_split_var, verify_ssc)
 from stablesat.trace import format_trace
-from conftest import (cube_contains, cube_points, evaluate_clause,
-                      expand_body_to_points, point_nbhd, point_tuples,
-                      random_3cnf, random_clause, reference_stable)
+from conftest import (count_points, cube_contains, cube_points,
+                      evaluate_clause, expand_body_to_points, intersects,
+                      point_nbhd, point_tuples, random_3cnf, random_clause,
+                      reference_stable, union_count, xi_from_trace)
 
 
 def cube(lits, n=4):
@@ -103,7 +103,7 @@ def test_ne_style_contradiction_learns_empty_clause():
     result = gen_ssc(f, SscConfig(init_strategy="ne-style"))
     assert not result.satisfiable
     assert any(c.lits == () for c in result.learned) or \
-        sum(c.count_points() for c in result.body) >= 2
+        sum(count_points(c) for c in result.body) >= 2
     assert verify_ssc(result.formula, result.body, result.transport)
 
 
@@ -405,7 +405,8 @@ def test_stable_sets_that_do_not_cover_take_the_neighbour_check():
         result = gen_ssc(formula, SscConfig(
             init_cube=Cube.from_literals([-1], n),
             split_heuristic="first-intersecting"))
-        if result.satisfiable or is_covered(Cube.full(n), result.body) == COVERED:
+        if result.satisfiable or is_covered(
+                Cube.full(n), CoverIndex(n, result.body)) == COVERED:
             continue
         patch, targets = checker_queries()
         with patch:
@@ -570,12 +571,13 @@ def test_pick_split_var_reads_the_bitset_as_the_list(n, seed, heuristic):
 
 
 def test_xi_never_decreases(vb_formula, golden_config):
-    result = gen_ssc(vb_formula, dataclasses.replace(golden_config, xi_log=True))
-    values = [union + clauses for _, union, clauses in result.xi_log]
+    result = gen_ssc(vb_formula, golden_config)
+    xi = xi_from_trace(result.trace, vb_formula)
+    values = [union + clauses for union, clauses in xi]
     assert values == sorted(values)
-    assert len(result.xi_log) == result.iterations
-    assert result.xi_log[-1][1] == union_count(result.body, 4)
-    assert result.xi_log[-1][1] == 16  # body covers the whole space
+    assert len(xi) == result.iterations
+    assert xi[-1][0] == union_count(result.body)
+    assert xi[-1][0] == 16  # body covers the whole space
 
 
 def test_expand_body_matches_appendix_construction(vb_formula, golden_config):
@@ -875,7 +877,8 @@ def checked_queries(checks, whole=False):
                         in covers._slots.items()}) == expected
         assert len(covers) == expected.total()
         if whole:
-            assert original(Cube.full(p.n), [*expected, p]) == COVERED
+            assert original(Cube.full(p.n),
+                            CoverIndex(p.n, [*expected, p])) == COVERED
         verdict = original(target, covers, *args)
         checks.append(("split" if split else "nbhd", verdict))
         return verdict
@@ -1047,8 +1050,8 @@ def split_tree_checks(counts):
     def pick_split_var(p, *args):
         engine = engine_locals()
         cubes = boundary_cubes(engine["boundary"])
-        assert not any(q.intersects(p) for q in engine["transport"])
-        assert not any(q.intersects(p) for q in cubes)
+        assert not any(intersects(q, p) for q in engine["transport"])
+        assert not any(intersects(q, p) for q in cubes)
         assert len(set(cubes)) == len(cubes)
         counts["split"] += 1
         return pick(p, *args)
@@ -1099,12 +1102,12 @@ def test_all_free_certificates_pass_the_cover_path(formula, config):
     report = VerifyReport()
     members = checked_members(formula, body, transport, report)
     assert report and None not in members.values()
-    assert sum(cube.count_points() for cube in members) >= 1 << n
+    assert sum(count_points(cube) for cube in members) >= 1 << n
     patch, targets = checker_queries()
     with patch, mock.patch.object(ssc, "unreached_neighbors") as neighbours:
         assert verify_ssc(formula, body, transport)
     assert targets == [Cube.full(n)] and not neighbours.called
-    assert is_covered(Cube.full(n), body) == COVERED
+    assert is_covered(Cube.full(n), CoverIndex(n, body)) == COVERED
 
 
 def counted_nbhd(calls):
