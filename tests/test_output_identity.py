@@ -1,12 +1,15 @@
 """Byte identity of everything the CLI writes, in every solve mode.
 
 Each run solves one formula under one flag set with --trace and --proof,
-then verifies the proof. Its exit codes, stdout, trace file and proof
-file are hashed into one SHA-256 digest, pinned in
-tests/data/output_digests.json. The sym runs read the pigeon-hole
-generators and write no trace, which that mode refuses. A speed-up of
-the engine or its checker must leave every digest unchanged. After an intended output change,
-regenerate the file with
+then verifies the proof. Each part it writes gets its own SHA-256
+digest, pinned in tests/data/output_digests.json under
+"<formula> <flags> <part>": `solve` (the solve's exit code and stdout),
+`trace`, `proof`, and `verify` (the verify's exit code and stdout). So a
+change of the proof format shows apart from a change of the trace. The
+sym runs read the pigeon-hole generators and write no trace, which that
+mode refuses. A speed-up of the engine or its checker must leave every
+digest unchanged. After an intended output change, regenerate the file
+with
 
     PYTHONPATH=src python tests/test_output_identity.py > tests/data/output_digests.json
 """
@@ -77,41 +80,44 @@ def _run(cmd: list) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def _digest(text: str, flags: list, tmp: str, trace: bool = True) -> str:
+def _digests(text: str, flags: list, tmp: str, trace: bool = True) -> dict:
+    """The digest of each part one run writes, keyed by the part's name."""
     cnf, trace_path, proof = (os.path.join(tmp, name)
                               for name in ("f.cnf", "f.trace", "f.proof"))
     with open(cnf, "w", encoding="utf-8") as handle:
         handle.write(text)
     traced = ["--trace", trace_path] if trace else []
-    written = [trace_path, proof] if trace else [proof]
-    parts = [_run(["solve", *flags, *traced, "--proof", proof, cnf])]
-    for path in written:
+    parts = {"solve": _run(["solve", *flags, *traced, "--proof", proof, cnf])}
+    written = [("trace", trace_path)] if trace else []
+    for part, path in [*written, ("proof", proof)]:
         with open(path, "r", encoding="utf-8") as handle:
-            parts.append(handle.read())
-    parts.append(_run(["verify", "--proof", proof, cnf]))
-    return hashlib.sha256("\0".join(parts).encode()).hexdigest()
+            parts[part] = handle.read()
+    parts["verify"] = _run(["verify", "--proof", proof, cnf])
+    return {part: hashlib.sha256(out.encode()).hexdigest()
+            for part, out in parts.items()}
 
 
-def _sym_digests(tmp: str) -> dict:
+def _sym_runs(tmp: str) -> dict:
     out = {}
     for p, h in ((3, 2), (4, 3)):
         formula, inst = ph_formula(p, h)
         sym = os.path.join(tmp, f"ph{p}{h}.sym")
         with open(sym, "w", encoding="utf-8") as handle:
             handle.write(format_symmetry_file(ph_symmetry_generators(inst)))
-        out[f"ph{p}{h} sym"] = _digest(write_dimacs(formula),
-                                       ["--mode", "sym", "--sym", sym], tmp,
-                                       trace=False)
+        out[f"ph{p}{h} sym"] = _digests(write_dimacs(formula),
+                                        ["--mode", "sym", "--sym", sym], tmp,
+                                        trace=False)
     return out
 
 
 def compute_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {f"{name} {label}": _digest(text, flags, tmp)
-                   for name, text in _formulas().items()
-                   for label, flags in FLAG_SETS.items()}
-        digests.update(_sym_digests(tmp))
-        return digests
+        runs = {f"{name} {label}": _digests(text, flags, tmp)
+                for name, text in _formulas().items()
+                for label, flags in FLAG_SETS.items()}
+        runs.update(_sym_runs(tmp))
+    return {f"{run} {part}": digest for run, parts in runs.items()
+            for part, digest in parts.items()}
 
 
 def test_cli_output_matches_pinned_digests():
@@ -119,8 +125,8 @@ def test_cli_output_matches_pinned_digests():
         pinned = json.load(handle)
     got = compute_digests()
     assert sorted(got) == sorted(pinned)
-    changed = [run for run in got if got[run] != pinned[run]]
-    assert not changed, f"output changed on {len(changed)} runs: {changed}"
+    changed = [key for key in got if got[key] != pinned[key]]
+    assert not changed, f"output changed in {len(changed)} parts: {changed}"
 
 
 if __name__ == "__main__":
