@@ -1,11 +1,13 @@
-"""Propositional basics: clauses, CNF formulas, the 0/1 row of a point,
-resolution, and the cycle notation of variable permutations.
+"""Propositional basics: clauses, CNF formulas, the 0/1 row of a point
+and the 0/1/- row of a cube, resolution, and the cycle notation of
+variable permutations.
 
 Literals are signed DIMACS-style integers (3 means x3, -3 means not-x3).
 A point is a complete assignment, kept as a one-point `Cube` whose value
 bits hold x_v at bit v - 1; `point_row` and `row_bits` write and read it
-as text. Variable indices are 1-based externally; bit positions used
-internally are variable - 1.
+as text. `cube_row` and `row_masks` do the same for a cube's two
+bitsets, `-` marking a free variable. Variable indices are 1-based
+externally; bit positions used internally are variable - 1.
 """
 
 from __future__ import annotations
@@ -296,6 +298,33 @@ def row_bits(text: str, n: int) -> int:
     if len(text) != n or text.strip("01"):
         raise ValueError(f"{text!r} is not a 0/1 string of {n} variables")
     return int(text[::-1] or "0", 2)
+
+
+# A cube row's characters, from the base-16 digit sum of its two bitsets
+# (0 free, 1 pinned to 0, 2 pinned to 1), and back to each bitset's digits.
+_TERNARY_CHARS = str.maketrans("012", "-01")
+_ROW_MASK = str.maketrans("-01", "011")
+_ROW_VAL = str.maketrans("-", "0")
+
+
+def cube_row(mask: int, val: int, n: int) -> str:
+    """The 0/1/- row of the cube (mask, val) over n variables, x1 first,
+    exactly n characters: `-` for a free variable, else its value. Each
+    bitset's binary digits, read in base 16, put one bit in each hex
+    digit, so their sum's hex digit v - 1 is x_v's character; a sentinel
+    above x_n keeps n + 1 digits, also for n = 0, and is dropped."""
+    digits = int(format(mask | 1 << n, "b"), 16) + int(format(val, "b"), 16)
+    return format(digits, "x")[:0:-1].translate(_TERNARY_CHARS)
+
+
+def row_masks(text: str, n: int):
+    """The (mask, val) bitsets of a 0/1/- row, x1 first; anything but
+    exactly n characters of -, 0 and 1 is refused."""
+    # int() alone would also read a sign, "_" or whitespace.
+    if len(text) != n or text.strip("-01"):
+        raise ValueError(f"{text!r} is not a 0/1/- string of {n} variables")
+    text = text[::-1] or "-"    # int() reads no empty string
+    return int(text.translate(_ROW_MASK), 2), int(text.translate(_ROW_VAL), 2)
 
 
 # One way to match each character, so a long bad line fails in linear time.

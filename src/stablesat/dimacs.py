@@ -16,11 +16,12 @@ class DimacsError(ValueError):
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF text into a formula.
 
+    Lines end at a newline; a carriage return before it is dropped.
     Comments and blank lines are skipped, clauses may span lines, a lone
-    '%' ends the clause section. Numbers are ASCII decimal. Duplicate
-    literals collapse; tautological clauses and out-of-range variables
-    are errors. A clause count that disagrees with the header is only a
-    warning; the actual count wins.
+    '%' ends the clause section. The header and clause lines are ASCII,
+    and numbers ASCII decimal. Duplicate literals collapse; tautological
+    clauses and out-of-range variables are errors. A clause count that
+    disagrees with the header is only a warning; the actual count wins.
     """
     num_vars = declared = None
     clauses: list[Clause] = []
@@ -29,7 +30,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     lits: dict[str, int] = {}
     pos = neg = 0        # the pending clause's positive and negative variables
     pending_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines break at "\n" alone: str.splitlines would also break at "\x1c",
+    # "\x85", "\u2028" and others. strip() drops a trailing "\r".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -40,7 +43,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                 raise DimacsError("duplicate header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf" or \
-                    non_decimal_chars(line):
+                    non_decimal_chars(raw):
                 raise DimacsError(f"malformed header {line!r}", lineno)
             try:
                 num_vars, declared = int(parts[2]), int(parts[3])
@@ -51,6 +54,10 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise DimacsError(f"clause data before header: {line!r}", lineno)
+        if not raw.isascii():
+            # str.split would take a non-ASCII space for a separator.
+            token = next(t for t in raw.encode().split() if not t.isascii())
+            raise DimacsError(f"bad literal {token.decode()!r}", lineno)
         if not pos | neg:
             pending_line = lineno
         for token in line.split():

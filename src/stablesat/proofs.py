@@ -3,23 +3,32 @@
 An unsatisfiability proof is line-oriented:
 
     learn <new-id> <lit...> 0 from <id1> <id2> pivot <var>
+    cube <row> clause <id>
     cluster <cube-literals> 0 clause <id>
     point <bits> clause <id>
     result UNSAT
 
-Learn lines replay through the resolution engine; cluster lines rebuild
-the Body, which the cluster verifier then checks against the extended
-formula. The point engines write each member as a point line instead:
-`<bits>` is the point as a 0/1 string, x1 first, exactly num_vars
-characters long, and the point of zero variables leaves the token out
-(`point clause <id>`). A point line is the one-point cube of the fully
-pinned cluster line, which is read as well. A proof modulo symmetry
+Learn lines replay through the resolution engine; cube and cluster
+lines rebuild the Body, in file order, which the cluster verifier then
+checks against the extended formula. A cube line's `<row>` is the cube
+as a 0/1/- string, x1 first, exactly num_vars characters long, `-` for
+a free variable; a cluster line lists the cube's pinned literals
+instead. The writer picks the form from num_vars and the cube's width
+alone: the row while num_vars is at most 2.5 times the width, so a
+narrow cube under a wide header keeps a short line. The point engines
+write each member as a point line: `<bits>` is the point as a 0/1
+string, x1 first, exactly num_vars characters long. The row of zero
+variables leaves its token out (`cube clause <id>`, `point clause
+<id>`). A point line is the one-point cube of the fully pinned cube or
+cluster line, which is read as well. A proof modulo symmetry
 opens with one `sym <cycles>` record per generator, in cycle notation,
 and holds no learn record; its members are points, one representative
 per orbit, and the verifier checks the union of their orbits, which
 the caller expands. Satisfiable runs emit a witness line followed by
-`result SAT`; the witness cube must satisfy every input clause. Blank
-lines, and lines that are `c` or start with `c ` or `#`, are comments.
+`result SAT`; the witness cube must satisfy every input clause. Lines end
+at a newline, a carriage return before it dropped, and records are
+ASCII. Blank lines, and lines that are `c` or start with `c ` or `#`,
+are comments.
 The result line is always last, and no record carries tokens after its
 last field; the parser rejects either, and a misplaced sym record,
 with `proof line N: ...`.
@@ -30,9 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice, takewhile
 
-from .core import (CnfFormula, VerifyReport, cycle_text, lits_to_masks,
-                   non_decimal_chars, parse_cycles, point_row, resolvable_on,
-                   resolve, row_bits)
+from .core import (CnfFormula, VerifyReport, cube_row, cycle_text,
+                   lits_to_masks, non_decimal_chars, parse_cycles, point_row,
+                   resolvable_on, resolve, row_bits, row_masks)
 from .cubes import Cube, cube_satisfies
 from .ssc import LearnStep, SscResult, verify_ssc
 from .ssp import SspResult
@@ -42,7 +51,8 @@ from .ssp import SspResult
 class Proof:
     generators: list = field(default_factory=list)  # cycle lists, one each
     learns: list = field(default_factory=list)     # LearnStep records
-    clusters: list = field(default_factory=list)   # (literal tuple, clause id)
+    # (0/1/- string or literal tuple, clause id), in file order
+    clusters: list = field(default_factory=list)
     points: list = field(default_factory=list)     # (0/1 string, clause id)
     witness: tuple | None = None                   # literal tuple
     result: str = ""                               # "SAT" or "UNSAT"
@@ -64,8 +74,10 @@ def proof_from_result(result, generators=()) -> Proof:
     proof.generators = list(generators)
     transport = result.transport
     if isinstance(result, SscResult):
-        proof.clusters = [(cube.literals(), transport[cube])
-                          for cube in result.body]
+        proof.clusters = [
+            (cube_row(cube.mask, cube.val, cube.n)
+             if 2 * cube.n <= 5 * cube.mask.bit_count() else cube.literals(),
+             transport[cube]) for cube in result.body]
     else:
         proof.points = [(point_row(cube.val, cube.n), transport[cube])
                         for cube in result.points]
@@ -80,15 +92,22 @@ def _terminated(lits) -> str:
     return " ".join(map(repr, (*lits, 0)))
 
 
+def _row_record(kind: str, row: str, cid: int) -> str:
+    """A cube or point line; the row of zero variables leaves its token out."""
+    return f"{kind} {row} clause {cid}" if row else f"{kind} clause {cid}"
+
+
 def format_proof(proof: Proof) -> str:
     lines = ["sym " + cycle_text(cycles) for cycles in proof.generators]
     for step in proof.learns:
         lines.append(f"learn {step.cid} {_terminated(step.lits)} "
                      f"from {step.left} {step.right} pivot {step.pivot}")
-    for lits, cid in proof.clusters:
-        lines.append(f"cluster {_terminated(lits)} clause {cid}")
-    lines += [f"point {bits} clause {cid}" if bits else f"point clause {cid}"
-              for bits, cid in proof.points]
+    for form, cid in proof.clusters:
+        if isinstance(form, str):
+            lines.append(_row_record("cube", form, cid))
+        else:
+            lines.append(f"cluster {_terminated(form)} clause {cid}")
+    lines += [_row_record("point", bits, cid) for bits, cid in proof.points]
     if proof.witness is not None:
         lines.append("witness " + _terminated(proof.witness))
     lines.append(f"result {proof.result}")
@@ -114,13 +133,14 @@ def _take_zero_terminated(tokens, start):
 
 def parse_proof(text: str) -> Proof:
     proof = Proof()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Records end at "\n" alone, as in DIMACS; strip() drops a "\r".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith(("#", "c ")) or line == "c":
             continue
         tokens = line.split()
         try:
-            if non_decimal_chars(line):
+            if non_decimal_chars(raw):
                 raise ValueError("'_' or a non-ASCII character: numbers are "
                                  "ASCII decimal")
             if proof.result:
@@ -131,6 +151,7 @@ def parse_proof(text: str) -> Proof:
             if tokens[0] == "sym":
                 if (proof.learns or proof.clusters or proof.points
                         or proof.witness is not None):
+                    # A cube record is a cluster in row form.
                     raise ValueError("sym record after a learn, cluster, "
                                      "point or witness record")
                 proof.generators.append(parse_cycles(line[len("sym"):]))
@@ -150,13 +171,14 @@ def parse_proof(text: str) -> Proof:
                     raise ValueError("malformed cluster line")
                 proof.clusters.append((lits, int(tokens[i + 1])))
                 end = i + 2
-            elif tokens[0] == "point":
-                # The point of zero variables has no bits token.
-                bits = "" if tokens[1] == "clause" else tokens[1]
-                i = 2 if bits else 1
+            elif tokens[0] in ("cube", "point"):
+                # The row of zero variables has no token.
+                row = "" if tokens[1] == "clause" else tokens[1]
+                i = 2 if row else 1
                 if tokens[i] != "clause":
-                    raise ValueError("malformed point line")
-                proof.points.append((bits, int(tokens[i + 1])))
+                    raise ValueError(f"malformed {tokens[0]} line")
+                members = proof.clusters if tokens[0] == "cube" else proof.points
+                members.append((row, int(tokens[i + 1])))
                 end = i + 2
             elif tokens[0] == "witness":
                 proof.witness, end = _take_zero_terminated(tokens, 1)
@@ -184,9 +206,10 @@ def replay_proof(formula: CnfFormula, proof: Proof,
     """Re-derive every learn step and re-verify the certificate.
 
     The caller's formula is not modified; learn steps extend a copy. An
-    UNSAT proof's cluster and point lines must yield cubes that the
-    independent cluster verifier accepts, a point line the one-point cube
-    of its 0/1 string; a SAT proof must carry a witness cube satisfying every input
+    UNSAT proof's cube, cluster and point lines must yield cubes that the
+    independent cluster verifier accepts, a cube line the cube of its
+    0/1/- string, a point line the one-point cube of its 0/1 string; a
+    SAT proof must carry a witness cube satisfying every input
     clause. A proof with sym records needs `expand`, which maps its
     clusters and their transport to the union of their orbits, as cubes
     and transport again; the cluster verifier judges that union, so a
@@ -240,9 +263,10 @@ def replay_proof(formula: CnfFormula, proof: Proof,
     n = work.num_vars
     clusters = []
     transport = {}
-    for lits, cid in proof.clusters:
+    for form, cid in proof.clusters:
         try:
-            cube = Cube.from_literals(lits, n)
+            cube = (Cube(n, *row_masks(form, n)) if isinstance(form, str)
+                    else Cube.from_literals(form, n))
         except ValueError as exc:
             report.fail(f"cluster invalid: {exc}")
             return report

@@ -518,9 +518,12 @@ def verify_ssc(formula: CnfFormula, clusters, transport) -> VerifyReport:
     members = checked_members(formula, clusters, transport, report)
     n = next(iter(members)).n
     index = None
-    # Each member's point count, 2^(free variables), with no method call.
-    if report and sum([1 << n - cube.mask.bit_count()
-                       for cube in members]) >= 1 << n:
+    # The point counts 2^(n - width) sum to 2^n or more exactly when the
+    # 2^(top - width) do to 2^top, top the widest member's width: integers
+    # of the widths' size, not of n's, under a wide header.
+    widths = [cube.mask.bit_count() for cube in members]
+    top = max(widths)
+    if report and sum([1 << top - width for width in widths]) >= 1 << top:
         index = CoverIndex(n, members)
         if is_covered(Cube.full(n), index) == COVERED:
             return report

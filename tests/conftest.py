@@ -122,6 +122,16 @@ def cube_points(cube):
         yield bits_to_point(bits, cube.n)
 
 
+def proof_cube(form, n: int):
+    """Reference reading of a `Proof.clusters` entry's form: a 0/1/- row
+    read one character at a time, x1 first, or a literal tuple."""
+    if isinstance(form, str):
+        assert len(form) == n and set(form) <= set("-01"), form
+        form = [v if ch == "1" else -v
+                for v, ch in enumerate(form, start=1) if ch != "-"]
+    return Cube.from_literals(form, n)
+
+
 def cube_contains(outer, inner) -> bool:
     """Reference containment: every component of `inner` is a subset of
     the same component of `outer`."""

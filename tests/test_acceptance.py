@@ -27,7 +27,7 @@ from stablesat.symmetry import (gen_ssp_mod_symmetry, ph_formula,
                                 verify_stable_mod_symmetry)
 from conftest import (apply_perm_clause, apply_perm_point, chain6_points,
                       expand_body_to_points,
-                      point_cubes, point_nbhd, point_tuples, random_3cnf,
+                      point_cubes, proof_cube, point_nbhd, point_tuples, random_3cnf,
                       reference_stable, union_count, xi_from_trace)
 
 
@@ -158,8 +158,9 @@ def test_criterion_1_golden_trace(tmp_path):
         expected_body = {Cube.from_literals(lits, 4) for lits in
                          ([-2, -3], [2, -3], [-2, 3], [2, 3])}
         assert set(result.body) == expected_body
-        assert set(c for c, _ in proof.clusters) == \
-            {cube.literals() for cube in expected_body}
+        assert len(proof.clusters) == 4
+        assert {proof_cube(form, 4) for form, _ in proof.clusters} == \
+            expected_body
         assert time.perf_counter() - start < 1.0
 
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablesat.core import (Clause, CnfFormula, cycle_text, parse_cycles,
-                            point_row, resolvable_on, resolve, row_bits)
+from stablesat.core import (Clause, CnfFormula, cube_row, cycle_text,
+                            parse_cycles, point_row, resolvable_on, resolve,
+                            row_bits, row_masks)
+from stablesat.cubes import Cube
 from conftest import (evaluate_clause, find_clause, point_bits, point_nbhd,
                       random_clause, traced_peak)
 
@@ -286,6 +288,40 @@ def test_point_row_codec(n):
             row_bits(text, n)
         assert str(refusal.value) == \
             f"{text!r} is not a 0/1 string of {n} variables"
+
+
+@st.composite
+def _cubes(draw):
+    n = draw(st.integers(0, 70))
+    mask = draw(st.integers(0, (1 << n) - 1))
+    return Cube(n, mask, draw(st.integers(0, (1 << n) - 1)) & mask)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cubes())
+def test_cube_row_codec_round_trips(cube):
+    n = cube.n
+    row = cube_row(cube.mask, cube.val, n)
+    # x1 first, `-` for a free variable
+    assert row == "".join(str(cube.val >> i & 1) if cube.mask >> i & 1
+                          else "-" for i in range(n))
+    assert Cube(n, *row_masks(row, n)) == cube
+
+
+def test_cube_row_examples():
+    assert cube_row(0b110, 0b100, 3) == "-01"
+    assert row_masks("-01", 3) == (0b110, 0b100)
+    assert cube_row(0, 0, 0) == "" and row_masks("", 0) == (0, 0)
+
+
+@pytest.mark.parametrize("row", ["0-", "-0-0", "", "0-2", "+-0",
+                                 "-_0", "- 0", "0٣-", "１-0", "-0\n"])
+def test_cube_row_codec_refuses_all_but_n_ternary_digits(row):
+    # The one message for a wrong length and for any character but -, 0
+    # and 1, also those int() reads inside a binary number.
+    with pytest.raises(ValueError) as refusal:
+        row_masks(row, 3)
+    assert str(refusal.value) == f"{row!r} is not a 0/1/- string of 3 variables"
 
 
 def test_resolvable_on_single_clash():

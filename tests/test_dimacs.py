@@ -88,6 +88,21 @@ def test_literals_are_ascii_decimal(token):
     assert str(err.value) == f"line 2: bad literal {token!r}"
 
 
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                 "\u00a0"])
+def test_clause_lines_break_at_newline_only(sep):
+    # str.splitlines breaks a line at the first five, and str.split
+    # splits tokens at all six. The ASCII ones stay inside line 2 (the
+    # error names it, not a line 3); a non-ASCII clause line is refused.
+    text = f"p cnf 2 1\n1{sep}3 0\r\n"
+    with pytest.raises(DimacsError) as err:
+        parse_dimacs(text)
+    assert str(err.value) == ("line 2: variable x3 above declared count 2"
+                              if sep.isascii() else
+                              f"line 2: bad literal {'1' + sep + '3'!r}")
+    assert parse_dimacs("p cnf 2 1\r\n1 2 0\r\n").clauses[0].lits == (1, 2)
+
+
 @pytest.mark.parametrize("header", ["p cnf 1_0 5", "p cnf 10 ٥"])
 def test_header_counts_are_ascii_decimal(header):
     with pytest.raises(DimacsError) as err:

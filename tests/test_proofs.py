@@ -7,16 +7,20 @@ from unittest import mock
 import pytest
 
 from stablesat import core, proofs
+from stablesat.cli import cli_main
 from stablesat.core import Clause, CnfFormula
+from stablesat.cubes import Cube
 from stablesat.dimacs import parse_dimacs, write_dimacs
 from stablesat.proofs import (Proof, emit_proof, format_proof, parse_proof,
                               proof_from_result, replay_proof)
-from stablesat.ssc import LearnStep, SscConfig, gen_ssc
+from stablesat.ssc import LearnStep, SscConfig, SscResult, gen_ssc
 from stablesat.ssp import gen_ssp
 from stablesat.symmetry import ph_formula
-from conftest import (CHAIN6_POINTS, CHAIN6_TRANSPORT, random_3cnf,
-                      traced_peak, tuple_cube)
+from conftest import (CHAIN6_POINTS, CHAIN6_TRANSPORT, proof_cube,
+                      random_3cnf, traced_peak, tuple_cube)
 
+# The worked example's proof as earlier versions wrote it, each Body
+# cluster as its literals; it must keep verifying.
 GOLDEN_PROOF = """\
 learn 6 -2 3 0 from 2 3 pivot 1
 learn 7 -3 0 from 4 5 pivot 4
@@ -27,24 +31,133 @@ cluster 2 3 0 clause 7
 result UNSAT
 """
 
+# The same proof as the writer emits it: each cluster of width 2 over 4
+# variables as its 0/1/- row.
+GOLDEN_CUBE_PROOF = """\
+learn 6 -2 3 0 from 2 3 pivot 1
+learn 7 -3 0 from 4 5 pivot 4
+cube -00- clause 1
+cube -10- clause 6
+cube -01- clause 7
+cube -11- clause 7
+result UNSAT
+"""
+
 
 def test_golden_proof_text(vb_formula, golden_config):
     result = gen_ssc(vb_formula, golden_config)
     sink = io.StringIO()
     emit_proof(result, sink)
-    assert sink.getvalue() == GOLDEN_PROOF
+    assert sink.getvalue() == GOLDEN_CUBE_PROOF
 
 
 def test_parse_format_roundtrip():
-    proof = parse_proof(GOLDEN_PROOF)
-    assert format_proof(proof) == GOLDEN_PROOF
-    assert [s.cid for s in proof.learns] == [6, 7]
-    assert proof.result == "UNSAT"
+    for text in (GOLDEN_PROOF, GOLDEN_CUBE_PROOF):
+        proof = parse_proof(text)
+        assert format_proof(proof) == text
+        assert [s.cid for s in proof.learns] == [6, 7]
+        assert proof.result == "UNSAT"
 
 
 def test_replay_accepts_golden(vb_formula):
     proof = parse_proof(GOLDEN_PROOF)
     assert replay_proof(vb_formula, proof)
+    assert replay_proof(vb_formula, parse_proof(GOLDEN_CUBE_PROOF))
+
+
+def test_both_cluster_forms_read_as_one_list_in_file_order(vb_formula):
+    # Both golden proofs name the same cubes in the same order, and a
+    # proof that mixes the forms verifies.
+    old, new = (parse_proof(text).clusters
+                for text in (GOLDEN_PROOF, GOLDEN_CUBE_PROOF))
+    assert [(proof_cube(form, 4), cid) for form, cid in old] == \
+        [(proof_cube(form, 4), cid) for form, cid in new]
+    mixed = GOLDEN_CUBE_PROOF.replace("cube -10- clause 6",
+                                      "cluster 2 -3 0 clause 6").replace(
+        "cube -11- clause 7", "cluster 2 3 0 clause 7")
+    proof = parse_proof(mixed)
+    assert [form for form, _ in proof.clusters] == \
+        ["-00-", (2, -3), "-01-", (2, 3)]
+    assert format_proof(proof) == mixed
+    assert replay_proof(vb_formula, proof)
+    # Dropping a cluster of either form is noticed.
+    for line in ("cube -01- clause 7\n", "cluster 2 3 0 clause 7\n"):
+        report = replay_proof(vb_formula, parse_proof(mixed.replace(line, "")))
+        assert any("not covered" in msg for msg in report.failures)
+
+
+def test_one_variable_cluster_and_cube_lines_differ():
+    # `cluster 0` lists no literal: the all-free cube. `cube 0` is the
+    # row of x1 = 0. The record name alone tells them apart.
+    cluster = parse_proof("cluster 0 clause 1\nresult UNSAT\n")
+    cube = parse_proof("cube 0 clause 1\nresult UNSAT\n")
+    assert proof_cube(cluster.clusters[0][0], 1) == Cube.full(1)
+    assert proof_cube(cube.clusters[0][0], 1) == Cube(1, 1, 0)
+    f = CnfFormula(1, [[1], [-1]])
+    assert replay_proof(f, parse_proof("cube 0 clause 1\ncube 1 clause 2\n"
+                                       "result UNSAT\n"))
+    report = replay_proof(f, parse_proof("cluster 0 clause 1\ncube 1 clause 2"
+                                         "\nresult UNSAT\n"))
+    assert report.failures == ["cluster T: does not falsify clause 1"]
+
+
+@pytest.mark.parametrize("n, width, form", [
+    (0, 0, "cube clause 3"),
+    (1, 0, "cluster 0 clause 3"),
+    (1, 1, "cube 0 clause 3"),
+    (5, 2, "cube 00--- clause 3"),
+    (6, 2, "cluster -1 -2 0 clause 3"),
+    (20, 8, "cube " + "0" * 8 + "-" * 12 + " clause 3"),
+    (21, 8, "cluster " + " ".join(map(str, range(-1, -9, -1))) + " 0 clause 3"),
+])
+def test_writer_picks_the_row_while_n_is_at_most_two_and_a_half_widths(
+        n, width, form):
+    # The form depends on n and the cube's width alone.
+    cube = Cube(n, (1 << width) - 1, 0)
+    result = SscResult(False, body=[cube], transport={cube: 3})
+    assert format_proof(proof_from_result(result)).splitlines()[0] == form
+
+
+def test_huge_header_cluster_keeps_the_literal_form_in_bounded_memory(
+        tmp_path, capsys):
+    # A one-literal cluster under 10^7 variables: a row would be 10^7
+    # bytes, the literal line does not grow with n, and verify stays small.
+    def proof_text(n):
+        low, high = Cube(n, 1, 0), Cube(n, 1, 1)
+        result = SscResult(False, body=[low, high],
+                           transport={low: 1, high: 2})
+        return format_proof(proof_from_result(result))
+    text = proof_text(10 ** 7)
+    assert text == proof_text(3) == ("cluster -1 0 clause 1\n"
+                                     "cluster 1 0 clause 2\nresult UNSAT\n")
+    cnf, proof = tmp_path / "huge.cnf", tmp_path / "huge.proof"
+    cnf.write_text("p cnf 10000000 2\n1 0\n-1 0\n")
+    proof.write_text(text)
+    code, peak = traced_peak(
+        lambda: cli_main(["verify", "--proof", str(proof), str(cnf)]))
+    assert code == 0 and peak < 4 * 2 ** 20
+    assert capsys.readouterr().out == "verified: result UNSAT\n"
+
+
+def test_ph32_row_mutations_are_rejected():
+    # Each `-` pinned to 0 or 1 and each 0 flipped to 1, in every cube
+    # line of a valid proof, gives a proof verify rejects.
+    formula = ph_formula(3, 2)[0]
+    text = format_proof(proof_from_result(gen_ssc(formula)))
+    lines = text.splitlines(keepends=True)
+    rows = [(i, line.split()[1]) for i, line in enumerate(lines)
+            if line.startswith("cube ")]
+    assert rows and any(l.startswith("cluster ") for l in lines)
+    assert replay_proof(formula, parse_proof(text))
+    mutants = 0
+    for i, row in rows:
+        for at, ch in enumerate(row):
+            for new in {"-": "01", "0": "1", "1": ""}[ch]:
+                line = lines[i].replace(row, row[:at] + new + row[at + 1:])
+                proof = parse_proof("".join(lines[:i] + [line] + lines[i + 1:]))
+                assert not replay_proof(formula, proof), line
+                mutants += 1
+    assert mutants > 2 * len(rows)
 
 
 def test_replay_builds_one_clause_per_learn_step():
@@ -223,6 +336,23 @@ def test_replay_refuses_a_point_not_of_num_vars_binary_digits(bits):
                                f"of 3 variables"]
 
 
+@pytest.mark.parametrize("row", [
+    "", "-0", "-0-0", "-02", "+-0", "-_0", "- 0", "0٣-", "１-0",
+])
+def test_replay_refuses_a_cube_not_of_num_vars_ternary_digits(row):
+    f = CnfFormula(3, [[1, 2, 3]])
+    report = replay_proof(f, Proof(clusters=[(row, 1)], result="UNSAT"))
+    assert report.failures == [f"cluster invalid: {row!r} is not a 0/1/- "
+                               f"string of 3 variables"]
+
+
+def test_replay_refuses_a_free_variable_in_a_point_line():
+    f = CnfFormula(3, [[1, 2, 3]])
+    report = replay_proof(f, parse_proof("point 0-0 clause 1\nresult UNSAT\n"))
+    assert report.failures == ["point invalid: '0-0' is not a 0/1 string of "
+                               "3 variables"]
+
+
 def test_ssp_sat_proof():
     f = CnfFormula(2, [[1, 2]])
     result = gen_ssp(f, init=tuple_cube((1, 0)))
@@ -247,6 +377,9 @@ def test_parse_proof_rejects_records_after_the_result():
                                          "the result line"):
         parse_proof("result UNSAT\ncluster -1 0 clause 1 9 9\n"
                     "learn 3 0 from 1 2 pivot 1 junk\n")
+    with pytest.raises(ValueError, match="proof line 3: cube record after "
+                                         "the result line"):
+        parse_proof("cube 0- clause 1\nresult UNSAT\ncube 1- clause 2\n")
     # Comments may follow it.
     assert parse_proof("result UNSAT\nc done\n\n").result == "UNSAT"
 
@@ -266,6 +399,8 @@ def test_parse_proof_skips_comment_lines():
     ("cluster -1 0 clause 1 9 9", "9"),
     ("point 01 clause 1 9", "9"),
     ("point clause 1 clause", "clause"),
+    ("cube -0 clause 1 9", "9"),
+    ("cube clause 1 clause", "clause"),
     ("witness 1 0 1", "1"),
     ("result UNSAT 0", "0"),
 ])
@@ -284,6 +419,10 @@ def test_parse_proof_rejects_trailing_tokens(line, extra):
     "point 01 clause",
     "point clause",
     "point",
+    "cube -0",
+    "cube -0 clause",
+    "cube clause",
+    "cube",
     "learn",
     "result",
 ])
@@ -298,6 +437,8 @@ def test_parse_proof_names_a_truncated_record(line):
     "learn 3 1_0 0 from 1 2 pivot 3",
     "cluster -2 0 clause ٣",
     "point 01 clause 1_0",
+    "cube 0٣- clause 1",
+    "cube -_0 clause 1",
 ])
 def test_parse_proof_refuses_numbers_not_in_ascii_decimal(line):
     # int() would read "٣" as 3 and "1_0" as 10.
@@ -305,6 +446,15 @@ def test_parse_proof_refuses_numbers_not_in_ascii_decimal(line):
                                          "character: numbers are ASCII "
                                          "decimal$"):
         parse_proof(line + "\nresult UNSAT\n")
+
+
+@pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028"])
+def test_records_break_at_newline_only(sep):
+    # str.splitlines would read two records here, each valid.
+    with pytest.raises(ValueError, match="^proof line 1: "):
+        parse_proof(f"point 01 clause 1{sep}result UNSAT\n")
+    proof = parse_proof("point 01 clause 1\r\nresult UNSAT\r\n")
+    assert proof.points == [("01", 1)] and proof.result == "UNSAT"
 
 
 @pytest.mark.parametrize("zero", ["0", "00", "-0"])
@@ -364,6 +514,10 @@ def test_sym_records_parse_and_format():
      "proof line 3: sym record after a learn, cluster, point or witness "
      "record"),
     ("sym (1 2)\npoint 11 clause 1\nsym (1 2)\nresult UNSAT\n",
+     "proof line 3: sym record after a learn, cluster, point or witness "
+     "record"),
+    # A cube record is a cluster in row form.
+    ("sym (1 2)\ncube 1- clause 1\nsym (1 2)\nresult UNSAT\n",
      "proof line 3: sym record after a learn, cluster, point or witness "
      "record"),
     ("sym (1 2)\nresult UNSAT\nsym (1 2)\n",
