@@ -74,6 +74,9 @@ def proof_from_result(result, generators=()) -> Proof:
     proof.generators = list(generators)
     transport = result.transport
     if isinstance(result, SscResult):
+        # A row costs n bytes and a literal about 2.5: a narrow cube under
+        # a wide header keeps the literal form, whose line does not grow
+        # with n.
         proof.clusters = [
             (cube_row(cube.mask, cube.val, cube.n)
              if 2 * cube.n <= 5 * cube.mask.bit_count() else cube.literals(),
